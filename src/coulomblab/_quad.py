@@ -27,13 +27,6 @@ def gl_nodes(n: int):
     return x, w
 
 
-def gl_fixed(f, a: float, b: float, n: int = 32) -> float:
-    """Fixed-order Gauss-Legendre integral of a vectorized callable."""
-    x, w = gl_nodes(n)
-    h = 0.5 * (b - a)
-    return h * float(np.dot(w, f(a + h * (x + 1.0))))
-
-
 def adaptive_1d(f, a: float, b: float, tol: float,
                 max_panels: int = 20000, order: int = 15,
                 max_depth: int = 48):

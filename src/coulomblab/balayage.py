@@ -20,8 +20,11 @@ from .domains import (
     Ellipse2D,
     UniformDomain,
     UnsupportedRegionError,
+    _point,
     background_potential,
+    sphere_area,
 )
+from .surfaces import shell_potential
 
 __all__ = [
     "BalayageComponent",
@@ -38,7 +41,8 @@ __all__ = [
 @dataclass(frozen=True)
 class BalayageComponent:
     """One boundary piece: a circle (radius) or an ellipse (a1, a2) carrying
-    the angular density dmu/dtheta and its total mass."""
+    the angular density dmu/dtheta, or a sphere shell (d, radius) carrying
+    its uniform surface density; and its total mass."""
 
     kind: str
     params: tuple
@@ -55,8 +59,12 @@ class BalayageComponent:
         raise ValueError(f"unknown component kind {self.kind!r}")
 
     def potential(self, r) -> float:
-        """-log-kernel potential of this component at a planar point."""
-        p = np.asarray(r, dtype=float)
+        """Coulomb potential of this component: the -log kernel at a planar
+        point, the shell theorem at a point of R^d for a d-sphere shell."""
+        if self.kind == "shell":
+            d, radius = self.params
+            return shell_potential(d, radius, self.mass, _point(r, d))
+        p = _point(r, 2)
         if self.kind == "circle":
             (radius,) = self.params
             dens = self.density(0.0)
@@ -119,11 +127,8 @@ def balayage_measure(dom: UniformDomain) -> BalayageMeasure:
         comp = BalayageComponent("circle", (geo.R,), lambda th: dens, q_total)
         return BalayageMeasure((comp,), q_total)
     if isinstance(geo, Ball):
-        # uniform shell in any dimension; represented as a single component
-        from .domains import sphere_area
-
         sigma = q_total / (geo.R ** (geo.d - 1) * sphere_area(geo.d))
-        comp = BalayageComponent("circle", (geo.R,), lambda th: sigma, q_total)
+        comp = BalayageComponent("shell", (geo.d, geo.R), lambda th: sigma, q_total)
         return BalayageMeasure((comp,), q_total)
     if isinstance(geo, Annulus2D):
         alpha_w, beta_w = annulus_weights(geo.c)

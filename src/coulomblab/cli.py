@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -581,11 +582,27 @@ _HANDLERS = {
 }
 
 
+# options whose value is a comma-separated point; argparse would read a
+# negative first coordinate ("-0.5,0.3") as an option flag
+_POINT_OPTIONS = ("--point", "--points", "--z", "--w", "--p1", "--p2")
+
+
+def _attach_point_values(argv):
+    """Rewrite `--point -0.5,0.3` as `--point=-0.5,0.3`."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _POINT_OPTIONS and re.match(r"-[\d.]", tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run_command(argv) -> CommandResult:
     """Dispatch an argv list; never raises for user errors (exit codes 2/3)."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_point_values(argv))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(2 if code != 0 else 0,

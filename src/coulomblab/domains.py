@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._quad import QuadratureBudgetError, adaptive_1d, gl_nodes
-from .specfun import EvalResult, gamma, log_gamma
+from ._quad import adaptive_1d, gl_nodes
+from .specfun import EvalResult, gamma
 
 __all__ = [
     "Kernel",
@@ -485,98 +484,96 @@ def background_potential(dom: UniformDomain, r) -> float:
 
 # ------------------------------------------------------------ oracle (rays)
 
-def _interval_subtract(outer, hole):
-    """Subtract the interval `hole` from each interval in `outer`."""
-    if hole is None:
-        return outer
-    h0, h1 = hole
-    out = []
-    for t0, t1 in outer:
-        if h1 <= t0 or h0 >= t1:
-            out.append((t0, t1))
-            continue
-        if h0 > t0:
-            out.append((t0, h0))
-        if h1 < t1:
-            out.append((h1, t1))
-    return out
+def _ray_chords(geo, origin, dirs):
+    """Chords of the rays {origin + t e, t >= 0} through the body, for the
+    rows e of the (n, d) array ``dirs``.
 
-
-def _ray_circle(origin, e, R):
-    """Intersection of {origin + t e, t >= 0} with the disk |x| <= R."""
-    b = float(np.dot(origin, e))
-    c = float(np.dot(origin, origin)) - R * R
-    disc = b * b - c
-    if disc <= 0.0:
-        return None
-    sq = math.sqrt(disc)
-    t0, t1 = -b - sq, -b + sq
-    if t1 <= 0.0:
-        return None
-    return (max(t0, 0.0), t1)
-
-
-def _ray_quadric(origin, e, axes):
-    """Intersection with the solid ellipsoid sum (x_i/a_i)^2 <= 1."""
-    a = sum((ei / ai) ** 2 for ei, ai in zip(e, axes))
-    b = sum(oi * ei / (ai * ai) for oi, ei, ai in zip(origin, e, axes))
-    c = sum((oi / ai) ** 2 for oi, ai in zip(origin, axes)) - 1.0
-    disc = b * b - a * c
-    if disc <= 0.0:
-        return None
-    sq = math.sqrt(disc)
-    t0, t1 = (-b - sq) / a, (-b + sq) / a
-    if t1 <= 0.0:
-        return None
-    return (max(t0, 0.0), t1)
-
-
-def _ray_box(origin, e, bounds):
-    tmin, tmax = 0.0, math.inf
-    for o, d, (lo, hi) in zip(origin, e, bounds):
-        if abs(d) < 1e-300:
-            if not (lo <= o <= hi):
-                return None
-            continue
-        t0, t1 = (lo - o) / d, (hi - o) / d
-        if t0 > t1:
-            t0, t1 = t1, t0
-        tmin, tmax = max(tmin, t0), min(tmax, t1)
-    if tmax <= tmin:
-        return None
-    return (tmin, tmax)
-
-
-def _ray_segments(geo, origin, e):
-    if isinstance(geo, Ball):
-        seg = _ray_circle(origin, e, geo.R)
-        return [seg] if seg else []
+    Returns a list of (t0, t1) pairs of (n,) arrays with 0 <= t0 <= t1: one
+    pair for the convex bodies, two for the annulus (before and after the
+    hole).  A ray that misses gives t0 = t1.
+    """
+    o = np.asarray(origin, dtype=float)
+    if isinstance(geo, (Rectangle, Cuboid)):
+        lo, hi = np.array(geo.bounds).T
+        # slab method; a ray parallel to a slab gives +-inf (nan on its face,
+        # which fmax/fmin skip)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta, tb = (lo - o) / dirs, (hi - o) / dirs
+        t0 = np.fmax.reduce(np.fmin(ta, tb), axis=1, initial=0.0)
+        t1 = np.fmin.reduce(np.fmax(ta, tb), axis=1, initial=math.inf)
+        hit = t1 > t0
+        return [(np.where(hit, t0, 0.0), np.where(hit, t1, 0.0))]
     if isinstance(geo, Annulus2D):
-        outer = _ray_circle(origin, e, geo.R)
-        if outer is None:
-            return []
-        hole = _ray_circle(origin, e, geo.c * geo.R)
-        return _interval_subtract([outer], hole)
+        t0, t1 = _quadric_chord(o, dirs, (geo.R, geo.R))
+        h0, h1 = _quadric_chord(o, dirs, (geo.c * geo.R, geo.c * geo.R))
+        miss = h1 <= h0
+        h0, h1 = np.where(miss, t1, h0), np.where(miss, t1, h1)
+        return [(t0, h0), (h1, t1)]
+    if isinstance(geo, Ball):
+        return [_quadric_chord(o, dirs, (geo.R,) * geo.d)]
     if isinstance(geo, Ellipse2D):
-        seg = _ray_quadric(origin, e, (geo.a1, geo.a2))
-        return [seg] if seg else []
+        return [_quadric_chord(o, dirs, (geo.a1, geo.a2))]
     if isinstance(geo, Hyperellipsoid):
-        seg = _ray_quadric(origin, e, geo.axes)
-        return [seg] if seg else []
-    if isinstance(geo, Rectangle):
-        seg = _ray_box(origin, e, geo.bounds)
-        return [seg] if seg else []
-    if isinstance(geo, Cuboid):
-        seg = _ray_box(origin, e, geo.bounds)
-        return [seg] if seg else []
+        return [_quadric_chord(o, dirs, geo.axes)]
     raise UnsupportedRegionError(f"no ray intersections for {type(geo).__name__}")
+
+
+def _quadric_chord(origin, dirs, axes):
+    """Chords of the rays through the solid ellipsoid sum (x_i/a_i)^2 <= 1."""
+    ax = np.asarray(axes, dtype=float)
+    a = np.sum((dirs / ax) ** 2, axis=1)
+    b = np.sum(origin * dirs / ax ** 2, axis=1)
+    c = np.sum((origin / ax) ** 2) - 1.0
+    sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    t0 = np.maximum((-b - sq) / a, 0.0)
+    t1 = np.maximum((-b + sq) / a, t0)
+    return t0, t1
+
+
+def _conic_tangents(origin, a1, a2):
+    """Directions from a point on or outside the ellipse (x/a1)^2 + (y/a2)^2
+    = 1 to its two points of tangency (the boundary tangent for a point on
+    it); none for an interior point.
+
+    In the scaled plane (x/a1, y/a2) the ellipse is the unit circle and the
+    tangent from q at the touching angle psi = arg q +- acos(1/|q|) runs
+    along (-+sin psi, +-cos psi); scaling back keeps tangency.
+    """
+    q = (origin[0] / a1, origin[1] / a2)
+    rho = math.hypot(*q)
+    if rho < 1.0 - 1e-12:
+        return []
+    phi = math.atan2(q[1], q[0])
+    alpha = math.acos(min(1.0 / rho, 1.0))
+    return [math.atan2(sgn * a2 * math.cos(phi + sgn * alpha),
+                       -sgn * a1 * math.sin(phi + sgn * alpha))
+            for sgn in (1.0, -1.0)]
+
+
+def _kink_angles(geo, origin):
+    """Directions in [0, 2 pi) where the angular integrand of the 2d ray
+    oracle is not smooth: tangents to each circle or ellipse boundary that
+    the point lies on or outside (the support edges, and for the annulus
+    the tangents to the inner circle), and rays through rectangle corners."""
+    if isinstance(geo, Rectangle):
+        (a1, b1), (a2, b2) = geo.bounds
+        angles = [math.atan2(y - origin[1], x - origin[0])
+                  for x in (a1, b1) for y in (a2, b2)
+                  if (x, y) != (origin[0], origin[1])]
+    elif isinstance(geo, Annulus2D):
+        angles = _conic_tangents(origin, geo.R, geo.R) \
+            + _conic_tangents(origin, geo.c * geo.R, geo.c * geo.R)
+    elif isinstance(geo, Ball):
+        angles = _conic_tangents(origin, geo.R, geo.R)
+    else:
+        angles = _conic_tangents(origin, geo.a1, geo.a2)
+    return sorted(a % (2.0 * math.pi) for a in angles)
 
 
 def _log_primitive(t):
     # integral of u log u du from 0 to t
-    if t <= 0.0:
-        return 0.0
-    return t * t * (2.0 * math.log(t) - 1.0) / 4.0
+    tt = np.maximum(t, 1e-300)
+    return np.where(t > 0.0, tt * tt * (2.0 * np.log(tt) - 1.0) / 4.0, 0.0)
 
 
 def _oracle_1d(geo: Segment1D, rho_b: float, x: float, tol: float):
@@ -598,40 +595,13 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
     origin = np.asarray(r, dtype=float)
 
     def h(thetas):
-        out = np.empty_like(thetas)
-        for i, th in enumerate(thetas):
-            e = np.array([math.cos(th), math.sin(th)])
-            acc = 0.0
-            for t0, t1 in _ray_segments(geo, origin, e):
-                acc += _log_primitive(t1) - _log_primitive(t0)
-            out[i] = acc
-        return rho_b * out
+        dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
+        return rho_b * sum(_log_primitive(t1) - _log_primitive(t0)
+                           for t0, t1 in _ray_chords(geo, origin, dirs))
 
-    def hits(th):
-        e = np.array([math.cos(th), math.sin(th)])
-        return bool(_ray_segments(geo, origin, e))
-
-    # for points outside the body the integrand is supported on a cone of
-    # directions; integrating across its edges blind-sides the adaptive
-    # rule, so locate every support transition by bisection and integrate
-    # the smooth pieces separately
-    n_scan = 1024
-    grid = np.linspace(0.0, 2.0 * math.pi, n_scan + 1)
-    flags = [hits(t) for t in grid[:-1]]
-    cuts = [0.0, 2.0 * math.pi]
-    for i in range(n_scan):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = flags[i], flags[(i + 1) % n_scan]
-        if fa != fb:
-            lo, hi = a, b
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if hits(mid) == fa:
-                    lo = mid
-                else:
-                    hi = mid
-            cuts.append(0.5 * (lo + hi))
-    cuts = sorted(set(cuts))
+    # the integrand is smooth between the kink directions; integrating
+    # across one blind-sides the panel error estimate
+    cuts = [0.0, *_kink_angles(geo, origin), 2.0 * math.pi]
     total, err_total = 0.0, 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-14:
@@ -652,23 +622,14 @@ def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
     d, R = geo.d, geo.R
     rr = float(np.linalg.norm(r))
     c_dm1 = sphere_area(d - 1) if d > 2 else 2.0
+    origin = np.zeros(d)
+    origin[0] = rr
 
     def h(gammas):
-        out = np.empty_like(gammas)
-        for i, g in enumerate(gammas):
-            b = rr * math.cos(g)
-            disc = R * R - rr * rr * math.sin(g) ** 2
-            if disc <= 0.0:
-                out[i] = 0.0
-                continue
-            sq = math.sqrt(disc)
-            t1 = -b + sq
-            if t1 <= 0.0:
-                out[i] = 0.0
-                continue
-            t0 = max(-b - sq, 0.0)
-            out[i] = (t1 * t1 - t0 * t0) / 2.0 * math.sin(g) ** (d - 2)
-        return out
+        dirs = np.zeros((len(gammas), d))
+        dirs[:, 0], dirs[:, 1] = np.cos(gammas), np.sin(gammas)
+        ((t0, t1),) = _ray_chords(geo, origin, dirs)
+        return (t1 * t1 - t0 * t0) / 2.0 * np.sin(gammas) ** (d - 2)
 
     lo = math.pi - math.asin(min(R / rr, 1.0)) if rr > R else 0.0
     val, err = adaptive_1d(h, lo, math.pi, tol)
@@ -714,37 +675,23 @@ def _oracle_cuboid(geo: Cuboid, rho_b: float, r, tol: float):
 def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r, seed: int = 7,
                           n_pow: int = 13, reps: int = 8):
     """Quasi-random directional integration for d > 3 hyperellipsoids."""
+    from scipy.special import ndtri
     from scipy.stats import qmc
 
     d = geo.dim
     origin = np.asarray(r, dtype=float)
-    ax = np.asarray(geo.axes)
     estimates = []
     for rep in range(reps):
         sob = qmc.Sobol(d, scramble=True, seed=seed + rep)
         u = sob.random_base2(n_pow)
-        g = _ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+        g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-        a = np.sum((dirs / ax) ** 2, axis=1)
-        b = np.sum(origin * dirs / ax ** 2, axis=1)
-        c = np.sum((origin / ax) ** 2) - 1.0
-        disc = b * b - a * c
-        contrib = np.zeros(len(dirs))
-        mask = disc > 0.0
-        sq = np.sqrt(disc[mask])
-        t0 = np.maximum((-b[mask] - sq) / a[mask], 0.0)
-        t1 = np.maximum((-b[mask] + sq) / a[mask], 0.0)
-        contrib[mask] = (t1 * t1 - t0 * t0) / 2.0
+        ((t0, t1),) = _ray_chords(geo, origin, dirs)
+        contrib = (t1 * t1 - t0 * t0) / 2.0
         estimates.append(-rho_b * sphere_area(d) * float(np.mean(contrib)))
     val = float(np.mean(estimates))
     stderr = float(np.std(estimates, ddof=1) / math.sqrt(reps))
     return val, stderr
-
-
-def _ndtri(u):
-    from scipy.special import ndtri
-
-    return ndtri(u)
 
 
 def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
@@ -753,8 +700,12 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     Rays from the evaluation point carry the (exact) radial primitive of the
     kernel so no singular integrand ever reaches the quadrature; what remains
     is an angular integral (adaptive in d <= 3, quasi-random directions for
-    hyperellipsoids in d > 3).  Returns value and an absolute error estimate;
-    raises QuadratureBudgetError carrying the best estimate on failure.
+    hyperellipsoids in d > 3).  In 2d the angular integral is cut at the
+    exact directions where its integrand has a kink or a support edge:
+    tangents to each boundary circle or ellipse that the point lies on or
+    outside, and rays through rectangle corners.  Returns value and an
+    absolute error estimate; raises QuadratureBudgetError carrying the best
+    estimate on failure.
     """
     if tol <= 0:
         raise ValueError("potential_oracle: tol must be > 0")

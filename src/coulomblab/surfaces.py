@@ -9,12 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_1d, gl_nodes, tensor_gl_2d
+from ._quad import adaptive_1d
 from .domains import (
+    Ball,
+    Ellipse2D,
     UnsupportedRegionError,
     _lambda_integral,
     _lambda_star,
-    _s0,
+    _ray_chords,
     coulomb_radial,
     sphere_area,
 )
@@ -111,67 +113,43 @@ def projection_density(d: int, R: float, r) -> float:
 
 # ----------------------------------------------------- identity machinery
 
-def _disk_weighted_potential(point, R, weight_power, kernel, n_theta_tol=1e-8):
-    """Integral over the 2-ball of radius R of w(|r'|) k(|pt - r'|) with
-    w = (1 - (rho/R)^2)^{weight_power}; ray decomposition from the point,
-    rim handled by the s = L - v^2 substitution.
+def _weighted_ray_integral(geo, point, weight, kernel, tol):
+    """Integral over the convex body geo of weight(r') k(|point - r'|) by
+    rays from the interior point; each ray's exit length L comes from
+    ``_ray_chords`` and the rim is handled by the s = L - v^2 substitution.
 
-    ``kernel`` must already include the polar Jacobian s (so the d = 3
-    Coulomb kernel 1/s enters as the constant 1).
+    ``weight`` maps an (m, d) array of points to their weights; ``kernel``
+    must already include the polar Jacobian s^(d-1) (so the d = 3 Coulomb
+    kernel 1/s enters a planar body as the constant 1).  A planar point
+    sweeps the full circle of directions; a point (x, 0, 0) of a 3-ball
+    sweeps the polar angle about its axis, the azimuth contributing 2 pi.
     """
     p = np.asarray(point, dtype=float)
-
-    def ray_exit(e):
-        b = float(np.dot(p, e))
-        return -b + math.sqrt(b * b + (R * R - float(np.dot(p, p))))
+    d = len(p)
 
     def angular(thetas):
+        dirs = np.zeros((len(thetas), d))
+        dirs[:, 0], dirs[:, 1] = np.cos(thetas), np.sin(thetas)
+        ((_, exits),) = _ray_chords(geo, p, dirs)
         out = np.empty_like(thetas)
-        for i, th in enumerate(thetas):
-            e = np.array([math.cos(th), math.sin(th)])
-            L = ray_exit(e)
-
+        for i, (e, L) in enumerate(zip(dirs, exits)):
             def radial(vs):
                 s = L - vs * vs
-                q = p[None, :] + s[:, None] * e[None, :]
-                rho2 = np.sum(q * q, axis=1)
-                w = np.maximum(1.0 - rho2 / (R * R), 0.0) ** weight_power
-                return w * kernel(s) * 2.0 * vs
+                return weight(p + s[:, None] * e) * kernel(s) * 2.0 * vs
 
-            val, _ = adaptive_1d(radial, 0.0, math.sqrt(L), n_theta_tol)
-            out[i] = val
-        return out
+            out[i], _ = adaptive_1d(radial, 0.0, math.sqrt(L), tol)
+        return out if d == 2 else out * np.sin(thetas)
 
-    total, _ = adaptive_1d(angular, 0.0, 2.0 * math.pi, n_theta_tol * 10)
-    return total
+    total, _ = adaptive_1d(angular, 0.0, 2.0 * math.pi if d == 2 else math.pi,
+                           tol * 10)
+    return total if d == 2 else 2.0 * math.pi * total
 
 
-def _ball3_weighted_log_potential(dist, R=1.0, tol=1e-7):
-    """Integral over the 3-ball of (1-(rho/R)^2)^(-1/2) * (-log|r - r'|) for
-    |r| = dist; axisymmetric reduction around the evaluation point."""
-    p = np.array([dist, 0.0, 0.0])
-
-    def angular(gammas):
-        out = np.empty_like(gammas)
-        for i, g in enumerate(gammas):
-            e = np.array([math.cos(g), math.sin(g), 0.0])
-            b = float(np.dot(p, e))
-            L = -b + math.sqrt(b * b + (R * R - dist * dist))
-
-            def radial(vs):
-                s = L - vs * vs
-                q = p[None, :] + s[:, None] * e[None, :]
-                rho2 = np.sum(q * q, axis=1)
-                w = np.maximum(1.0 - rho2 / (R * R), 0.0) ** -0.5
-                safe = np.maximum(s, 1e-300)
-                return w * (-np.log(safe)) * s * s * 2.0 * vs
-
-            val, _ = adaptive_1d(radial, 0.0, math.sqrt(L), tol)
-            out[i] = val * math.sin(g)
-        return out
-
-    total, _ = adaptive_1d(angular, 0.0, math.pi, tol * 10)
-    return 2.0 * math.pi * total
+def _ball_weight(R, power):
+    """w(r') = (1 - |r'|^2/R^2)^power on the R-ball."""
+    def w(q):
+        return np.maximum(1.0 - np.sum(q * q, axis=1) / (R * R), 0.0) ** power
+    return w
 
 
 def _thin_slab_coefficients(a1: float, a2: float, N: float = 1.0):
@@ -214,8 +192,8 @@ def projection_identities(case: str, **params) -> dict:
             vals = np.array([potential(float(x)) for x in pts])
         elif d == 3:
             def potential(p):
-                raw = _disk_weighted_potential(p, R, -0.5, lambda s: np.ones_like(s))
-                return raw
+                return _weighted_ray_integral(Ball(2, R), p, _ball_weight(R, -0.5),
+                                              np.ones_like, 1e-8)
             pts = [np.array([x, y]) for x, y in
                    [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3), (0.4, 0.1), (-0.3, 0.2),
                     (0.5, 0.0), (0.1, -0.5), (-0.6, -0.1), (0.3, 0.3), (0.65, 0.0)]]
@@ -232,13 +210,17 @@ def projection_identities(case: str, **params) -> dict:
         R = params.get("R", 1.0)
         if d == 3:
             dists = [0.0, 0.15, 0.3, 0.45, 0.6, 0.72]
-            vals = np.array([_ball3_weighted_log_potential(x, R) for x in dists])
+            vals = np.array([
+                _weighted_ray_integral(
+                    Ball(3, R), [x, 0.0, 0.0], _ball_weight(R, -0.5),
+                    lambda s: -np.log(np.maximum(s, 1e-300)) * s * s, 1e-7)
+                for x in dists])
         elif d == 2:
             # kernel Psi_{-1} = -|r - r'| on the 2-ball (times the Jacobian s)
             dists = [0.0, 0.15, 0.3, 0.45, 0.6, 0.72]
             vals = np.array([
-                _disk_weighted_potential(np.array([x, 0.0]), R, -0.5,
-                                         lambda s: -s * s) for x in dists])
+                _weighted_ray_integral(Ball(2, R), [x, 0.0], _ball_weight(R, -0.5),
+                                       lambda s: -s * s, 1e-8) for x in dists])
         else:
             raise ValueError("riesz-quadratic: d in {2, 3}")
         x2 = np.array([x * x for x in dists])
@@ -272,45 +254,16 @@ def projection_identities(case: str, **params) -> dict:
         a0, al = _thin_slab_coefficients(a1, a2, charge)
         pref = -2.0 * charge * gamma(2.5) / (math.pi ** 1.5 * a1 * a2)
         pts = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.4, 0.3), (-0.5, 0.2)]
+
+        def weight(q):
+            return np.maximum(1.0 - (q[:, 0] / a1) ** 2 - (q[:, 1] / a2) ** 2, 0.0) ** 0.5
+
         resid = []
         for (x, y) in pts:
             lhs = a0 + al[0] * x * x + al[1] * y * y
-            p = np.array([x, y])
-
-            def kernel(s):
-                return 1.0 / np.maximum(s, 1e-300)
-
-            # integral over the ellipse: map to the unit disk first
-            def weighted(point):
-                def ray_exit(e):
-                    # ellipse exit along direction e from point
-                    A = (e[0] / a1) ** 2 + (e[1] / a2) ** 2
-                    B = point[0] * e[0] / a1 ** 2 + point[1] * e[1] / a2 ** 2
-                    C = (point[0] / a1) ** 2 + (point[1] / a2) ** 2 - 1.0
-                    return (-B + math.sqrt(B * B - A * C)) / A
-
-                def angular(thetas):
-                    out = np.empty_like(thetas)
-                    for i, th in enumerate(thetas):
-                        e = np.array([math.cos(th), math.sin(th)])
-                        L = ray_exit(e)
-
-                        def radial(vs):
-                            s = L - vs * vs
-                            q = point[None, :] + s[:, None] * e[None, :]
-                            w = np.maximum(
-                                1.0 - (q[:, 0] / a1) ** 2 - (q[:, 1] / a2) ** 2,
-                                0.0) ** 0.5
-                            return w * 2.0 * vs
-
-                        val, _ = adaptive_1d(radial, 0.0, math.sqrt(L), 1e-9)
-                        out[i] = val
-                    return out
-
-                total, _ = adaptive_1d(angular, 0.0, 2.0 * math.pi, 1e-8)
-                return total
-
-            rhs = pref * weighted(p)
+            # the 1/s kernel times the polar Jacobian s is 1
+            rhs = pref * _weighted_ray_integral(Ellipse2D(a1, a2), [x, y], weight,
+                                                np.ones_like, 1e-9)
             resid.append(abs(lhs - rhs))
         return {"case": case, "a1": a1, "a2": a2,
                 "max_residual": float(np.max(resid))}

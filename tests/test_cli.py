@@ -57,6 +57,27 @@ def test_oracle_route():
     assert abs(rec["value"] - rec2["value"]) < 1e-7
 
 
+def test_negative_first_coordinate():
+    code, rec = record_of(["potential", "--domain", "ball:d=2,R=1",
+                           "--point", "-0.5,0.3"])
+    assert code == 0
+    assert abs(rec["value"] - (0.34 - 1.0) / 2.0) < 1e-12
+    code, rec = record_of(["green", "--geometry", "disk", "--z", "-2,0",
+                           "--w", "-3,0"])
+    assert code == 0 and abs(rec["value"] - math.log(5.0)) < 1e-12
+
+
+def test_balayage_of_3_ball():
+    code, rec = record_of(["balayage", "--domain", "ball:d=3,R=1",
+                           "--point", "2,0,0"])
+    assert code == 0
+    assert rec["values"]["components"][0]["kind"] == "shell"
+    assert abs(rec["values"]["potential"] - 0.5) < 1e-14
+    code, rec = record_of(["balayage", "--domain", "ball:d=3,R=1",
+                           "--point", "2,0"])
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+
+
 def test_energy_and_cube_self():
     code, rec = record_of(["energy", "--domain", "ball:d=2,R=1,N=1",
                            "--points", "0,0"])

@@ -139,6 +139,27 @@ def test_closed_form_matches_oracle(geo, where):
         assert reldiff(closed, orc.value) < 1e-6
 
 
+# the angular integrand kinks at rays through a square corner and at tangents
+# to the annulus' inner circle; an oracle that does not cut there misses
+# these points by 8e-8 to 7.5e-5 relative
+KINK_POINTS = [
+    pytest.param(Rectangle(((0.0, 1.0), (0.0, 1.0))), (1.62961129, 0.41572916),
+                 id="square-outside"),
+    pytest.param(Rectangle(((0.0, 1.0), (0.0, 1.0))), (0.1396, 0.2968),
+                 id="square-inside"),
+    pytest.param(Annulus2D(1.0, 0.5), (-0.4987, -0.6616), id="annulus-ring-a"),
+    pytest.param(Annulus2D(1.0, 0.5), (-0.1008, 0.8067), id="annulus-ring-b"),
+]
+
+
+@pytest.mark.parametrize("geo,p", KINK_POINTS)
+def test_oracle_cut_at_kinks(geo, p):
+    dom = UniformDomain(geo, 1.0)
+    closed = background_potential(dom, p)
+    orc = potential_oracle(dom, p, 1e-9)
+    assert abs(orc.value - closed) < 1e-9 * abs(closed)
+
+
 def test_shell_theorem_exterior():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):
