@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from coulomblab._quad import adaptive_1d
-from coulomblab.conformal import circle_map
+from coulomblab.conformal import circle_map, ellipse_map
 from coulomblab.gas import (
     INCLUDES_FACTORIAL,
     ChainState,
@@ -43,6 +44,52 @@ def test_determinism_bit_for_bit():
     assert a.total_energy == b.total_energy
     c = run_chain(model, 400, seed=22)
     assert not np.array_equal(a.positions, c.positions)
+
+
+# (name, model, run_chain kwargs, sha256 of positions + samples bytes,
+# accept_count, step_scale, total_energy).  The digests pin the Philox
+# streams and every accept/reject decision: a refactor of the kernel that
+# changes either one fails here, not just a run-twice comparison.
+GOLDEN_CHAINS = [
+    ("ginibre8", GasModel(2.0, 8, "ginibre"), dict(sweeps=300, seed=31),
+     "4b2dce06c900c725b1ae6ec2808a92cd0042ed53f72dabffc17b202918f64f0e",
+     1042, 1.1647424620946143, -10.163804507839721),
+    ("elliptic", GasModel(2.0, 8, "elliptic", tau=0.5), dict(sweeps=300, seed=32),
+     "c1d829c0748d992a69082cf5fd262e1f39041f4b464ddd061d438c0f9e2480d8",
+     961, 1.0512710963760241, -8.060909470872149),
+    ("induced", GasModel(2.0, 8, "induced", alpha=1.0), dict(sweeps=300, seed=33),
+     "ead849760ba1a36f2f687ace1b305b46a6e01a6a4cf140743d1dcd09a275126e",
+     1074, 1.135984868241162, -70.85625051217475),
+    ("sinh", GasModel(2.0, 8, "sinh", c=1.0, L=2 * math.pi), dict(sweeps=300, seed=34),
+     "c618433479a0c2c9914684637f5d48af34b4777711fcaf32a7c75d06f9561bf4",
+     1304, 0.8921922967855923, -15.172172511103193),
+    ("contour", GasModel(2.0, 8, "contour", contour_map=ellipse_map(2.0, 1.0)),
+     dict(sweeps=300, seed=35),
+     "86644a6de35068726fc603c84cf8bd27aa9bb53f0cc6cdad740e78330056d636",
+     1010, 0.8877505609591481, -17.94615095385542),
+    ("ginibre1", GasModel(2.0, 1, "ginibre"), dict(sweeps=300, seed=36),
+     "73e4b792299cb9ebb2947d3fe23633ed38febf5e72a7cf7345ddfde807940ada",
+     115, 1.161834242728283, 0.056077445974295426),
+    ("every2", GasModel(2.0, 8, "ginibre"),
+     dict(sweeps=300, seed=37, chain=3, record_every=2),
+     "4b60a451713e8d6b9f5ee4eee793d4cb73733a899614bbc2b5e877db317b07f1",
+     1059, 1.1560395702680217, -10.591789844821754),
+]
+
+
+def test_chain_streams_golden():
+    for name, model, kw, digest, accepts, step, energy in GOLDEN_CHAINS:
+        st = run_chain(model, **kw)
+        got = hashlib.sha256(st.positions.tobytes() + st.samples.tobytes())
+        assert got.hexdigest() == digest, name
+        assert st.accept_count == accepts, name
+        assert st.step_scale == step, name
+        assert abs(st.total_energy - energy) <= 1e-12 * abs(energy), name
+    f = lambda z: z.real
+    est, stderr = statistic_covariance(GasModel(2.0, 4, "ginibre"), f, f,
+                                       chains=4, sweeps=300, seed=8)
+    assert abs(est - 1.9995474486225113) <= 1e-12 * 1.9995474486225113
+    assert abs(stderr - 0.22418957393041175) <= 1e-12 * 0.22418957393041175
 
 
 def test_acceptance_rate_sane_and_consistent():
