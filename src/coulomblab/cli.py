@@ -505,6 +505,8 @@ def _cmd_sample(args):
         model_kw["contour_map"] = _parse_map(args.map_spec)
     model = gas.GasModel(float(opts["beta"]), int(opts["n"]),
                          opts["ensemble"], **model_kw)
+    if int(opts["chains"]) < 1:
+        raise ValueError("sample: need chains >= 1")
     t0 = time.time()
     rows = []
     radii_sq = []
@@ -608,19 +610,23 @@ def run_command(argv) -> CommandResult:
         return CommandResult(2 if code != 0 else 0,
                              {"command": argv[0] if argv else "",
                               "error": {"type": "ArgumentError",
-                                        "message": "invalid arguments"}})
+                                        "message": "invalid arguments"},
+                              "json": "--json" in argv})
+    as_json = getattr(args, "json", False)
     try:
         record = _HANDLERS[args.command](args)
     except QuadratureBudgetError as exc:
         return CommandResult(3, {
             "command": args.command,
             "error": {"type": "QuadratureBudgetError", "message": str(exc),
-                      "best_value": exc.value, "est_error": exc.est_error}})
+                      "best_value": exc.value, "est_error": exc.est_error},
+            "json": as_json})
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         return CommandResult(2, {
             "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)}})
-    record["json"] = getattr(args, "json", False)
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "json": as_json})
+    record["json"] = as_json
     exit_code = 0 if "error" not in record else 2
     return CommandResult(exit_code, record)
 

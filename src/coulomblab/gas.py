@@ -92,34 +92,60 @@ class GasModel:
         return self.ensemble in ("ginibre", "elliptic", "induced")
 
     def one_body(self, z) -> float:
-        if self.ensemble == "ginibre":
-            return 0.5 * abs(z) ** 2
-        if self.ensemble == "elliptic":
-            x, y = z.real, z.imag
-            return (x * x + y * y - self.tau * (x * x - y * y)) \
-                / (2.0 * (1.0 - self.tau ** 2))
-        if self.ensemble == "induced":
-            return 0.5 * abs(z) ** 2 - self.alpha * self.N * math.log(abs(z))
-        if self.ensemble == "sinh":
-            return 0.5 * self.c * float(z) ** 2
-        return 0.0
+        return float(_one_body(self, z))
 
     def pair_interaction(self, u, v) -> float:
-        if self.ensemble == "sinh":
-            return -math.log(abs(2.0 * math.sinh(math.pi * (u - v) / self.L)))
-        if self.ensemble == "contour":
-            zu = complex(self.contour_map.evaluate(np.exp(1j * u)))
-            zv = complex(self.contour_map.evaluate(np.exp(1j * v)))
-            return -math.log(abs(zu - zv))
-        return -math.log(abs(u - v))
+        return -float(_log_distance(self, _points(self, u), _points(self, v)))
 
     def total_energy(self, positions) -> float:
         pos = np.asarray(positions)
-        total = sum(self.one_body(p) for p in pos)
-        for i in range(len(pos) - 1):
-            for j in range(i + 1, len(pos)):
-                total += self.pair_interaction(pos[i], pos[j])
-        return float(total)
+        logd = _log_distance_matrix(self, _points(self, pos))
+        return float(np.sum(_one_body(self, pos)) - 0.5 * np.sum(logd))
+
+
+# The energy of a configuration is sum_i V(z_i) - sum_{i<j} log d(z_i, z_j).
+# These two functions are its only definition; every caller below goes
+# through them.
+
+def _one_body(model: GasModel, z):
+    """One-body energy V, elementwise on a position or an array of them."""
+    if model.ensemble == "ginibre":
+        return 0.5 * (z.real * z.real + z.imag * z.imag)
+    if model.ensemble == "elliptic":
+        x2, y2, tau = z.real * z.real, z.imag * z.imag, model.tau
+        return (x2 + y2 - tau * (x2 - y2)) / (2.0 * (1.0 - tau * tau))
+    if model.ensemble == "induced":
+        r = np.abs(z)
+        return 0.5 * r * r - model.alpha * model.N * np.log(r)
+    if model.ensemble == "sinh":
+        return 0.5 * model.c * z * z
+    return np.zeros(np.shape(z))
+
+
+def _log_distance(model: GasModel, a, b):
+    """log d(a, b) between points, elementwise: |a - b| in the plane and on
+    a contour (whose points are the mapped ones, see `_points`), and
+    |2 sinh(pi (a - b) / L)| for the sinh gas."""
+    if model.ensemble == "sinh":
+        return np.log(np.abs(2.0 * np.sinh(math.pi * (a - b) / model.L)))
+    return np.log(np.abs(a - b))
+
+
+def _points(model: GasModel, coords):
+    """The points that pair distances are measured between: the image
+    contour_map(e^{i theta}) of contour angles, the positions themselves
+    otherwise."""
+    if model.ensemble == "contour":
+        return model.contour_map.evaluate(np.exp(1j * coords))
+    return coords
+
+
+def _log_distance_matrix(model: GasModel, pts) -> np.ndarray:
+    """N x N matrix of log pair distances with a zero diagonal."""
+    with np.errstate(divide="ignore"):
+        logd = _log_distance(model, pts[:, None], pts[None, :])
+    np.fill_diagonal(logd, 0.0)
+    return logd
 
 
 @dataclass
@@ -189,43 +215,31 @@ def _default_step(model: GasModel) -> float:
     return 2.0 * math.pi / model.N
 
 
-def _pair_delta_planar(pos, i, znew, zold):
-    d_new = pos - znew
-    d_old = pos - zold
-    d_new[i] = 1.0
-    d_old[i] = 1.0
-    return -float(np.sum(np.log(np.abs(d_new))) - np.sum(np.log(np.abs(d_old))))
-
-
-def _pair_delta_sinh(pos, i, xnew, xold, L):
-    d_new = np.abs(2.0 * np.sinh(math.pi * (pos - xnew) / L))
-    d_old = np.abs(2.0 * np.sinh(math.pi * (pos - xold) / L))
-    d_new[i] = 1.0
-    d_old[i] = 1.0
-    return -float(np.sum(np.log(d_new)) - np.sum(np.log(d_old)))
-
-
-def _pair_delta_contour(zpos, i, znew, zold):
-    d_new = np.abs(zpos - znew)
-    d_old = np.abs(zpos - zold)
-    d_new[i] = 1.0
-    d_old[i] = 1.0
-    return -float(np.sum(np.log(d_new)) - np.sum(np.log(d_old)))
+def _proposals(model: GasModel, pos, step: float, normals) -> np.ndarray:
+    """One sweep's Metropolis proposals: particle i moves from pos[i] to
+    the i-th entry.  Planar moves take normals (2i, 2i + 1) as the real and
+    imaginary step, 1d and contour moves normal 2i; contour angles wrap to
+    [0, 2 pi)."""
+    if model.is_planar:
+        return pos + step * (normals[0::2] + 1j * normals[1::2])
+    new = pos + step * normals[0::2]
+    if model.ensemble == "contour":
+        new %= 2.0 * math.pi
+    return new
 
 
 def move_delta(model: GasModel, positions, i: int, proposal) -> float:
     """Energy change of moving particle i to the proposal; O(N)."""
     pos = np.asarray(positions)
-    old = pos[i]
-    if model.is_planar:
-        dpair = _pair_delta_planar(pos.astype(complex), i, proposal, old)
-    elif model.ensemble == "sinh":
-        dpair = _pair_delta_sinh(pos.astype(float), i, proposal, old, model.L)
-    else:
-        zpos = np.asarray(model.contour_map.evaluate(np.exp(1j * pos)))
-        znew = complex(model.contour_map.evaluate(np.exp(1j * proposal)))
-        dpair = _pair_delta_contour(zpos, i, znew, complex(zpos[i]))
-    return dpair + model.one_body(proposal) - model.one_body(old)
+    pts = _points(model, pos)
+    others = np.delete(pts, i)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dpair = -float(np.sum(_log_distance(model, others, _points(model, proposal)))
+                       - np.sum(_log_distance(model, others, pts[i])))
+        du = dpair + float(_one_body(model, proposal) - _one_body(model, pos[i]))
+    if not math.isfinite(du):
+        raise OverflowError("move_delta: non-finite energy change")
+    return du
 
 
 def acceptance_probability(model: GasModel, positions, i: int, proposal):
@@ -245,20 +259,26 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
     The step scale adapts toward the target acceptance during burn-in and is
     then frozen, preserving detailed balance over the measurement sweeps.
     Identical (model, sweeps, seed, chain) reproduce identical output.
+
+    The chain keeps the matrix of log pair distances: a proposal computes
+    one new row, its pair energy change is minus the new row's sum plus the
+    stored row's, and an accepted move writes the row and column back.  Row
+    sums are taken afresh from the stored row, never updated incrementally,
+    so they do not drift.
     """
     if not (1 <= sweeps < 2 ** 46):
         raise ValueError("run_chain: need 1 <= sweeps < 2^46")
+    if record_every < 1:
+        raise ValueError("run_chain: need record_every >= 1")
     n = model.N
     beta = model.beta
     pos = _initial_positions(model, seed, chain)
+    pts = _points(model, pos)
+    logd = _log_distance_matrix(model, pts)
+    one_body = _one_body(model, pos).tolist()
     step = _default_step(model) if step_scale is None else float(step_scale)
     burn_in = int(burn_in_frac * sweeps)
     total_u = model.total_energy(pos)
-    planar = model.is_planar
-    ensemble = model.ensemble
-    tau, alpha, c_par, length = model.tau, model.alpha, model.c, model.L
-    if ensemble == "contour":
-        zpos = np.asarray(model.contour_map.evaluate(np.exp(1j * pos)))
     samples = []
     accept_count = 0
     proposal_count = 0
@@ -268,53 +288,27 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
     for sweep in range(sweeps):
         gen = _sweep_generator(seed, chain, sweep)
         normals = gen.standard_normal(2 * n)
-        unifs = gen.random(n)
+        unifs = gen.random(n).tolist()
         measuring = sweep >= burn_in
+        # particle i is still at its start-of-sweep position when visited,
+        # so the whole sweep's proposals are known up front
+        new = _proposals(model, pos, step, normals)
+        new_pts = _points(model, new)
+        new_one_body = _one_body(model, new).tolist()
         for i in range(n):
-            if planar:
-                zi = pos[i]
-                znew = zi + step * complex(normals[2 * i], normals[2 * i + 1])
-                dpair = _pair_delta_planar(pos, i, znew, zi)
-                if ensemble == "ginibre":
-                    done = 0.5 * (znew.real ** 2 + znew.imag ** 2)
-                    dold = 0.5 * (zi.real ** 2 + zi.imag ** 2)
-                elif ensemble == "elliptic":
-                    xn, yn = znew.real, znew.imag
-                    xo, yo = zi.real, zi.imag
-                    scale = 1.0 / (2.0 * (1.0 - tau * tau))
-                    done = scale * (xn * xn + yn * yn - tau * (xn * xn - yn * yn))
-                    dold = scale * (xo * xo + yo * yo - tau * (xo * xo - yo * yo))
-                else:
-                    rn = abs(znew)
-                    if rn < 1e-300:
-                        continue
-                    done = 0.5 * rn * rn - alpha * n * math.log(rn)
-                    ro = abs(zi)
-                    dold = 0.5 * ro * ro - alpha * n * math.log(ro)
-                du = dpair + done - dold
-            elif ensemble == "sinh":
-                xi = pos[i]
-                xnew = xi + step * normals[2 * i]
-                dpair = _pair_delta_sinh(pos, i, xnew, xi, length)
-                du = dpair + 0.5 * c_par * (xnew * xnew - xi * xi)
-            else:
-                ti = pos[i]
-                tnew = (ti + step * normals[2 * i]) % (2.0 * math.pi)
-                znew = complex(model.contour_map.evaluate(np.exp(1j * tnew)))
-                dpair = _pair_delta_contour(zpos, i, znew, complex(zpos[i]))
-                du = dpair
+            row = _log_distance(model, pts, new_pts[i])
+            row[i] = 0.0
+            du = -float(row.sum() - logd[i].sum()) + new_one_body[i] - one_body[i]
             proposal_count += 1
             arg = -beta * du
             if not math.isfinite(arg):
                 raise OverflowError("run_chain: non-finite log-weight")
             if arg >= 0.0 or unifs[i] < math.exp(arg):
-                if planar:
-                    pos[i] = znew
-                elif ensemble == "sinh":
-                    pos[i] = xnew
-                else:
-                    pos[i] = tnew
-                    zpos[i] = znew
+                pos[i] = new[i]
+                pts[i] = new_pts[i]
+                one_body[i] = new_one_body[i]
+                logd[i] = row
+                logd[:, i] = row
                 total_u += du
                 accept_count += 1
                 window_accepts += 1
@@ -530,15 +524,19 @@ def statistic_covariance(model: GasModel, f, g, chains: int = 4,
                          sweeps: int = 20000, seed: int = 1,
                          record_every: int = 1):
     """Across-chain estimate of Cov(sum f(z_j), sum g(z_j)) with a standard
-    error from independent chains."""
+    error from independent chains.
+
+    f and g act elementwise: each is called once on a chain's whole
+    (samples, N) array of positions (a constant result is broadcast).
+    """
     if chains < 4:
         raise ValueError("statistic_covariance: chains >= 4 required")
     covs = []
     for chain in range(chains):
-        state = run_chain(model, sweeps, seed, chain=chain,
-                          record_every=record_every)
-        fs = np.array([sum(f(z) for z in config) for config in state.samples])
-        gs = np.array([sum(g(z) for z in config) for config in state.samples])
+        s = run_chain(model, sweeps, seed, chain=chain,
+                      record_every=record_every).samples
+        fs = np.broadcast_to(f(s), s.shape).sum(axis=1)
+        gs = np.broadcast_to(g(s), s.shape).sum(axis=1)
         covs.append(float(np.mean((fs - fs.mean()) * (gs - gs.mean()))))
     covs = np.array(covs)
     return float(np.mean(covs)), float(np.std(covs, ddof=1) / math.sqrt(chains))

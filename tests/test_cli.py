@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from coulomblab._quad import QuadratureBudgetError
 from coulomblab.cli import main, parse_geometry, run_command
 from coulomblab.domains import Ball, Cuboid, Ellipse2D
 
@@ -188,3 +189,36 @@ def test_budget_error_exit_3():
     else:
         # tolerances this tight may still succeed; accept a clean pass
         assert code == 0
+
+
+def test_sample_counts_below_one_exit_2():
+    base = ["sample", "--ensemble", "ginibre", "--n", "4", "--sweeps", "10",
+            "--json"]
+    for extra in (["--chains", "0"], ["--record-every", "0"]):
+        code, rec = record_of(base + extra)
+        assert code == 2, extra
+        assert rec["error"]["type"] == "ValueError"
+
+
+def test_error_records_honour_json(capsys, monkeypatch):
+    code = main(["potential", "--domain", "ball:d=2,R=1",
+                 "--point", "0.5,0.5,0.5", "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+
+    code = main(["potential", "--nonsense", "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 2 and rec["error"]["type"] == "ArgumentError"
+
+    # the budget-error argv of test_budget_error_exit_3, with the oracle
+    # forced to exhaust its budget
+    def exhausted(*args, **kwargs):
+        raise QuadratureBudgetError(0.25, 1e-3)
+
+    monkeypatch.setattr("coulomblab.domains.potential_oracle", exhausted)
+    code = main(["potential", "--domain", "annulus:R=1,c=0.5,N=1",
+                 "--point", "0.7,0.0", "--oracle", "--tol", "1e-15", "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert rec["error"]["type"] == "QuadratureBudgetError"
+    assert rec["error"]["best_value"] == 0.25
