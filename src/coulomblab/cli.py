@@ -1,7 +1,8 @@
 """Command-line surface: one subcommand per module plus the acceptance-suite
 runner.  Every command supports --json and emits a schema-stable record
 {command, inputs, value(s), method, tolerance, provenance}; exit codes are
-0 (ok), 2 (argument or domain errors), 3 (numerical-budget errors)."""
+0 (ok), 2 (argument or domain errors), 3 (numerical errors: an exhausted
+quadrature budget or another RuntimeError)."""
 
 from __future__ import annotations
 
@@ -508,7 +509,7 @@ def _cmd_sample(args):
     if int(opts["chains"]) < 1:
         raise ValueError("sample: need chains >= 1")
     t0 = time.time()
-    rows = []
+    chain_samples = []
     radii_sq = []
     rates = []
     for chain in range(int(opts["chains"])):
@@ -516,10 +517,7 @@ def _cmd_sample(args):
                               chain=chain,
                               record_every=int(opts["record_every"]))
         rates.append(state.acceptance_rate)
-        for s_idx, config in enumerate(state.samples):
-            for p_idx, z in enumerate(config):
-                zc = complex(z)
-                rows.append((chain, s_idx, p_idx, zc.real, zc.imag))
+        chain_samples.append(state.samples)
         if model.is_planar:
             radii_sq.append(np.abs(state.samples) ** 2)
     runtime_ms = 1000.0 * (time.time() - t0)
@@ -535,9 +533,11 @@ def _cmd_sample(args):
     if opts["out"]:
         with open(opts["out"], "w") as fh:
             fh.write("chain,sweep,particle,re,im\n")
-            for row in rows:
-                fh.write(f"{row[0]},{row[1]},{row[2]},"
-                         f"{row[3]:.17g},{row[4]:.17g}\n")
+            for chain, samples in enumerate(chain_samples):
+                for s_idx, (xs, ys) in enumerate(zip(np.real(samples).tolist(),
+                                                     np.imag(samples).tolist())):
+                    for p_idx, (x, y) in enumerate(zip(xs, ys)):
+                        fh.write(f"{chain},{s_idx},{p_idx},{x:.17g},{y:.17g}\n")
     return _record("sample", opts,
                    values={"estimates": estimates, "stderr": stderr,
                            "runtime_ms": runtime_ms,
@@ -623,6 +623,11 @@ def run_command(argv) -> CommandResult:
             "json": as_json})
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         return CommandResult(2, {
+            "command": args.command,
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+            "json": as_json})
+    except RuntimeError as exc:
+        return CommandResult(3, {
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "json": as_json})

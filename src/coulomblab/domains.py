@@ -339,18 +339,16 @@ def hyperellipsoid_coefficients(axes, N: float = 1.0):
 
 def ellipsoid_coefficients_carlson(axes, N: float = 1.0):
     """d = 3 route through Carlson's R_D (the demagnetising-factor integrals)."""
-    from .specfun import carlson_rd
+    from scipy.special import elliprd
 
     if len(axes) != 3:
         raise ValueError("ellipsoid_coefficients_carlson: d = 3 only")
     a1, a2, a3 = (float(a) for a in axes)
+    if min(a1, a2, a3) <= 0.0:
+        raise ValueError("ellipsoid_coefficients_carlson: axes must be > 0")
     pref = N * 0.75  # (d/2)(d/2-1) at d = 3
-    alphas = [
-        pref * (2.0 / 3.0) * carlson_rd(a2 * a2, a3 * a3, a1 * a1),
-        pref * (2.0 / 3.0) * carlson_rd(a3 * a3, a1 * a1, a2 * a2),
-        pref * (2.0 / 3.0) * carlson_rd(a1 * a1, a2 * a2, a3 * a3),
-    ]
-    return alphas
+    return [pref * (2.0 / 3.0) * float(elliprd(y * y, z * z, x * x))
+            for x, y, z in ((a1, a2, a3), (a2, a3, a1), (a3, a1, a2))]
 
 
 # --------------------------------------------------------- closed-form fields

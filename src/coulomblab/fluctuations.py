@@ -159,7 +159,8 @@ _CONVENTION_PREFACTOR = {"contour": 2.0, "background": 1.0, "interval": 4.0}
 def covariance_mapped(mp: LaurentMap, f, g, beta: float = 2.0,
                       convention: str = "contour", m: int = 2048) -> float:
     """Limiting covariance for statistics on the boundary image of a Laurent
-    map, via the double contour integral with the pulled-back functions.
+    map: the circle pairing sum |n| f_n g_{-n} of the pulled-back functions,
+    sampled at ``m`` boundary points.
 
     ``f`` and ``g`` take the boundary point as a complex number.  The
     convention selects the prefactor: 2/beta on a contour, 1/beta with a
@@ -171,7 +172,7 @@ def covariance_mapped(mp: LaurentMap, f, g, beta: float = 2.0,
     boundary = mp.evaluate(np.exp(1j * theta))
     fvals = np.array([float(f(z)) for z in boundary])
     gvals = np.array([float(g(z)) for z in boundary])
-    val = _quadrature_covariance(fvals, gvals, theta)
+    val = _fourier_pairing(np.fft.fft(fvals) / m, np.fft.fft(gvals) / m, m)
     return _CONVENTION_PREFACTOR[convention] / beta * val
 
 

@@ -1,9 +1,11 @@
 """Scalar special functions backing the closed-form electrostatics results.
 
-Self-contained and deterministic: a Lanczos log-gamma with fixed published
-coefficients, a Euler-Maclaurin Hurwitz zeta, and incomplete elliptic
-integrals evaluated through Carlson symmetric forms.  All functions are pure
-and safe to call from any number of workers.
+Gamma and log-gamma come from the standard library (``math.gamma``,
+``math.lgamma``) and the incomplete elliptic integrals from
+``scipy.special`` (``ellipkinc``, ``ellipeinc``); this module adds the
+argument checks.  The Hurwitz zeta is an Euler-Maclaurin sum of its own,
+because ``scipy.special.zeta(s, a)`` is NaN for s < 1.  All functions are
+pure and safe to call from any number of workers.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ __all__ = [
     "hurwitz_zeta",
     "riemann_zeta",
     "elliptic_integrals",
-    "carlson_rf",
-    "carlson_rd",
 ]
 
 
@@ -37,39 +37,21 @@ class EvalResult:
             raise ValueError("EvalResult est_error must be finite and >= 0")
 
 
-# Lanczos approximation, g = 7, 9 terms.  This particular coefficient set is
-# standard and gives ~1e-15 relative accuracy for log-gamma on x > 0.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+def _check_positive(name: str, x: float) -> None:
+    if not (x > 0.0) or not math.isfinite(x):
+        raise ValueError(f"{name}: require x > 0, got {x}")
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, relative error below 1e-13."""
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ValueError(f"log_gamma: require x > 0, got {x}")
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+    """ln Gamma(x) for x > 0 (``math.lgamma``)."""
+    _check_positive("log_gamma", x)
+    return math.lgamma(x)
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) for x > 0."""
-    return math.exp(log_gamma(x))
+    """Gamma(x) for x > 0 (``math.gamma``)."""
+    _check_positive("gamma", x)
+    return math.gamma(x)
 
 
 # Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin tail.
@@ -119,58 +101,6 @@ def riemann_zeta(s: float) -> float:
     return hurwitz_zeta(s, 1.0)
 
 
-def _carlson_iterate(x: float, y: float, z: float):
-    """Common duplication loop; returns scaled arguments and the mean."""
-    for _ in range(200):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        mu = (x + y + z) / 3.0
-        if max(abs(x - mu), abs(y - mu), abs(z - mu)) < 1e-6 * mu:
-            return x, y, z, mu
-    raise RuntimeError("carlson iteration failed to converge")
-
-
-def carlson_rf(x: float, y: float, z: float) -> float:
-    """Carlson symmetric integral R_F(x, y, z), arguments >= 0."""
-    if min(x, y, z) < 0.0 or (x + y <= 0 or y + z <= 0 or z + x <= 0):
-        raise ValueError("carlson_rf: invalid arguments")
-    x, y, z, mu = _carlson_iterate(x, y, z)
-    dx, dy, dz = 1.0 - x / mu, 1.0 - y / mu, 1.0 - z / mu
-    e2 = dx * dy + dy * dz + dz * dx
-    e3 = dx * dy * dz
-    series = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
-    return series / math.sqrt(mu)
-
-
-def carlson_rd(x: float, y: float, z: float) -> float:
-    """Carlson symmetric integral R_D(x, y, z); z > 0, x + y > 0."""
-    if min(x, y) < 0.0 or z <= 0.0 or x + y <= 0.0:
-        raise ValueError("carlson_rd: invalid arguments")
-    acc = 0.0
-    fac = 1.0
-    for _ in range(200):
-        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
-        lam = sx * sy + sy * sz + sz * sx
-        acc += fac / (sz * (z + lam))
-        fac *= 0.25
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        mu = (x + y + 3.0 * z) / 5.0
-        if max(abs(x - mu), abs(y - mu), abs(z - mu)) < 1e-6 * mu:
-            break
-    else:
-        raise RuntimeError("carlson_rd failed to converge")
-    dx, dy, dz = 1.0 - x / mu, 1.0 - y / mu, 1.0 - z / mu
-    ea = dx * dy
-    eb = dz * dz
-    ec = ea - eb
-    ed = ea - 6.0 * eb
-    ee = ed + 2.0 * ec
-    series = (1.0 + ed * (-3.0 / 14.0 + 9.0 / 88.0 * ed - 4.5 / 26.0 * dz * ee)
-              + dz * (ee / 6.0 + dz * (-9.0 / 22.0 * ec + 3.0 / 26.0 * dz * ea)))
-    return 3.0 * acc + fac * series / (mu * math.sqrt(mu))
-
-
 def elliptic_integrals(phi: float, k: float):
     """Incomplete elliptic integrals (F, E) of modulus k at amplitude phi.
 
@@ -183,12 +113,7 @@ def elliptic_integrals(phi: float, k: float):
         raise ValueError(f"elliptic_integrals: require 0 <= k <= 1, got {k}")
     if k == 1.0 and phi >= math.pi / 2.0 - 1e-15:
         raise ValueError("elliptic_integrals: F(pi/2, 1) diverges")
-    s = math.sin(phi)
-    c2 = math.cos(phi) ** 2
-    q = 1.0 - (k * s) ** 2
-    if s == 0.0:
-        return 0.0, 0.0
-    rf = carlson_rf(c2, q, 1.0)
-    f_val = s * rf
-    e_val = f_val - (k * k * s ** 3 / 3.0) * carlson_rd(c2, q, 1.0)
-    return f_val, e_val
+    from scipy.special import ellipeinc, ellipkinc
+
+    m = k * k
+    return float(ellipkinc(phi, m)), float(ellipeinc(phi, m))

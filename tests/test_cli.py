@@ -1,9 +1,15 @@
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coulomblab
+from coulomblab import _quad
 from coulomblab._quad import QuadratureBudgetError
 from coulomblab.cli import main, parse_geometry, run_command
 from coulomblab.domains import Ball, Cuboid, Ellipse2D
@@ -179,16 +185,42 @@ def test_json_flag_both_positions(capsys):
         assert code == 0 and "value" in rec
 
 
-def test_budget_error_exit_3():
-    # an absurdly tight tolerance exhausts the oracle panel budget
+def test_budget_error_exit_3(monkeypatch):
+    # a three-panel budget makes the oracle's adaptive_1d raise at its own
+    # raise site in _quad
+    monkeypatch.setattr("coulomblab.domains.adaptive_1d",
+                        functools.partial(_quad.adaptive_1d, max_panels=3))
     code, rec = record_of(["potential", "--domain", "annulus:R=1,c=0.5,N=1",
                            "--point", "0.7,0.0", "--oracle", "--tol", "1e-15"])
-    if code == 3:
-        assert rec["error"]["type"] == "QuadratureBudgetError"
-        assert "best_value" in rec["error"]
-    else:
-        # tolerances this tight may still succeed; accept a clean pass
-        assert code == 0
+    assert code == 3
+    assert rec["error"]["type"] == "QuadratureBudgetError"
+    assert "best_value" in rec["error"]
+
+
+def test_runtime_error_exit_3(capsys, monkeypatch):
+    def negative(spec):
+        raise RuntimeError("hole_energy: negative energy -0.25")
+
+    monkeypatch.setattr("coulomblab.balayage.hole_energy", negative)
+    code = main(["hole", "--domain", "ball:d=2,R=1", "--mode", "energy",
+                 "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 3
+    assert rec["error"] == {"type": "RuntimeError",
+                            "message": "hole_energy: negative energy -0.25"}
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it, so a fresh CLI
+    # process does not pay for it
+    src = os.path.dirname(os.path.dirname(coulomblab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import coulomblab.cli, sys; "
+         "print(any(m.startswith('scipy') for m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sample_counts_below_one_exit_2():
