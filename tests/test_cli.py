@@ -254,3 +254,42 @@ def test_error_records_honour_json(capsys, monkeypatch):
     assert code == 3
     assert rec["error"]["type"] == "QuadratureBudgetError"
     assert rec["error"]["best_value"] == 0.25
+
+
+def _close(got, want):
+    """Same structure; floats equal to 1e-12 relative."""
+    if isinstance(want, dict):
+        return isinstance(got, dict) and list(got) == list(want) and all(
+            _close(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(
+            _close(g, w) for g, w in zip(got, want))
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-12,
+                                                       abs_tol=1e-15)
+    return type(got) is type(want) and got == want
+
+
+def test_record_layout_pinned():
+    # one argv per handler branch; cli_records.json holds each record's key
+    # sequence, inputs, method, provenance and value(s) (sample's runtime_ms
+    # and the acceptance results of check are left out)
+    path = os.path.join(os.path.dirname(__file__), "cli_records.json")
+    with open(path) as fh:
+        pinned = json.load(fh)
+    for row in pinned:
+        code, rec = record_of(row["argv"].split())
+        assert code == 0, row["argv"]
+        assert [k for k in rec if k != "json"] == row["keys"], row["argv"]
+        assert json.dumps(rec["inputs"]) == json.dumps(row["inputs"]), row["argv"]
+        assert rec["method"] == row["method"], row["argv"]
+        assert rec["provenance"] == row["provenance"], row["argv"]
+        assert (rec["tolerance"] is None) == row["tolerance_null"], row["argv"]
+        if rec["command"] == "sample":
+            assert rec["values"].pop("runtime_ms") > 0.0
+        for key in ("value", "values"):
+            if key in row:
+                assert _close(rec[key], row[key]), (row["argv"], rec[key])
+        if rec["command"] == "check":
+            assert rec["values"]["passed"] and "error" not in rec
+            assert rec["lines"]
