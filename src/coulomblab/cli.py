@@ -7,6 +7,7 @@ quadrature budget or another RuntimeError)."""
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -63,26 +64,29 @@ def parse_geometry(spec: str) -> dom.UniformDomain:
     """
     name, _, body = spec.partition(":")
     kv = _parse_kv(body)
-    charge = float(kv.pop("N", 1.0))
+
+    def num(key, *default):
+        return _floats(kv.pop(key, *default), key)[0]
+
+    charge = num("N", "1")
     name = name.strip().lower()
     if name == "ball":
-        geo = dom.Ball(int(kv.pop("d", 2)), float(kv.pop("R", 1.0)))
+        geo = dom.Ball(int(kv.pop("d", 2)), num("R", "1"))
     elif name == "annulus":
-        geo = dom.Annulus2D(float(kv.pop("R", 1.0)), float(kv.pop("c")))
+        geo = dom.Annulus2D(num("R", "1"), num("c"))
     elif name == "segment":
-        geo = dom.Segment1D(float(kv.pop("R", 1.0)))
+        geo = dom.Segment1D(num("R", "1"))
     elif name == "ellipse":
-        geo = dom.Ellipse2D(float(kv.pop("a1")), float(kv.pop("a2")))
+        geo = dom.Ellipse2D(num("a1"), num("a2"))
     elif name == "hyperellipsoid":
-        axes = tuple(float(a) for a in kv.pop("axes").split("|"))
-        geo = dom.Hyperellipsoid(axes)
+        geo = dom.Hyperellipsoid(_floats(kv.pop("axes"), "axes", "|"))
     elif name == "rectangle":
-        geo = dom.Rectangle(((float(kv.pop("x0", 0.0)), float(kv.pop("x1", 1.0))),
-                             (float(kv.pop("y0", 0.0)), float(kv.pop("y1", 1.0)))))
+        geo = dom.Rectangle(((num("x0", "0"), num("x1", "1")),
+                             (num("y0", "0"), num("y1", "1"))))
     elif name == "cuboid":
-        geo = dom.Cuboid(((float(kv.pop("x0", 0.0)), float(kv.pop("x1", 1.0))),
-                          (float(kv.pop("y0", 0.0)), float(kv.pop("y1", 1.0))),
-                          (float(kv.pop("z0", 0.0)), float(kv.pop("z1", 1.0)))))
+        geo = dom.Cuboid(((num("x0", "0"), num("x1", "1")),
+                          (num("y0", "0"), num("y1", "1")),
+                          (num("z0", "0"), num("z1", "1"))))
     else:
         raise ValueError(f"unsupported geometry {name!r}")
     if kv:
@@ -93,23 +97,53 @@ def parse_geometry(spec: str) -> dom.UniformDomain:
 def _parse_map(spec: str) -> conf.LaurentMap:
     """Map mini-language: circle:R=1 | interval:L=1 | ellipse:a1=2,a2=1 |
     laurent:scale=1,coeffs=0|0.5"""
+    if spec is None:
+        raise ValueError("missing --map")
     name, _, body = spec.partition(":")
     kv = _parse_kv(body)
     name = name.strip().lower()
+
+    def num(key, *default):
+        return _floats(kv.get(key, *default), key)[0]
+
     if name == "circle":
-        return conf.circle_map(float(kv.get("R", 1.0)))
+        return conf.circle_map(num("R", "1"))
     if name == "interval":
-        return conf.interval_map(float(kv.get("L", 1.0)))
+        return conf.interval_map(num("L", "1"))
     if name == "ellipse":
-        return conf.ellipse_map(float(kv["a1"]), float(kv["a2"]))
+        return conf.ellipse_map(num("a1"), num("a2"))
     if name == "laurent":
         coeffs = tuple(complex(c) for c in kv.get("coeffs", "0").split("|"))
-        return conf.LaurentMap(float(kv["scale"]), coeffs)
+        if not all(cmath.isfinite(c) for c in coeffs):
+            raise ValueError(f"coeffs: not finite: {kv['coeffs']!r}")
+        return conf.LaurentMap(num("scale"), coeffs)
     raise ValueError(f"unsupported map {name!r}")
 
 
-def _point(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")])
+def _floats(text, name, sep=","):
+    """The finite numbers in `text`; ValueError names `name` if it is
+    missing, empty, malformed or holds a non-finite value."""
+    if text is None:
+        raise ValueError(f"missing {name}")
+    try:
+        vals = tuple(float(x) for x in text.split(sep))
+    except ValueError:
+        raise ValueError(f"{name}: expected numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{name}: not finite: {text!r}")
+    return vals
+
+
+def _point(text, name) -> np.ndarray:
+    return np.array(_floats(text, name))
+
+
+def _complex(text, name) -> complex:
+    """A point x or x,y as the complex number x + iy."""
+    vals = _floats(text, name)
+    if len(vals) > 2:
+        raise ValueError(f"{name}: expected x or x,y, got {text!r}")
+    return complex(*vals)
 
 
 def _record(command, inputs, value=None, values=None, method="", tolerance=None,
@@ -261,7 +295,7 @@ def _load_config(path: str) -> dict:
 
 def _cmd_potential(args):
     u = parse_geometry(args.domain)
-    p = _point(args.point)
+    p = _point(args.point, "--point")
     inputs = {"domain": args.domain, "point": args.point, "tol": args.tol}
     if args.oracle:
         res = dom.potential_oracle(u, p, args.tol)
@@ -281,7 +315,7 @@ def _cmd_energy(args):
     if not args.domain:
         raise ValueError("energy: need --domain or --cube-self")
     u = parse_geometry(args.domain)
-    pts = [_point(t) for t in args.points.split(";") if t]
+    pts = [_point(t, "--points") for t in args.points.split(";") if t]
     val = dom.interaction_energy(u, pts)
     return _record("energy", {"domain": args.domain, "points": args.points},
                    value=val, method="closed form",
@@ -289,7 +323,7 @@ def _cmd_energy(args):
 
 
 def _cmd_coeffs(args):
-    axes = tuple(float(a) for a in args.axes.split("|"))
+    axes = _floats(args.axes, "--axes", "|")
     a0, al = dom.hyperellipsoid_coefficients(axes, args.N)
     return _record("coeffs", {"axes": args.axes, "N": args.N},
                    values={"alpha0": a0, "alphas": list(al),
@@ -301,20 +335,20 @@ def _cmd_surface(args):
     inputs = {"op": args.op, "d": args.d, "R": args.R, "Q": args.Q,
               "axes": args.axes, "point": args.point, "case": args.case}
     if args.op == "shell":
-        val = surfaces.shell_potential(args.d, args.R, args.Q, _point(args.point))
+        val = surfaces.shell_potential(args.d, args.R, args.Q, _point(args.point, "--point"))
         return _record("surface", inputs, value=val, method="shell theorem")
     if args.op == "density":
-        axes = tuple(float(a) for a in args.axes.split("|"))
-        val = surfaces.ellipsoid_surface_density(axes, args.Q, _point(args.point))
+        axes = _floats(args.axes, "--axes", "|")
+        val = surfaces.ellipsoid_surface_density(axes, args.Q, _point(args.point, "--point"))
         return _record("surface", inputs, value=val,
                        method="equilibrium surface density")
     if args.op == "potential":
-        axes = tuple(float(a) for a in args.axes.split("|"))
-        val = surfaces.ellipsoid_surface_potential(axes, args.Q, _point(args.point))
+        axes = _floats(args.axes, "--axes", "|")
+        val = surfaces.ellipsoid_surface_potential(axes, args.Q, _point(args.point, "--point"))
         return _record("surface", inputs, value=val,
                        method="lambda-integral surface potential")
     if args.op == "projection":
-        val = surfaces.projection_density(args.d, args.R, _point(args.point))
+        val = surfaces.projection_density(args.d, args.R, _point(args.point, "--point"))
         return _record("surface", inputs, value=val,
                        method="projected equilibrium density")
     rep = surfaces.projection_identities(args.case, d=args.d, R=args.R)
@@ -325,16 +359,16 @@ def _cmd_surface(args):
 def _cmd_green(args):
     inputs = {"geometry": args.geometry, "z": args.z, "w": args.w, "R": args.R}
     if args.geometry in ("sphere", "halfspace"):
-        val = conf.green3d(args.geometry, _point(args.z), _point(args.w), R=args.R)
+        val = conf.green3d(args.geometry, _point(args.z, "--z"), _point(args.w, "--w"), R=args.R)
         return _record("green", inputs, value=val, method="method of images")
     if args.geometry in ("disk", "halfplane"):
-        z = complex(*(_point(args.z)))
-        w = complex(*(_point(args.w)))
+        z = _complex(args.z, "--z")
+        w = _complex(args.w, "--w")
         val = conf.green_two_point(args.geometry, z, w, R=args.R)
         return _record("green", inputs, value=val, method="closed form")
     mp = _parse_map(args.geometry)
-    z = complex(*(_point(args.z)))
-    w = complex(*(_point(args.w)))
+    z = _complex(args.z, "--z")
+    w = _complex(args.w, "--w")
     val = conf.green_two_point(mp, z, w)
     return _record("green", inputs, value=val, method="conformal transport")
 
@@ -345,7 +379,7 @@ def _cmd_capacity(args):
     g_far, cap, robin = conf.green_infinity(mp, far)
     values = {"capacity": cap, "robin": robin}
     if args.z:
-        z = complex(*(_point(args.z)))
+        z = _complex(args.z, "--z")
         g, _, _ = conf.green_infinity(mp, z)
         values["g"] = g
     return _record("capacity", {"map": args.map_spec, "z": args.z},
@@ -375,11 +409,11 @@ def _cmd_fluct(args):
     inputs = {"op": args.op, "N": args.N, "beta": args.beta, "k": args.k,
               "geometry": args.geometry, "p1": args.p1, "p2": args.p2}
     if args.op == "cue":
-        val = fluct.cue_kernel(args.N, float(args.p1), float(args.p2))
+        (p1,), (p2,) = _floats(args.p1, "--p1"), _floats(args.p2, "--p2")
+        val = fluct.cue_kernel(args.N, p1, p2)
         return _record("fluct", inputs, value=val, method="sine kernel")
     if args.op == "subblock":
-        z = complex(*(_point(args.p1))) if "," in args.p1 else complex(float(args.p1))
-        w = complex(*(_point(args.p2))) if "," in args.p2 else complex(float(args.p2))
+        z, w = _complex(args.p1, "--p1"), _complex(args.p2, "--p2")
         val = fluct.subblock_kernel(args.N, z, w, smoothed=args.smoothed)
         if isinstance(val, complex):
             return _record("fluct", inputs,
@@ -404,18 +438,17 @@ def _cmd_fluct(args):
     provenance = None
     if geometry.startswith("ellipse"):
         kv = _parse_kv(geometry.partition(":")[2])
-        geometry = ("ellipse", float(kv["a1"]), float(kv["a2"]))
+        geometry = ("ellipse", _floats(kv["a1"], "a1")[0], _floats(kv["a2"], "a2")[0])
     elif geometry.startswith("laurent") or geometry.startswith("circle") \
             or geometry.startswith("interval"):
         geometry = _parse_map(args.geometry)
         provenance = "conjectural exterior-kernel form"
     if isinstance(geometry, conf.LaurentMap):
-        p1 = complex(*(_point(args.p1)))
-        p2 = complex(*(_point(args.p2)))
+        p1, p2 = _complex(args.p1, "--p1"), _complex(args.p2, "--p2")
     elif geometry == "halfspace3d":
-        p1, p2 = _point(args.p1), _point(args.p2)
+        p1, p2 = _point(args.p1, "--p1"), _point(args.p2, "--p2")
     else:
-        p1, p2 = float(args.p1), float(args.p2)
+        (p1,), (p2,) = _floats(args.p1, "--p1"), _floats(args.p2, "--p2")
     val = fluct.surface_correlation(geometry, args.beta, p1, p2)
     return _record("fluct", inputs, value=val,
                    method="smoothed surface correlation", provenance=provenance)
@@ -455,7 +488,7 @@ def _cmd_balayage(args):
         else:
             values["moment"] = mom
     if args.point:
-        values["potential"] = measure.potential(_point(args.point))
+        values["potential"] = measure.potential(_point(args.point, "--point"))
     return _record("balayage", {"domain": args.domain, "moment": args.moment,
                                 "point": args.point},
                    values=values, method="boundary balayage measure")
@@ -495,6 +528,8 @@ def _cmd_sample(args):
                 raise ValueError(f"config: unknown key {key!r}")
             cur = opts[key]
             opts[key] = type(cur)(val) if cur is not None else val
+            if isinstance(opts[key], float) and not math.isfinite(opts[key]):
+                raise ValueError(f"config: {key} is not finite")
     model_kw = {}
     if opts["ensemble"] == "elliptic":
         model_kw["tau"] = float(opts["tau"])
@@ -606,27 +641,34 @@ def run_command(argv) -> CommandResult:
     try:
         args = parser.parse_args(_attach_point_values(argv))
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return CommandResult(2 if code != 0 else 0,
-                             {"command": argv[0] if argv else "",
+        if exc.code == 0:   # --help
+            return CommandResult(0, {})
+        return CommandResult(2, {"command": argv[0] if argv else "",
                               "error": {"type": "ArgumentError",
                                         "message": "invalid arguments"},
                               "json": "--json" in argv})
     as_json = getattr(args, "json", False)
     try:
+        for key, val in vars(args).items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ValueError(f"{key}: not finite: {val!r}")
         record = _HANDLERS[args.command](args)
+        try:
+            json.dumps(record, allow_nan=False)
+        except ValueError:
+            raise FloatingPointError("non-finite value in the result") from None
     except QuadratureBudgetError as exc:
         return CommandResult(3, {
             "command": args.command,
             "error": {"type": "QuadratureBudgetError", "message": str(exc),
                       "best_value": exc.value, "est_error": exc.est_error},
             "json": as_json})
-    except (ValueError, KeyError, OSError, OverflowError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, ZeroDivisionError) as exc:
         return CommandResult(2, {
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "json": as_json})
-    except RuntimeError as exc:
+    except (RuntimeError, FloatingPointError) as exc:
         return CommandResult(3, {
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
@@ -658,7 +700,7 @@ def main(argv=None) -> int:
     as_json = record.pop("json", False)
     if as_json:
         record.pop("lines", None)
-        print(json.dumps(record))
+        print(json.dumps(record, allow_nan=False))
     else:
         _print_human(record)
     return result.exit_code

@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coulomblab
 from coulomblab import _quad
@@ -293,3 +296,188 @@ def test_record_layout_pinned():
         if rec["command"] == "check":
             assert rec["values"]["passed"] and "error" not in rec
             assert rec["lines"]
+
+
+# argv fuzzing: every subcommand but check, each option present or absent,
+# values from small pools of valid, non-finite, empty, malformed and
+# wrong-length entries (sizes capped so that no example takes over ~1 s)
+_BAD = ["nan", "inf", "-inf", "", "x"]
+_P2 = ["0.3,0.1", "-0.5,0.2", "2,1", "0.5", "1,2,3", "nan,0", "0,inf", "", ",", "a,b"]
+_P3 = ["0.1,0.2,0.3", "-0.2,0,0.4", "2,0,0", "0.5,0.5", "1,2,3,4", "nan,0,0"]
+_GEO = ["ball:d=2,R=1", "ball:d=3,R=1.5,N=2", "ellipse:a1=2,a2=1",
+        "annulus:R=1,c=0.5", "rectangle:x0=0,x1=1,y0=0,y1=1", "segment:R=1",
+        "hyperellipsoid:axes=1|2|1.5", "cuboid:x0=0,x1=1,y0=0,y1=1,z0=0,z1=1",
+        "ball:d=2,R=nan", "ellipse:a1=inf,a2=1", "annulus:R=1,c=-inf",
+        "hyperellipsoid:axes=1|nan", "ball:d=0,R=1", "ball:R=-1", "ball:d=x",
+        "ball:d=2,R", "ball:bogus=1", "torus:R=1", "ellipse:a1=2", ""]
+_MAPS = ["circle:R=1", "interval:L=1", "ellipse:a1=2,a2=1",
+         "laurent:scale=1,coeffs=0|0.3", "ellipse:a1=1,a2=2", "ellipse:a1=nan,a2=1",
+         "laurent:scale=inf,coeffs=0", "laurent:scale=1,coeffs=nan|0.1",
+         "circle:R=0", "interval:L=-inf", "bogus:x=1", "ellipse", ""]
+_AXES = ["1|1|2", "2|1|1", "1|1.5", "nan|1|2", "1|inf|2", "1||2", "-1|1|1", "", "x"]
+_INT = ["1", "2", "0", "-1", "x", "nan"]
+
+
+def _floats_pool(*good):
+    return list(good) + _BAD
+
+
+_FUZZ_OPTIONS = {
+    "potential": {"--domain": _GEO, "--point": _P2 + _P3, "--oracle": None,
+                  "--tol": _floats_pool("1e-4", "1e-8", "0", "-1")},
+    "energy": {"--domain": _GEO, "--cube-self": None,
+               "--points": ["0,0", "0,0;0.5,0.1", "-0.5,0.2;0.1,0", "0,0,0",
+                            "nan,0", "0,0;;1,1", ";", "", "x"]},
+    "coeffs": {"--axes": _AXES, "--N": _floats_pool("1", "2", "0", "-1")},
+    "surface": {"--op": ["shell", "density", "potential", "projection", "identity",
+                         "bogus"],
+                "--d": ["2", "3"] + _INT, "--R": _floats_pool("1", "0.5", "0", "-1"),
+                "--Q": _floats_pool("1", "-2"), "--axes": _AXES,
+                "--point": _P3 + _P2 + ["2,0,0", "0.3"],
+                "--case": ["constant-potential", "riesz-quadratic", "bogus"]},
+    "green": {"--geometry": ["disk", "halfplane", "sphere", "halfspace"] + _MAPS,
+              "--z": _P2 + _P3, "--w": _P2 + _P3,
+              "--R": _floats_pool("1", "0.5", "0", "-1")},
+    "capacity": {"--map": _MAPS, "--z": _P2 + ["3,0", "1,2,3"]},
+    "droplet": {"--alpha": _floats_pool("0.2", "-0.3", "0.5"),
+                "--area": _floats_pool("3.14", "1", "0"),
+                "--induced-alpha": _floats_pool("1", "0.5", "0", "-1")},
+    "fluct": {"--op": ["cue", "subblock", "cov", "mapped-cov", "surface", "bogus"],
+              "--N": ["1", "5", "50", "0", "-3", "x"],
+              "--beta": _floats_pool("2", "1", "0", "-1"),
+              "--k": ["1", "3", "0", "-2", "x"],
+              "--route": ["fourier", "quadrature", "bogus"],
+              "--convention": ["contour", "background", "interval", "bogus"],
+              "--map": _MAPS,
+              "--geometry": ["disk", "ellipse:a1=2,a2=1", "circle:R=1",
+                             "laurent:scale=1,coeffs=0|0.3", "interval:L=1",
+                             "halfspace3d", "halfplane2d", "ellipse:a1=nan,a2=1",
+                             "ellipse:a1=2", "bogus"],
+              "--p1": ["0.3", "1.5", "1,0", "0.3,0.2", "-0.5,0.1", "1,2,3", "nan",
+                       "inf,0", "", "x"],
+              "--p2": ["2.5", "0.3", "0,1", "0.1,-0.4", "-2,1", "1,2,3", "-inf",
+                       "0,nan", ""],
+              "--smoothed": None},
+    "riesz": {"--s": _floats_pool("0", "0.5", "-0.5", "1.5", "-2"),
+              "--N": ["1", "5", "50", "0", "-1", "x"],
+              "--R": _floats_pool("1", "2", "0", "-1"),
+              "--op": ["background", "static", "point", "bogus"],
+              "--x": _floats_pool("0.3", "0", "1.5"),
+              "--mode": ["finite", "limit", "bogus"]},
+    "balayage": {"--domain": _GEO, "--moment": ["0", "1", "2", "-1", "x"],
+                 "--point": _P2 + _P3},
+    "hole": {"--domain": _GEO, "--rho-b": _floats_pool("1", "0.5", "0", "-1"),
+             "--beta": _floats_pool("2", "4", "0"),
+             "--mode": ["energy", "gap", "tail", "bogus"],
+             "--gamma": _floats_pool("3", "2", "1"), "--amp": _floats_pool("1", "0"),
+             "--R-tail": _floats_pool("10", "1", "0")},
+    "sample": {"--ensemble": ["ginibre", "elliptic", "induced", "contour", "sinh",
+                              "bogus"],
+               "--n": ["1", "3", "6", "0", "-1", "x"],
+               "--sweeps": ["5", "20", "0", "-1", "x"],
+               "--beta": _floats_pool("2", "1", "0", "-1"),
+               "--seed": ["1", "7", "-1", "x"], "--chains": ["1", "2", "0", "x"],
+               "--tau": _floats_pool("0.3", "1", "-1"),
+               "--alpha": _floats_pool("1", "0", "-1"),
+               "--c": _floats_pool("1", "0"), "--L": _floats_pool("5", "0", "-1"),
+               "--map": _MAPS, "--record-every": ["1", "2", "0", "x"]},
+}
+# options that are always drawn, so that no example runs at a large default
+_FUZZ_ALWAYS = {"sample": ("--n", "--sweeps")}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [command]
+    for opt, pool in _FUZZ_OPTIONS[command].items():
+        if opt not in _FUZZ_ALWAYS.get(command, ()) and not draw(st.booleans()):
+            continue
+        argv.append(opt)
+        if pool is not None:
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-RFC 8259 JSON constant {name}")
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(_fuzz_argv())
+def test_cli_contract_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json"])
+    assert code in (0, 2, 3)
+    rec = json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert "command" in rec
+    assert sum(key in rec for key in ("value", "values", "error")) == 1
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["surface", "--op", "shell"], "--point"),
+    (["surface", "--op", "projection", "--d", "2"], "--point"),
+    (["surface", "--op", "density", "--point", "2,0,0"], "--axes"),
+    (["surface", "--op", "potential", "--axes", "2|1|1"], "--point"),
+    (["fluct", "--op", "mapped-cov"], "--map"),
+])
+def test_missing_option_exit_2(argv, option):
+    code, rec = record_of(argv)
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+    assert option in rec["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--geometry", "disk", "--z", "2,0,1", "--w", "3,0"],
+    ["green", "--geometry", "ellipse:a1=2,a2=1", "--z", "3,0", "--w", "0,2,0"],
+    ["capacity", "--map", "interval:L=1", "--z", "2,1,0"],
+    ["fluct", "--op", "subblock", "--p1", "0.1,0.2,0.3", "--p2", "0.1"],
+    ["fluct", "--op", "surface", "--geometry", "circle:R=1", "--p1", "1,0",
+     "--p2", "0,1,0,2"],
+])
+def test_complex_point_of_three_coordinates_exit_2(argv):
+    code, rec = record_of(argv)
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--domain", "ball:d=2,R=1", "--point", "0,0", "--oracle",
+     "--tol", "nan"],
+    ["potential", "--domain", "ball:d=2,R=1", "--point", "inf,0"],
+    ["potential", "--domain", "ball:d=2,R=nan", "--point", "0,0"],
+    ["energy", "--domain", "ball:d=2,R=1", "--points", "0,0;nan,0"],
+    ["coeffs", "--axes", "nan|1|2"],
+    ["green", "--geometry", "ellipse:a1=inf,a2=1", "--z", "3,0", "--w", "0,2"],
+    ["fluct", "--op", "mapped-cov", "--map", "laurent:scale=1,coeffs=0|nan"],
+    ["fluct", "--op", "cue", "--p1=-inf"],
+    ["balayage", "--domain", "ellipse:a1=2,a2=1", "--point", "3,nan"],
+    ["hole", "--domain", "ball:d=2,R=1", "--mode", "tail", "--gamma", "inf",
+     "--amp", "1", "--R-tail", "10"],
+])
+def test_non_finite_input_exit_2(argv, capsys):
+    code = main(argv + ["--json"])
+    rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+
+
+def test_non_finite_result_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr("coulomblab.domains.background_potential",
+                        lambda u, p: math.nan)
+    argv = ["potential", "--domain", "ball:d=2,R=1", "--point", "0,0"]
+    code = main(argv + ["--json"])
+    rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 3 and rec["error"]["type"] == "FloatingPointError"
+    assert main(argv) == 3
+
+
+def test_zero_beta_exit_2():
+    code, rec = record_of(["fluct", "--op", "cov", "--beta", "0"])
+    assert code == 2 and rec["error"]["type"] == "ZeroDivisionError"
+
+
+def test_help_exit_0(capsys):
+    for argv in (["--help"], ["potential", "--help"], ["sample", "--help", "--json"]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 0 and out.startswith("usage: coulomblab") and err == ""
