@@ -1,8 +1,10 @@
 """Command-line surface: one subcommand per module plus the acceptance-suite
 runner.  Every command supports --json and emits a schema-stable record
-{command, inputs, value(s), method, tolerance, provenance}; exit codes are
-0 (ok), 2 (argument or domain errors), 3 (numerical errors: an exhausted
-quadrature budget or another RuntimeError)."""
+{command, inputs, method, tolerance, provenance, value(s)} as strict JSON.
+Exit codes are 0 (ok, and --help), 2 (argument or domain errors: a missing,
+malformed or non-finite value in argv, or a value the domain rejects) and 3
+(numerical errors: an exhausted quadrature budget, another RuntimeError, or
+a non-finite result)."""
 
 from __future__ import annotations
 
@@ -38,21 +40,48 @@ class CommandResult:
 
 def _fmt(x):
     """17 significant digits for lossless round-trips in text output."""
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
-def _parse_kv(body: str) -> dict:
+def _parse_kv(body: str, sep=",") -> dict:
     out = {}
-    if not body:
-        return out
-    for item in body.split(","):
-        if "=" not in item:
+    for item in body.split(sep) if body else ():
+        key, eq, val = item.partition("=")
+        if not eq:
             raise ValueError(f"expected key=val, got {item!r}")
-        key, val = item.split("=", 1)
         out[key.strip()] = val.strip()
     return out
+
+
+# All option text is read by these three helpers.  They raise ValueError
+# (exit 2), naming the option, for a missing, empty, malformed or non-finite
+# value and for a wrong number of coordinates.
+
+def _floats(text, name, sep=",", count=None) -> tuple:
+    """The finite numbers in `text` (exactly `count` of them if given)."""
+    if text is None:
+        raise ValueError(f"missing {name}")
+    try:
+        vals = tuple(float(x) for x in text.split(sep))
+    except ValueError:
+        raise ValueError(f"{name}: expected numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{name}: not finite: {text!r}")
+    if count is not None and len(vals) != count:
+        raise ValueError(f"{name}: expected {count} number(s), got {text!r}")
+    return vals
+
+
+def _point(text, name) -> np.ndarray:
+    return np.array(_floats(text, name))
+
+
+def _complex(text, name) -> complex:
+    """A point x or x,y as the complex number x + iy."""
+    vals = _floats(text, name)
+    if len(vals) > 2:
+        raise ValueError(f"{name}: expected x or x,y, got {text!r}")
+    return complex(*vals)
 
 
 def parse_geometry(spec: str) -> dom.UniformDomain:
@@ -120,270 +149,81 @@ def _parse_map(spec: str) -> conf.LaurentMap:
     raise ValueError(f"unsupported map {name!r}")
 
 
-def _floats(text, name, sep=","):
-    """The finite numbers in `text`; ValueError names `name` if it is
-    missing, empty, malformed or holds a non-finite value."""
-    if text is None:
-        raise ValueError(f"missing {name}")
-    try:
-        vals = tuple(float(x) for x in text.split(sep))
-    except ValueError:
-        raise ValueError(f"{name}: expected numbers, got {text!r}") from None
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"{name}: not finite: {text!r}")
-    return vals
-
-
-def _point(text, name) -> np.ndarray:
-    return np.array(_floats(text, name))
-
-
-def _complex(text, name) -> complex:
-    """A point x or x,y as the complex number x + iy."""
-    vals = _floats(text, name)
-    if len(vals) > 2:
-        raise ValueError(f"{name}: expected x or x,y, got {text!r}")
-    return complex(*vals)
-
-
-def _record(command, inputs, value=None, values=None, method="", tolerance=None,
-            provenance=None):
-    rec = {"command": command, "inputs": inputs, "method": method,
-           "tolerance": tolerance, "provenance": provenance}
-    if values is not None:
-        rec["values"] = values
-    else:
-        rec["value"] = value
-    return rec
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coulomblab",
-        description="Closed-form electrostatics and Coulomb/log-gas toolkit")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the full JSON record on stdout")
-    common = argparse.ArgumentParser(add_help=False)
-    # SUPPRESS keeps a pre-subcommand --json from being clobbered by the
-    # subparser's default
-    common.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="emit the full JSON record on stdout")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=lambda **kw: argparse.ArgumentParser(
-                                    parents=[common], **kw))
-
-    p = sub.add_parser("potential", help="background potential of a domain")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="use the direct-quadrature oracle")
-    p.add_argument("--tol", type=float, default=1e-8)
-
-    p = sub.add_parser("energy", help="interaction energy or cube self-energy")
-    p.add_argument("--domain")
-    p.add_argument("--points", default="",
-                   help="semicolon-separated points, e.g. '0,0;0.5,0.1'")
-    p.add_argument("--cube-self", action="store_true")
-
-    p = sub.add_parser("coeffs", help="interior quadratic coefficients")
-    p.add_argument("--axes", required=True, help="a1|a2|...")
-    p.add_argument("--N", type=float, default=1.0)
-
-    p = sub.add_parser("surface", help="surface charge and projection tools")
-    p.add_argument("--op", required=True,
-                   choices=["shell", "density", "potential", "projection",
-                            "identity"])
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--Q", type=float, default=1.0)
-    p.add_argument("--axes")
-    p.add_argument("--point")
-    p.add_argument("--case", default="constant-potential")
-
-    p = sub.add_parser("green", help="two-point Green functions")
-    p.add_argument("--geometry", required=True,
-                   help="disk | halfplane | sphere | halfspace | a map spec")
-    p.add_argument("--z", required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--R", type=float, default=1.0)
-
-    p = sub.add_parser("capacity", help="capacity/Robin constant of a map")
-    p.add_argument("--map", required=True, dest="map_spec")
-    p.add_argument("--z", help="optional exterior point for g(z)")
-
-    p = sub.add_parser("droplet", help="droplet maps and radii")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--area", type=float, default=math.pi)
-    p.add_argument("--induced-alpha", type=float,
-                   help="annulus radii of the induced-gas profile")
-
-    p = sub.add_parser("fluct", help="fluctuation formulas")
-    p.add_argument("--op", required=True,
-                   choices=["cue", "subblock", "cov", "mapped-cov", "surface"])
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--k", type=int, default=1, help="statistic cos(k theta)")
-    p.add_argument("--route", default="fourier")
-    p.add_argument("--convention", default="contour")
-    p.add_argument("--map", dest="map_spec")
-    p.add_argument("--geometry", default="disk")
-    p.add_argument("--p1", default="0.0")
-    p.add_argument("--p2", default="3.141592653589793")
-    p.add_argument("--smoothed", action="store_true")
-
-    p = sub.add_parser("riesz", help="Riesz gas on a circle")
-    p.add_argument("--s", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--op", default="static",
-                   choices=["background", "static", "point"])
-    p.add_argument("--x", type=float, default=0.5)
-    p.add_argument("--mode", default="limit", choices=["finite", "limit"])
-
-    p = sub.add_parser("balayage", help="balayage measure of a planar body")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--moment", type=int)
-    p.add_argument("--point", help="evaluate the measure's potential here")
-
-    p = sub.add_parser("hole", help="hole energies and gap/tail rates")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--rho-b", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--mode", default="gap", choices=["energy", "gap", "tail"])
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--amp", type=float)
-    p.add_argument("--R-tail", type=float, dest="r_tail")
-
-    p = sub.add_parser("sample", help="Metropolis sampling of a gas model")
-    p.add_argument("--ensemble", required=True,
-                   choices=["ginibre", "elliptic", "induced", "contour", "sinh"])
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--sweeps", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--chains", type=int, default=1)
-    p.add_argument("--out", help="CSV path for the sample stream")
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=2 * math.pi)
-    p.add_argument("--map", dest="map_spec", default="circle:R=1")
-    p.add_argument("--record-every", type=int, default=1)
-    p.add_argument("--config", help="key = value file overriding defaults")
-
-    p = sub.add_parser("check", help="run the acceptance suite")
-    p.add_argument("--suite", default="quick", choices=["quick", "full"])
-
-    return parser
-
-
-def _load_config(path: str) -> dict:
-    """Structured key-value text: one `key = value` per line, # comments."""
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
-
+# Each handler returns the fields of its record: `method`, `value` or
+# `values`, and where they apply `tolerance`, `provenance` and `inputs` (for
+# inputs that depend on the branch taken; otherwise the table records them).
 
 def _cmd_potential(args):
     u = parse_geometry(args.domain)
     p = _point(args.point, "--point")
-    inputs = {"domain": args.domain, "point": args.point, "tol": args.tol}
     if args.oracle:
         res = dom.potential_oracle(u, p, args.tol)
-        return _record("potential", inputs, value=res.value,
-                       method="direct quadrature oracle",
-                       tolerance=res.est_error)
-    val = dom.background_potential(u, p)
-    return _record("potential", inputs, value=val, method="closed form",
-                   provenance="uniform-background potential, charge -N")
+        return dict(value=res.value, method="direct quadrature oracle",
+                    tolerance=res.est_error)
+    return dict(value=dom.background_potential(u, p), method="closed form",
+                provenance="uniform-background potential, charge -N")
 
 
 def _cmd_energy(args):
     if args.cube_self:
-        return _record("energy", {"cube_self": True},
-                       value=dom.cube_self_energy(),
-                       method="closed form", provenance="unit-cube self-energy")
+        return dict(inputs={"cube_self": True}, value=dom.cube_self_energy(),
+                    method="closed form", provenance="unit-cube self-energy")
     if not args.domain:
         raise ValueError("energy: need --domain or --cube-self")
     u = parse_geometry(args.domain)
     pts = [_point(t, "--points") for t in args.points.split(";") if t]
-    val = dom.interaction_energy(u, pts)
-    return _record("energy", {"domain": args.domain, "points": args.points},
-                   value=val, method="closed form",
-                   provenance="U_bb + U_pb for the given particles")
+    return dict(value=dom.interaction_energy(u, pts), method="closed form",
+                provenance="U_bb + U_pb for the given particles")
 
 
 def _cmd_coeffs(args):
-    axes = _floats(args.axes, "--axes", "|")
-    a0, al = dom.hyperellipsoid_coefficients(axes, args.N)
-    return _record("coeffs", {"axes": args.axes, "N": args.N},
-                   values={"alpha0": a0, "alphas": list(al),
-                           "sum": float(sum(al))},
-                   method="adaptive lambda-integral quadrature")
+    a0, al = dom.hyperellipsoid_coefficients(_floats(args.axes, "--axes", "|"),
+                                             args.N)
+    return dict(values={"alpha0": a0, "alphas": list(al), "sum": float(sum(al))},
+                method="adaptive lambda-integral quadrature")
 
 
 def _cmd_surface(args):
-    inputs = {"op": args.op, "d": args.d, "R": args.R, "Q": args.Q,
-              "axes": args.axes, "point": args.point, "case": args.case}
+    if args.op == "identity":
+        rep = surfaces.projection_identities(args.case, d=args.d, R=args.R)
+        return dict(values=rep, method="identity residual report")
+    if args.op in ("density", "potential"):
+        axes = _floats(args.axes, "--axes", "|")
+    p = _point(args.point, "--point")
     if args.op == "shell":
-        val = surfaces.shell_potential(args.d, args.R, args.Q, _point(args.point, "--point"))
-        return _record("surface", inputs, value=val, method="shell theorem")
+        return dict(value=surfaces.shell_potential(args.d, args.R, args.Q, p),
+                    method="shell theorem")
     if args.op == "density":
-        axes = _floats(args.axes, "--axes", "|")
-        val = surfaces.ellipsoid_surface_density(axes, args.Q, _point(args.point, "--point"))
-        return _record("surface", inputs, value=val,
-                       method="equilibrium surface density")
+        return dict(value=surfaces.ellipsoid_surface_density(axes, args.Q, p),
+                    method="equilibrium surface density")
     if args.op == "potential":
-        axes = _floats(args.axes, "--axes", "|")
-        val = surfaces.ellipsoid_surface_potential(axes, args.Q, _point(args.point, "--point"))
-        return _record("surface", inputs, value=val,
-                       method="lambda-integral surface potential")
-    if args.op == "projection":
-        val = surfaces.projection_density(args.d, args.R, _point(args.point, "--point"))
-        return _record("surface", inputs, value=val,
-                       method="projected equilibrium density")
-    rep = surfaces.projection_identities(args.case, d=args.d, R=args.R)
-    return _record("surface", inputs, values=rep,
-                   method="identity residual report")
+        return dict(value=surfaces.ellipsoid_surface_potential(axes, args.Q, p),
+                    method="lambda-integral surface potential")
+    return dict(value=surfaces.projection_density(args.d, args.R, p),
+                method="projected equilibrium density")
 
 
 def _cmd_green(args):
-    inputs = {"geometry": args.geometry, "z": args.z, "w": args.w, "R": args.R}
     if args.geometry in ("sphere", "halfspace"):
-        val = conf.green3d(args.geometry, _point(args.z, "--z"), _point(args.w, "--w"), R=args.R)
-        return _record("green", inputs, value=val, method="method of images")
+        val = conf.green3d(args.geometry, _point(args.z, "--z"),
+                           _point(args.w, "--w"), R=args.R)
+        return dict(value=val, method="method of images")
     if args.geometry in ("disk", "halfplane"):
-        z = _complex(args.z, "--z")
-        w = _complex(args.w, "--w")
-        val = conf.green_two_point(args.geometry, z, w, R=args.R)
-        return _record("green", inputs, value=val, method="closed form")
+        val = conf.green_two_point(args.geometry, _complex(args.z, "--z"),
+                                   _complex(args.w, "--w"), R=args.R)
+        return dict(value=val, method="closed form")
     mp = _parse_map(args.geometry)
-    z = _complex(args.z, "--z")
-    w = _complex(args.w, "--w")
-    val = conf.green_two_point(mp, z, w)
-    return _record("green", inputs, value=val, method="conformal transport")
+    val = conf.green_two_point(mp, _complex(args.z, "--z"), _complex(args.w, "--w"))
+    return dict(value=val, method="conformal transport")
 
 
 def _cmd_capacity(args):
-    mp = _parse_map(args.map_spec)
-    far = complex(mp.evaluate(3.0))
-    g_far, cap, robin = conf.green_infinity(mp, far)
+    mp = _parse_map(args.map)
+    _, cap, robin = conf.green_infinity(mp, complex(mp.evaluate(3.0)))
     values = {"capacity": cap, "robin": robin}
     if args.z:
-        z = _complex(args.z, "--z")
-        g, _, _ = conf.green_infinity(mp, z)
-        values["g"] = g
-    return _record("capacity", {"map": args.map_spec, "z": args.z},
-                   values=values, method="Laurent-map inversion")
+        values["g"] = conf.green_infinity(mp, _complex(args.z, "--z"))[0]
+    return dict(values=values, method="Laurent-map inversion")
 
 
 def _cmd_droplet(args):
@@ -391,176 +231,134 @@ def _cmd_droplet(args):
         a = args.induced_alpha
         r0, r1 = conf.droplet_radii(lambda r: r * r - 2 * a * math.log(r),
                                     lambda r: 2 * r - 2 * a / r)
-        return _record("droplet", {"induced_alpha": a},
-                       values={"r0": r0, "r1": r1},
-                       method="bisection of r q'(r)")
+        return dict(inputs={"induced_alpha": a}, values={"r0": r0, "r1": r1},
+                    method="bisection of r q'(r)")
     if args.alpha is None:
         raise ValueError("droplet: need --alpha or --induced-alpha")
     mp = conf.quadratic_droplet(args.alpha, args.area)
-    return _record("droplet", {"alpha": args.alpha, "area": args.area},
-                   values={"scale": mp.scale,
-                           "a_minus1": mp.coefficients[1].real,
-                           "semi_axes": [mp.scale * (1 - 2 * args.alpha),
-                                         mp.scale * (1 + 2 * args.alpha)]},
-                   method="quadratic-potential Laurent ansatz")
+    return dict(values={"scale": mp.scale, "a_minus1": mp.coefficients[1].real,
+                        "semi_axes": [mp.scale * (1 - 2 * args.alpha),
+                                      mp.scale * (1 + 2 * args.alpha)]},
+                method="quadratic-potential Laurent ansatz")
 
 
 def _cmd_fluct(args):
-    inputs = {"op": args.op, "N": args.N, "beta": args.beta, "k": args.k,
-              "geometry": args.geometry, "p1": args.p1, "p2": args.p2}
+    def pair(parse, *extra):
+        return parse(args.p1, "--p1", *extra), parse(args.p2, "--p2", *extra)
+
     if args.op == "cue":
-        (p1,), (p2,) = _floats(args.p1, "--p1"), _floats(args.p2, "--p2")
-        val = fluct.cue_kernel(args.N, p1, p2)
-        return _record("fluct", inputs, value=val, method="sine kernel")
+        (p1,), (p2,) = pair(_floats, ",", 1)
+        return dict(value=fluct.cue_kernel(args.N, p1, p2), method="sine kernel")
     if args.op == "subblock":
-        z, w = _complex(args.p1, "--p1"), _complex(args.p2, "--p2")
-        val = fluct.subblock_kernel(args.N, z, w, smoothed=args.smoothed)
+        val = fluct.subblock_kernel(args.N, *pair(_complex), smoothed=args.smoothed)
         if isinstance(val, complex):
-            return _record("fluct", inputs,
-                           values={"re": val.real, "im": val.imag},
-                           method="sub-block kernel")
-        return _record("fluct", inputs, value=val,
-                       method="sub-block kernel"
-                       + (" (smoothed, asymptotic form)" if args.smoothed else ""))
+            return dict(values={"re": val.real, "im": val.imag},
+                        method="sub-block kernel")
+        return dict(value=val, method="sub-block kernel"
+                    + (" (smoothed, asymptotic form)" if args.smoothed else ""))
     if args.op == "cov":
         f = lambda t: math.cos(args.k * t)
         val = fluct.covariance_circle(f, f, beta=args.beta, route=args.route)
-        return _record("fluct", inputs, value=val,
-                       method=f"{args.route} route, f = cos({args.k} theta)")
+        return dict(value=val, method=f"{args.route} route, f = cos({args.k} theta)")
     if args.op == "mapped-cov":
-        mp = _parse_map(args.map_spec)
         f = lambda z: z.real
-        val = fluct.covariance_mapped(mp, f, f, beta=args.beta,
+        val = fluct.covariance_mapped(_parse_map(args.map), f, f, beta=args.beta,
                                       convention=args.convention)
-        return _record("fluct", inputs, value=val,
-                       method=f"mapped covariance, {args.convention} convention")
+        return dict(value=val,
+                    method=f"mapped covariance, {args.convention} convention")
     geometry = args.geometry
     provenance = None
     if geometry.startswith("ellipse"):
         kv = _parse_kv(geometry.partition(":")[2])
         geometry = ("ellipse", _floats(kv["a1"], "a1")[0], _floats(kv["a2"], "a2")[0])
-    elif geometry.startswith("laurent") or geometry.startswith("circle") \
-            or geometry.startswith("interval"):
-        geometry = _parse_map(args.geometry)
+    elif geometry.startswith(("laurent", "circle", "interval")):
+        geometry = _parse_map(geometry)
         provenance = "conjectural exterior-kernel form"
     if isinstance(geometry, conf.LaurentMap):
-        p1, p2 = _complex(args.p1, "--p1"), _complex(args.p2, "--p2")
+        p1, p2 = pair(_complex)
     elif geometry == "halfspace3d":
-        p1, p2 = _point(args.p1, "--p1"), _point(args.p2, "--p2")
+        p1, p2 = pair(_point)
     else:
-        (p1,), (p2,) = _floats(args.p1, "--p1"), _floats(args.p2, "--p2")
-    val = fluct.surface_correlation(geometry, args.beta, p1, p2)
-    return _record("fluct", inputs, value=val,
-                   method="smoothed surface correlation", provenance=provenance)
+        (p1,), (p2,) = pair(_floats, ",", 1)
+    return dict(value=fluct.surface_correlation(geometry, args.beta, p1, p2),
+                method="smoothed surface correlation", provenance=provenance)
 
 
 def _cmd_riesz(args):
     g = riesz_mod.RieszCircle(args.s, args.N, args.R)
-    inputs = {"s": args.s, "N": args.N, "R": args.R, "op": args.op,
-              "x": args.x, "mode": args.mode}
     if args.op == "background":
-        return _record("riesz", inputs, value=riesz_mod.background_potential(g),
-                       method="gamma-ratio closed form")
+        return dict(value=riesz_mod.background_potential(g),
+                    method="gamma-ratio closed form")
     if args.op == "static":
         exact, asym = riesz_mod.static_energy(g)
-        return _record("riesz", inputs,
-                       values={"exact": exact, "asymptotic": asym},
-                       method="compensated pair sum + closed form")
-    val = riesz_mod.point_energy(g, args.x, args.mode)
-    return _record("riesz", inputs, value=val,
-                   method=f"{args.mode}-mode point energy")
+        return dict(values={"exact": exact, "asymptotic": asym},
+                    method="compensated pair sum + closed form")
+    return dict(value=riesz_mod.point_energy(g, args.x, args.mode),
+                method=f"{args.mode}-mode point energy")
 
 
 def _cmd_balayage(args):
     u = parse_geometry(args.domain)
     measure = bal.balayage_measure(u)
-    values = {
-        "total_mass": measure.total_mass,
-        "components": [
-            {"kind": c.kind, "params": list(c.params), "mass": c.mass}
-            for c in measure.components
-        ],
-    }
+    components = [{"kind": c.kind, "params": list(c.params), "mass": c.mass}
+                  for c in measure.components]
+    values = {"total_mass": measure.total_mass, "components": components}
     if args.moment is not None:
         mom = bal.exterior_moment(u, args.moment)
-        if isinstance(mom, complex):
-            values["moment"] = {"re": mom.real, "im": mom.imag}
-        else:
-            values["moment"] = mom
+        values["moment"] = ({"re": mom.real, "im": mom.imag}
+                            if isinstance(mom, complex) else mom)
     if args.point:
         values["potential"] = measure.potential(_point(args.point, "--point"))
-    return _record("balayage", {"domain": args.domain, "moment": args.moment,
-                                "point": args.point},
-                   values=values, method="boundary balayage measure")
+    return dict(values=values, method="boundary balayage measure")
 
 
 def _cmd_hole(args):
-    u = parse_geometry(args.domain)
-    spec = bal.HoleSpec(u.geometry, rho_b=args.rho_b, beta=args.beta)
-    inputs = {"domain": args.domain, "rho_b": args.rho_b, "beta": args.beta,
-              "mode": args.mode, "gamma": args.gamma, "amp": args.amp,
-              "R_tail": args.r_tail}
+    spec = bal.HoleSpec(parse_geometry(args.domain).geometry, rho_b=args.rho_b,
+                        beta=args.beta)
     if args.mode == "energy":
-        return _record("hole", inputs, value=bal.hole_energy(spec),
-                       method="balayage energy quadrature")
+        return dict(value=bal.hole_energy(spec), method="balayage energy quadrature")
     if args.mode == "gap":
         rate = bal.gap_and_tail(spec, "gap")
-        return _record("hole", inputs,
-                       values={"rate": rate,
-                               "log_probability": spec.rho_b ** 2 * rate},
-                       method="gap-probability rate -beta E")
-    val = bal.gap_and_tail(spec, "tail", gamma=args.gamma,
-                           alpha_amp=args.amp, R=args.r_tail)
-    return _record("hole", inputs, value=val, method="counting-tail exponent")
+        return dict(values={"rate": rate, "log_probability": spec.rho_b ** 2 * rate},
+                    method="gap-probability rate -beta E")
+    val = bal.gap_and_tail(spec, "tail", gamma=args.gamma, alpha_amp=args.amp,
+                           R=args.R_tail)
+    return dict(value=val, method="counting-tail exponent")
 
 
 def _cmd_sample(args):
-    opts = {
-        "ensemble": args.ensemble, "beta": args.beta, "n": args.n,
-        "sweeps": args.sweeps, "seed": args.seed, "chains": args.chains,
-        "tau": args.tau, "alpha": args.alpha, "c": args.c, "L": args.L,
-        "record_every": args.record_every, "out": args.out,
-    }
-    if args.config:
-        cfg = _load_config(args.config)
-        for key, val in cfg.items():
+    opts = {k: getattr(args, k) for k in ("ensemble", "beta", "n", "sweeps", "seed",
+                                          "chains", "tau", "alpha", "c", "L",
+                                          "record_every", "out")}
+    if args.config:   # one `key = value` per line, # comments
+        with open(args.config) as fh:
+            lines = [ln for ln in map(str.strip, fh) if ln and not ln.startswith("#")]
+        for key, val in _parse_kv("\n".join(lines), "\n").items():
             if key not in opts:
                 raise ValueError(f"config: unknown key {key!r}")
             cur = opts[key]
             opts[key] = type(cur)(val) if cur is not None else val
             if isinstance(opts[key], float) and not math.isfinite(opts[key]):
                 raise ValueError(f"config: {key} is not finite")
-    model_kw = {}
-    if opts["ensemble"] == "elliptic":
-        model_kw["tau"] = float(opts["tau"])
-    if opts["ensemble"] == "induced":
-        model_kw["alpha"] = float(opts["alpha"])
-    if opts["ensemble"] == "sinh":
-        model_kw.update(c=float(opts["c"]), L=float(opts["L"]))
+    params = {"elliptic": ("tau",), "induced": ("alpha",), "sinh": ("c", "L")}
+    model_kw = {k: float(opts[k]) for k in params.get(opts["ensemble"], ())}
     if opts["ensemble"] == "contour":
-        model_kw["contour_map"] = _parse_map(args.map_spec)
+        model_kw["contour_map"] = _parse_map(args.map)
     model = gas.GasModel(float(opts["beta"]), int(opts["n"]),
                          opts["ensemble"], **model_kw)
     if int(opts["chains"]) < 1:
         raise ValueError("sample: need chains >= 1")
     t0 = time.time()
-    chain_samples = []
-    radii_sq = []
-    rates = []
-    for chain in range(int(opts["chains"])):
-        state = gas.run_chain(model, int(opts["sweeps"]), int(opts["seed"]),
-                              chain=chain,
-                              record_every=int(opts["record_every"]))
-        rates.append(state.acceptance_rate)
-        chain_samples.append(state.samples)
-        if model.is_planar:
-            radii_sq.append(np.abs(state.samples) ** 2)
+    states = [gas.run_chain(model, int(opts["sweeps"]), int(opts["seed"]),
+                            chain=chain, record_every=int(opts["record_every"]))
+              for chain in range(int(opts["chains"]))]
     runtime_ms = 1000.0 * (time.time() - t0)
+    rates = [s.acceptance_rate for s in states]
     estimates = {"acceptance_rate": float(np.mean(rates)),
-                 "step_scale": state.step_scale}
+                 "step_scale": states[-1].step_scale}
     stderr = {}
-    if radii_sq:
-        all_r2 = np.concatenate([r.ravel() for r in radii_sq])
+    if model.is_planar:
+        all_r2 = np.concatenate([(np.abs(s.samples) ** 2).ravel() for s in states])
         estimates["mean_radius_sq"] = float(np.mean(all_r2))
         stderr["mean_radius_sq"] = float(np.std(all_r2)
                                          / math.sqrt(max(len(all_r2), 1)))
@@ -568,55 +366,140 @@ def _cmd_sample(args):
     if opts["out"]:
         with open(opts["out"], "w") as fh:
             fh.write("chain,sweep,particle,re,im\n")
-            for chain, samples in enumerate(chain_samples):
-                for s_idx, (xs, ys) in enumerate(zip(np.real(samples).tolist(),
-                                                     np.imag(samples).tolist())):
-                    for p_idx, (x, y) in enumerate(zip(xs, ys)):
-                        fh.write(f"{chain},{s_idx},{p_idx},{x:.17g},{y:.17g}\n")
-    return _record("sample", opts,
-                   values={"estimates": estimates, "stderr": stderr,
-                           "runtime_ms": runtime_ms,
-                           "retained_configs": int(len(state.samples))},
-                   method="single-particle Metropolis, Philox streams")
+            for chain, state in enumerate(states):
+                for s_idx, row in enumerate(state.samples.tolist()):
+                    for p_idx, z in enumerate(row):
+                        fh.write(f"{chain},{s_idx},{p_idx},"
+                                 f"{z.real:.17g},{z.imag:.17g}\n")
+    return dict(inputs=opts,
+                values={"estimates": estimates, "stderr": stderr,
+                        "runtime_ms": runtime_ms,
+                        "retained_configs": int(len(states[-1].samples))},
+                method="single-particle Metropolis, Philox streams")
 
 
 def _cmd_check(args):
     lines = []
     results = acceptance.run_suite(args.suite, report=lines.append)
     passed = all(r.passed for r in results)
-    values = {
-        "suite": args.suite,
-        "passed": passed,
-        "criteria": [
-            {"index": r.index, "name": r.name, "passed": r.passed,
-             "detail": r.detail, "seconds": r.seconds}
-            for r in results
-        ],
-    }
-    rec = _record("check", {"suite": args.suite}, values=values,
-                  method="acceptance suite")
-    rec["lines"] = lines
+    criteria = [{"index": r.index, "name": r.name, "passed": r.passed,
+                 "detail": r.detail, "seconds": r.seconds} for r in results]
+    fields = dict(values={"suite": args.suite, "passed": passed,
+                          "criteria": criteria},
+                  method="acceptance suite", lines=lines)
     if not passed:
-        rec["error"] = {"type": "AcceptanceFailure",
-                        "message": "one or more criteria failed"}
-    return rec
+        fields["error"] = {"type": "AcceptanceFailure",
+                           "message": "one or more criteria failed"}
+    return fields
 
 
-_HANDLERS = {
-    "potential": _cmd_potential,
-    "energy": _cmd_energy,
-    "coeffs": _cmd_coeffs,
-    "surface": _cmd_surface,
-    "green": _cmd_green,
-    "capacity": _cmd_capacity,
-    "droplet": _cmd_droplet,
-    "fluct": _cmd_fluct,
-    "riesz": _cmd_riesz,
-    "balayage": _cmd_balayage,
-    "hole": _cmd_hole,
-    "sample": _cmd_sample,
-    "check": _cmd_check,
+def _opt(flag, record=True, **kw):
+    """One option: its argparse keywords, and the key its value enters the
+    record's `inputs` under (its dest, e.g. R_tail for --R-tail), or None."""
+    return flag, flag[2:].replace("-", "_") if record else None, kw
+
+
+# One entry per subcommand: handler, help text, options.  energy --cube-self,
+# droplet --induced-alpha and sample return their own inputs.
+_COMMANDS = {
+    "potential": (_cmd_potential, "background potential of a domain", [
+        _opt("--domain", required=True), _opt("--point", required=True),
+        _opt("--oracle", False, action="store_true",
+             help="use the direct-quadrature oracle"),
+        _opt("--tol", type=float, default=1e-8)]),
+    "energy": (_cmd_energy, "interaction energy or cube self-energy", [
+        _opt("--domain"),
+        _opt("--points", default="",
+             help="semicolon-separated points, e.g. '0,0;0.5,0.1'"),
+        _opt("--cube-self", False, action="store_true")]),
+    "coeffs": (_cmd_coeffs, "interior quadratic coefficients", [
+        _opt("--axes", required=True, help="a1|a2|..."),
+        _opt("--N", type=float, default=1.0)]),
+    "surface": (_cmd_surface, "surface charge and projection tools", [
+        _opt("--op", required=True,
+             choices=["shell", "density", "potential", "projection", "identity"]),
+        _opt("--d", type=int, default=3), _opt("--R", type=float, default=1.0),
+        _opt("--Q", type=float, default=1.0), _opt("--axes"), _opt("--point"),
+        _opt("--case", default="constant-potential")]),
+    "green": (_cmd_green, "two-point Green functions", [
+        _opt("--geometry", required=True,
+             help="disk | halfplane | sphere | halfspace | a map spec"),
+        _opt("--z", required=True), _opt("--w", required=True),
+        _opt("--R", type=float, default=1.0)]),
+    "capacity": (_cmd_capacity, "capacity/Robin constant of a map", [
+        _opt("--map", required=True),
+        _opt("--z", help="optional exterior point for g(z)")]),
+    "droplet": (_cmd_droplet, "droplet maps and radii", [
+        _opt("--alpha", type=float), _opt("--area", type=float, default=math.pi),
+        _opt("--induced-alpha", False, type=float,
+             help="annulus radii of the induced-gas profile")]),
+    "fluct": (_cmd_fluct, "fluctuation formulas", [
+        _opt("--op", required=True,
+             choices=["cue", "subblock", "cov", "mapped-cov", "surface"]),
+        _opt("--N", type=int, default=10), _opt("--beta", type=float, default=2.0),
+        _opt("--k", type=int, default=1, help="statistic cos(k theta)"),
+        _opt("--route", False, default="fourier"),
+        _opt("--convention", False, default="contour"), _opt("--map", False),
+        _opt("--geometry", default="disk"), _opt("--p1", default="0.0"),
+        _opt("--p2", default="3.141592653589793"),
+        _opt("--smoothed", False, action="store_true")]),
+    "riesz": (_cmd_riesz, "Riesz gas on a circle", [
+        _opt("--s", type=float, required=True), _opt("--N", type=int, required=True),
+        _opt("--R", type=float, default=1.0),
+        _opt("--op", default="static", choices=["background", "static", "point"]),
+        _opt("--x", type=float, default=0.5),
+        _opt("--mode", default="limit", choices=["finite", "limit"])]),
+    "balayage": (_cmd_balayage, "balayage measure of a planar body", [
+        _opt("--domain", required=True), _opt("--moment", type=int),
+        _opt("--point", help="evaluate the measure's potential here")]),
+    "hole": (_cmd_hole, "hole energies and gap/tail rates", [
+        _opt("--domain", required=True), _opt("--rho-b", type=float, default=1.0),
+        _opt("--beta", type=float, default=2.0),
+        _opt("--mode", default="gap", choices=["energy", "gap", "tail"]),
+        _opt("--gamma", type=float), _opt("--amp", type=float),
+        _opt("--R-tail", type=float)]),
+    "sample": (_cmd_sample, "Metropolis sampling of a gas model", [
+        _opt("--ensemble", required=True,
+             choices=["ginibre", "elliptic", "induced", "contour", "sinh"]),
+        _opt("--beta", type=float, default=2.0), _opt("--n", type=int, default=16),
+        _opt("--sweeps", type=int, default=5000),
+        _opt("--seed", type=int, default=1), _opt("--chains", type=int, default=1),
+        _opt("--out", help="CSV path for the sample stream"),
+        _opt("--tau", type=float, default=0.5),
+        _opt("--alpha", type=float, default=1.0),
+        _opt("--c", type=float, default=1.0),
+        _opt("--L", type=float, default=2 * math.pi),
+        _opt("--map", default="circle:R=1"),
+        _opt("--record-every", type=int, default=1),
+        _opt("--config", help="key = value file overriding defaults")]),
+    "check": (_cmd_check, "run the acceptance suite", [
+        _opt("--suite", default="quick", choices=["quick", "full"])]),
 }
+
+# exception type -> exit code; QuadratureBudgetError is a RuntimeError, and
+# FloatingPointError marks a non-finite result
+_EXIT_CODES = {ValueError: 2, KeyError: 2, OSError: 2, OverflowError: 2,
+               ZeroDivisionError: 2, RuntimeError: 3, FloatingPointError: 3}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="coulomblab",
+        description="Closed-form electrostatics and Coulomb/log-gas toolkit")
+    json_kw = dict(action="store_true", help="emit the full JSON record on stdout")
+    parser.add_argument("--json", **json_kw)
+    common = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS keeps a pre-subcommand --json from being clobbered by the
+    # subparser's default
+    common.add_argument("--json", default=argparse.SUPPRESS, **json_kw)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=lambda **kw: argparse.ArgumentParser(
+                                    parents=[common], **kw))
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, _, kw in options:
+            p.add_argument(flag, **kw)
+    return parser
 
 
 # options whose value is a comma-separated point; argparse would read a
@@ -637,45 +520,40 @@ def _attach_point_values(argv):
 
 def run_command(argv) -> CommandResult:
     """Dispatch an argv list; never raises for user errors (exit codes 2/3)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_point_values(argv))
+        args = _build_parser().parse_args(_attach_point_values(argv))
     except SystemExit as exc:
         if exc.code == 0:   # --help
             return CommandResult(0, {})
         return CommandResult(2, {"command": argv[0] if argv else "",
-                              "error": {"type": "ArgumentError",
-                                        "message": "invalid arguments"},
-                              "json": "--json" in argv})
+                                 "error": {"type": "ArgumentError",
+                                           "message": "invalid arguments"},
+                                 "json": "--json" in argv})
     as_json = getattr(args, "json", False)
+    handler, _, options = _COMMANDS[args.command]
     try:
         for key, val in vars(args).items():
             if isinstance(val, float) and not math.isfinite(val):
-                raise ValueError(f"{key}: not finite: {val!r}")
-        record = _HANDLERS[args.command](args)
+                raise ValueError(f"--{key.replace('_', '-')}: not finite: {val!r}")
+        fields = handler(args)
+        inputs = {key: getattr(args, key) for _, key, _ in options if key}
+        record = {"command": args.command, "inputs": fields.pop("inputs", inputs),
+                  "method": fields.pop("method"),
+                  "tolerance": fields.pop("tolerance", None),
+                  "provenance": fields.pop("provenance", None), **fields}
         try:
             json.dumps(record, allow_nan=False)
         except ValueError:
             raise FloatingPointError("non-finite value in the result") from None
-    except QuadratureBudgetError as exc:
-        return CommandResult(3, {
-            "command": args.command,
-            "error": {"type": "QuadratureBudgetError", "message": str(exc),
-                      "best_value": exc.value, "est_error": exc.est_error},
-            "json": as_json})
-    except (ValueError, KeyError, OSError, OverflowError, ZeroDivisionError) as exc:
-        return CommandResult(2, {
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "json": as_json})
-    except (RuntimeError, FloatingPointError) as exc:
-        return CommandResult(3, {
-            "command": args.command,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "json": as_json})
+    except tuple(_EXIT_CODES) as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, QuadratureBudgetError):
+            error.update(best_value=exc.value, est_error=exc.est_error)
+        code = next(c for t, c in _EXIT_CODES.items() if isinstance(exc, t))
+        return CommandResult(code, {"command": args.command, "error": error,
+                                    "json": as_json})
     record["json"] = as_json
-    exit_code = 0 if "error" not in record else 2
-    return CommandResult(exit_code, record)
+    return CommandResult(0 if "error" not in record else 2, record)
 
 
 def _print_human(record):
@@ -691,7 +569,7 @@ def _print_human(record):
         print(_fmt(record["value"]))
         return
     for key, val in record.get("values", {}).items():
-        print(f"{key} = {_fmt(val) if isinstance(val, float) else val}")
+        print(f"{key} = {_fmt(val)}")
 
 
 def main(argv=None) -> int:
