@@ -84,6 +84,11 @@ def _complex(text, name) -> complex:
     return complex(*vals)
 
 
+def _num(kv, key, *default):
+    """The number under `key` (popped) in the key=val dict of a spec."""
+    return _floats(kv.pop(key, *default), key)[0]
+
+
 def parse_geometry(spec: str) -> dom.UniformDomain:
     """Geometry mini-language: name:key=val,key=val.
 
@@ -93,29 +98,25 @@ def parse_geometry(spec: str) -> dom.UniformDomain:
     """
     name, _, body = spec.partition(":")
     kv = _parse_kv(body)
-
-    def num(key, *default):
-        return _floats(kv.pop(key, *default), key)[0]
-
-    charge = num("N", "1")
+    charge = _num(kv, "N", "1")
     name = name.strip().lower()
     if name == "ball":
-        geo = dom.Ball(int(kv.pop("d", 2)), num("R", "1"))
+        geo = dom.Ball(int(kv.pop("d", 2)), _num(kv, "R", "1"))
     elif name == "annulus":
-        geo = dom.Annulus2D(num("R", "1"), num("c"))
+        geo = dom.Annulus2D(_num(kv, "R", "1"), _num(kv, "c"))
     elif name == "segment":
-        geo = dom.Segment1D(num("R", "1"))
+        geo = dom.Segment1D(_num(kv, "R", "1"))
     elif name == "ellipse":
-        geo = dom.Ellipse2D(num("a1"), num("a2"))
+        geo = dom.Ellipse2D(_num(kv, "a1"), _num(kv, "a2"))
     elif name == "hyperellipsoid":
         geo = dom.Hyperellipsoid(_floats(kv.pop("axes"), "axes", "|"))
     elif name == "rectangle":
-        geo = dom.Rectangle(((num("x0", "0"), num("x1", "1")),
-                             (num("y0", "0"), num("y1", "1"))))
+        geo = dom.Rectangle(((_num(kv, "x0", "0"), _num(kv, "x1", "1")),
+                             (_num(kv, "y0", "0"), _num(kv, "y1", "1"))))
     elif name == "cuboid":
-        geo = dom.Cuboid(((num("x0", "0"), num("x1", "1")),
-                          (num("y0", "0"), num("y1", "1")),
-                          (num("z0", "0"), num("z1", "1"))))
+        geo = dom.Cuboid(((_num(kv, "x0", "0"), _num(kv, "x1", "1")),
+                          (_num(kv, "y0", "0"), _num(kv, "y1", "1")),
+                          (_num(kv, "z0", "0"), _num(kv, "z1", "1"))))
     else:
         raise ValueError(f"unsupported geometry {name!r}")
     if kv:
@@ -131,21 +132,17 @@ def _parse_map(spec: str) -> conf.LaurentMap:
     name, _, body = spec.partition(":")
     kv = _parse_kv(body)
     name = name.strip().lower()
-
-    def num(key, *default):
-        return _floats(kv.get(key, *default), key)[0]
-
     if name == "circle":
-        return conf.circle_map(num("R", "1"))
+        return conf.circle_map(_num(kv, "R", "1"))
     if name == "interval":
-        return conf.interval_map(num("L", "1"))
+        return conf.interval_map(_num(kv, "L", "1"))
     if name == "ellipse":
-        return conf.ellipse_map(num("a1"), num("a2"))
+        return conf.ellipse_map(_num(kv, "a1"), _num(kv, "a2"))
     if name == "laurent":
         coeffs = tuple(complex(c) for c in kv.get("coeffs", "0").split("|"))
         if not all(cmath.isfinite(c) for c in coeffs):
             raise ValueError(f"coeffs: not finite: {kv['coeffs']!r}")
-        return conf.LaurentMap(num("scale"), coeffs)
+        return conf.LaurentMap(_num(kv, "scale"), coeffs)
     raise ValueError(f"unsupported map {name!r}")
 
 
@@ -270,7 +267,7 @@ def _cmd_fluct(args):
     provenance = None
     if geometry.startswith("ellipse"):
         kv = _parse_kv(geometry.partition(":")[2])
-        geometry = ("ellipse", _floats(kv["a1"], "a1")[0], _floats(kv["a2"], "a2")[0])
+        geometry = ("ellipse", _num(kv, "a1"), _num(kv, "a2"))
     elif geometry.startswith(("laurent", "circle", "interval")):
         geometry = _parse_map(geometry)
         provenance = "conjectural exterior-kernel form"
@@ -404,14 +401,14 @@ def _opt(flag, record=True, **kw):
 _COMMANDS = {
     "potential": (_cmd_potential, "background potential of a domain", [
         _opt("--domain", required=True), _opt("--point", required=True),
-        _opt("--oracle", False, action="store_true",
+        _opt("--oracle", record=False, action="store_true",
              help="use the direct-quadrature oracle"),
         _opt("--tol", type=float, default=1e-8)]),
     "energy": (_cmd_energy, "interaction energy or cube self-energy", [
         _opt("--domain"),
         _opt("--points", default="",
              help="semicolon-separated points, e.g. '0,0;0.5,0.1'"),
-        _opt("--cube-self", False, action="store_true")]),
+        _opt("--cube-self", record=False, action="store_true")]),
     "coeffs": (_cmd_coeffs, "interior quadratic coefficients", [
         _opt("--axes", required=True, help="a1|a2|..."),
         _opt("--N", type=float, default=1.0)]),
@@ -431,18 +428,19 @@ _COMMANDS = {
         _opt("--z", help="optional exterior point for g(z)")]),
     "droplet": (_cmd_droplet, "droplet maps and radii", [
         _opt("--alpha", type=float), _opt("--area", type=float, default=math.pi),
-        _opt("--induced-alpha", False, type=float,
+        _opt("--induced-alpha", record=False, type=float,
              help="annulus radii of the induced-gas profile")]),
     "fluct": (_cmd_fluct, "fluctuation formulas", [
         _opt("--op", required=True,
              choices=["cue", "subblock", "cov", "mapped-cov", "surface"]),
         _opt("--N", type=int, default=10), _opt("--beta", type=float, default=2.0),
         _opt("--k", type=int, default=1, help="statistic cos(k theta)"),
-        _opt("--route", False, default="fourier"),
-        _opt("--convention", False, default="contour"), _opt("--map", False),
+        _opt("--route", record=False, default="fourier"),
+        _opt("--convention", record=False, default="contour"),
+        _opt("--map", record=False),
         _opt("--geometry", default="disk"), _opt("--p1", default="0.0"),
         _opt("--p2", default="3.141592653589793"),
-        _opt("--smoothed", False, action="store_true")]),
+        _opt("--smoothed", record=False, action="store_true")]),
     "riesz": (_cmd_riesz, "Riesz gas on a circle", [
         _opt("--s", type=float, required=True), _opt("--N", type=int, required=True),
         _opt("--R", type=float, default=1.0),
