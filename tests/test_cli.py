@@ -194,7 +194,7 @@ def test_budget_error_exit_3(monkeypatch):
     monkeypatch.setattr("coulomblab.domains.adaptive_1d",
                         functools.partial(_quad.adaptive_1d, max_panels=3))
     code, rec = record_of(["potential", "--domain", "annulus:R=1,c=0.5,N=1",
-                           "--point", "0.7,0.0", "--oracle", "--tol", "1e-15"])
+                           "--point", "0.2,0.1", "--oracle", "--tol", "1e-15"])
     assert code == 3
     assert rec["error"]["type"] == "QuadratureBudgetError"
     assert "best_value" in rec["error"]
