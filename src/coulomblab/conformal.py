@@ -195,6 +195,8 @@ def green_two_point(geometry, z, w, R: float = 1.0) -> float:
             raise InteriorPointError("green_two_point: point inside the domain")
         return -math.log(abs(u - v) / abs(1.0 - u * v.conjugate()))
     if geometry == "disk":
+        if not R > 0.0:
+            raise ValueError(f"green_two_point: disk radius R must be > 0, got {R}")
         if abs(z) < R - 1e-12 or abs(w) < R - 1e-12:
             raise InteriorPointError("green_two_point: point inside the disk")
         return -math.log(abs(z - w) / abs(1.0 - z * w.conjugate() / R ** 2))
@@ -215,6 +217,8 @@ def green3d(geometry, r, rp, R: float = 1.0) -> float:
         raise SingularityError("green3d: coincident points")
     direct = 1.0 / np.linalg.norm(r - rp)
     if geometry == "sphere":
+        if not R > 0.0:
+            raise ValueError(f"green3d: sphere radius R must be > 0, got {R}")
         nr, nrp = np.linalg.norm(r), np.linalg.norm(rp)
         if nr < R - 1e-12 or nrp < R - 1e-12:
             raise InteriorPointError("green3d: point inside the sphere")

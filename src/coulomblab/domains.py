@@ -550,9 +550,10 @@ def _conic_tangents(origin, a1, a2):
 
 def _kink_angles(geo, origin):
     """Directions in [0, 2 pi) where the angular integrand of the 2d ray
-    oracle is not smooth: tangents to each circle or ellipse boundary that
-    the point lies on or outside (the support edges, and for the annulus
-    the tangents to the inner circle), and rays through rectangle corners."""
+    oracle is not smooth, as sorted (angle, is_edge) pairs: support edges,
+    where a chord opens like a square root, are the tangents to each circle or
+    ellipse boundary that the point lies on or outside (for the annulus also
+    its inner circle); kinks are the rays through rectangle corners."""
     if isinstance(geo, Rectangle):
         (a1, b1), (a2, b2) = geo.bounds
         angles = [math.atan2(y - origin[1], x - origin[0])
@@ -565,7 +566,24 @@ def _kink_angles(geo, origin):
         angles = _conic_tangents(origin, geo.R, geo.R)
     else:
         angles = _conic_tangents(origin, geo.a1, geo.a2)
-    return sorted(a % (2.0 * math.pi) for a in angles)
+    is_edge = not isinstance(geo, Rectangle)
+    return sorted((a % (2.0 * math.pi), is_edge) for a in angles)
+
+
+def _edge_integral(h, lo, hi, tol, lo_edge, hi_edge):
+    """adaptive_1d of h over [lo, hi], substituting theta = lo + (hi - lo) u(s)
+    at the ends that are support edges: u = s^2 at the lower end, s (2 - s) at
+    the upper, s^2 (3 - 2 s) at both.  Where h grows like the square root of
+    the distance to an edge, the vanishing u' leaves an integrand smooth in s
+    (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984)."""
+    if not (lo_edge or hi_edge):
+        return adaptive_1d(h, lo, hi, tol)
+    u, du = {(True, False): (lambda s: s * s, lambda s: 2.0 * s),
+             (False, True): (lambda s: s * (2.0 - s), lambda s: 2.0 - 2.0 * s),
+             (True, True): (lambda s: s * s * (3.0 - 2.0 * s),
+                            lambda s: 6.0 * s * (1.0 - s))}[lo_edge, hi_edge]
+    return adaptive_1d(lambda s: (hi - lo) * du(s) * h(lo + (hi - lo) * u(s)),
+                       0.0, 1.0, tol)
 
 
 def _log_primitive(t):
@@ -597,14 +615,15 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
         return rho_b * sum(_log_primitive(t1) - _log_primitive(t0)
                            for t0, t1 in _ray_chords(geo, origin, dirs))
 
-    # the integrand is smooth between the kink directions; integrating
-    # across one blind-sides the panel error estimate
-    cuts = [0.0, *_kink_angles(geo, origin), 2.0 * math.pi]
+    # the integrand is smooth between the cuts; integrating across one
+    # blind-sides the panel error estimate
+    cuts = [(0.0, False), *_kink_angles(geo, origin), (2.0 * math.pi, False)]
     total, err_total = 0.0, 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:]):
         if hi - lo < 1e-14:
             continue
-        val, err = adaptive_1d(h, lo, hi, tol * (hi - lo) / (2.0 * math.pi))
+        val, err = _edge_integral(h, lo, hi, tol * (hi - lo) / (2.0 * math.pi),
+                                  lo_edge, hi_edge)
         total += val
         err_total += err
     return total, err_total
@@ -614,8 +633,8 @@ def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
     """Axisymmetric reduction: exact radial integral, 1d polar quadrature.
 
     For exterior points the integrand is supported on the cone of directions
-    gamma > pi - asin(R/|r|); integrating that interval alone keeps the
-    support edge at a panel boundary.
+    gamma > pi - asin(R/|r|); that interval is integrated alone, with the
+    square-root support edge at its lower end removed by _edge_integral.
     """
     d, R = geo.d, geo.R
     rr = float(np.linalg.norm(r))
@@ -630,7 +649,7 @@ def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
         return (t1 * t1 - t0 * t0) / 2.0 * np.sin(gammas) ** (d - 2)
 
     lo = math.pi - math.asin(min(R / rr, 1.0)) if rr > R else 0.0
-    val, err = adaptive_1d(h, lo, math.pi, tol)
+    val, err = _edge_integral(h, lo, math.pi, tol, rr > R, False)
     return -rho_b * c_dm1 * val, c_dm1 * err
 
 
@@ -701,9 +720,11 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     hyperellipsoids in d > 3).  In 2d the angular integral is cut at the
     exact directions where its integrand has a kink or a support edge:
     tangents to each boundary circle or ellipse that the point lies on or
-    outside, and rays through rectangle corners.  Returns value and an
-    absolute error estimate; raises QuadratureBudgetError carrying the best
-    estimate on failure.
+    outside, and rays through rectangle corners.  At a support edge the
+    integrand opens like a square root, which a quadratic change of variable
+    at that end of the interval removes (as at the d-ball's cone edge).
+    Returns value and an absolute error estimate; raises
+    QuadratureBudgetError carrying the best estimate on failure.
     """
     if tol <= 0:
         raise ValueError("potential_oracle: tol must be > 0")

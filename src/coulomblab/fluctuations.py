@@ -202,6 +202,8 @@ def surface_correlation(geometry, beta: float, p1, p2) -> float:
     if geometry == "halfspace3d":
         a = np.asarray(p1, dtype=float)
         b = np.asarray(p2, dtype=float)
+        if a.shape != (2,) or b.shape != (2,):
+            raise ValueError("surface_correlation: halfspace3d points need 2 coordinates")
         sep2 = float(np.sum((a - b) ** 2))
         if sep2 < 1e-28:
             raise SingularityError("surface_correlation: coincident points")

@@ -213,7 +213,7 @@ def projection_identities(case: str, **params) -> dict:
             vals = np.array([
                 _weighted_ray_integral(
                     Ball(3, R), [x, 0.0, 0.0], _ball_weight(R, -0.5),
-                    lambda s: -np.log(np.maximum(s, 1e-300)) * s * s, 1e-7)
+                    lambda s: -np.log(np.maximum(s, 1e-300)) * s * s, 1e-9)
                 for x in dists])
         elif d == 2:
             # kernel Psi_{-1} = -|r - r'| on the 2-ball (times the Jacobian s)

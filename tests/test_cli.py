@@ -442,6 +442,20 @@ def test_complex_point_of_three_coordinates_exit_2(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["green", "--geometry", "disk", "--z", "2,0", "--w", "3,0", "--R", "-1"],
+    ["green", "--geometry", "disk", "--z", "2,0", "--w", "3,0", "--R", "0"],
+    ["green", "--geometry", "sphere", "--z", "2,0,0", "--w", "3,0,0", "--R", "-1"],
+    ["fluct", "--op", "surface", "--geometry", "halfspace3d", "--p1=1,2,3",
+     "--p2", "0"],
+    ["fluct", "--op", "surface", "--geometry", "halfspace3d"],
+])
+def test_out_of_range_input_exit_2(argv):
+    # each of these exited 0 with a number for some other input
+    code, rec = record_of(argv)
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
     ["potential", "--domain", "ball:d=2,R=1", "--point", "0,0", "--oracle",
      "--tol", "nan"],
     ["potential", "--domain", "ball:d=2,R=1", "--point", "inf,0"],

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coulomblab import _quad
+from coulomblab.balayage import balayage_measure
 from coulomblab.domains import (
     Annulus2D,
     Ball,
@@ -158,6 +160,52 @@ def test_oracle_cut_at_kinks(geo, p):
     closed = background_potential(dom, p)
     orc = potential_oracle(dom, p, 1e-9)
     assert abs(orc.value - closed) < 1e-9 * abs(closed)
+
+
+# where a ray grazes a circle or ellipse the angular integrand opens like a
+# square root; without the endpoint substitution adaptive_1d bisects these
+# support edges to depth (1425 to 5325 nodes per point at tol 1e-9)
+def _edge_points(kind, rng):
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    u = np.array([math.cos(th), math.sin(th)])
+    if kind == "ring":
+        return rng.uniform(0.51, 0.99) * u
+    if kind == "ellipse":
+        return rng.uniform(1.02, 3.0) * np.array([2.0, 1.0]) * u
+    if kind == "ball3":
+        v = rng.standard_normal(3)
+        return rng.uniform(1.02, 3.0) * v / np.linalg.norm(v)
+    return rng.uniform(1.02, 3.0) * u
+
+
+@pytest.mark.parametrize("geo,kind", [
+    (Ball(2, 1.0), "exterior"), (Annulus2D(1.0, 0.5), "exterior"),
+    (Annulus2D(1.0, 0.5), "ring"), (Ellipse2D(2.0, 1.0), "ellipse"),
+    (Ball(3, 1.0), "ball3")], ids=["disk-ext", "annulus-ext", "annulus-ring",
+                                   "ellipse-ext", "ball3-ext"])
+def test_oracle_edge_cost(geo, kind, monkeypatch):
+    nodes = [0]
+
+    def counting(f, *args, **kwargs):
+        def g(x):
+            nodes[0] += len(x)
+            return f(x)
+        return _quad.adaptive_1d(g, *args, **kwargs)
+
+    monkeypatch.setattr("coulomblab.domains.adaptive_1d", counting)
+    dom = UniformDomain(geo, 1.0)
+    rng = np.random.default_rng(2024)
+    for _ in range(10):
+        p = _edge_points(kind, rng)
+        nodes[0] = 0
+        val = potential_oracle(dom, p, 1e-9).value
+        assert nodes[0] <= 900, (p, nodes[0])
+        if kind == "ellipse":
+            ref = -balayage_measure(dom).potential(p)
+            assert abs(val - ref) < 1e-9 * abs(ref), p
+        else:
+            ref = background_potential(dom, p)
+            assert abs(val - ref) < 1e-11 * abs(ref), p
 
 
 def test_shell_theorem_exterior():

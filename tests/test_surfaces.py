@@ -203,6 +203,14 @@ def test_riesz_quadratic_identity():
     assert rep2["max_residual"] < 1e-5
 
 
+def test_riesz_quadratic_identity_d3_tight():
+    # the 3-ball weighted log integral at radial tol 1e-9 meets the quadratic
+    # form to ~1e-11; at 1e-7 the residual was 1.8e-8
+    rep = projection_identities("riesz-quadratic", d=3)
+    assert rep["max_residual"] < 1e-9
+    assert abs(rep["gamma"] - math.pi ** 2 / 3.0) < 1e-9
+
+
 def test_semicircle_identity():
     rep = projection_identities("semicircle", a=1.0)
     assert rep["max_residual"] < 1e-10
