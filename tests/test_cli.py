@@ -450,7 +450,7 @@ def test_complex_point_of_three_coordinates_exit_2(argv):
     ["fluct", "--op", "surface", "--geometry", "halfspace3d"],
 ])
 def test_out_of_range_input_exit_2(argv):
-    # each of these exited 0 with a number for some other input
+    # a radius <= 0 or a wall point without 2 coordinates has no answer
     code, rec = record_of(argv)
     assert code == 2 and rec["error"]["type"] == "ValueError"
 

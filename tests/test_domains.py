@@ -163,8 +163,8 @@ def test_oracle_cut_at_kinks(geo, p):
 
 
 # where a ray grazes a circle or ellipse the angular integrand opens like a
-# square root; without the endpoint substitution adaptive_1d bisects these
-# support edges to depth (1425 to 5325 nodes per point at tol 1e-9)
+# square root; an oracle that does not substitute there bisects these support
+# edges to depth (1425 to 5325 nodes per point at tol 1e-9)
 def _edge_points(kind, rng):
     th = rng.uniform(0.0, 2.0 * math.pi)
     u = np.array([math.cos(th), math.sin(th)])

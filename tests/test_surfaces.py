@@ -204,8 +204,8 @@ def test_riesz_quadratic_identity():
 
 
 def test_riesz_quadratic_identity_d3_tight():
-    # the 3-ball weighted log integral at radial tol 1e-9 meets the quadratic
-    # form to ~1e-11; at 1e-7 the residual was 1.8e-8
+    # the identity is exact; what remains is the tolerance of the 3-ball
+    # weighted log integral (1e-9), which leaves a residual of ~1e-11
     rep = projection_identities("riesz-quadratic", d=3)
     assert rep["max_residual"] < 1e-9
     assert abs(rep["gamma"] - math.pi ** 2 / 3.0) < 1e-9
