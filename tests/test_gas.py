@@ -92,6 +92,37 @@ def test_chain_streams_golden():
     assert abs(stderr - 0.22418957393041175) <= 1e-12 * 0.22418957393041175
 
 
+# The same digests for chains longer than one 32-particle block of the
+# kernel: a trailing one-particle block (N = 33), blocks of 32, 32 and 16
+# (N = 80), and the sinh and contour distances across a block boundary.
+GOLDEN_BLOCK_CHAINS = [
+    ("ginibre33", GasModel(2.0, 33, "ginibre"), dict(sweeps=300, seed=41),
+     "8ef21cdae7cc63dc07f942632840fb5805d71dee7498e149036e2c4f0d2f3a7b",
+     4569, 1.1122262488885104, -546.4483410677318),
+    ("ginibre80", GasModel(2.0, 80, "ginibre"), dict(sweeps=300, seed=42),
+     "31edf0856911cc1424c7c3ee13a87e30f00a91a06267fd98f6fc11ea134d1aa1",
+     11348, 1.158933284829751, -4618.118287939137),
+    ("sinh40", GasModel(2.0, 40, "sinh", c=1.0, L=2 * math.pi),
+     dict(sweeps=300, seed=43),
+     "d88772ac5b5d9c06544b975dcdab00a72512d7181197c94cbda8fffb54f24330",
+     5949, 0.858066574128469, -2630.975894134211),
+    ("contour40", GasModel(2.0, 40, "contour", contour_map=ellipse_map(2.0, 1.0)),
+     dict(sweeps=300, seed=44),
+     "2b124ea99091c51a912064d240a1ca4883e3130e307f8864b3b61179abbb1505",
+     5217, 0.17455727150761696, -384.2916198297432),
+]
+
+
+def test_chain_streams_golden_blocks():
+    for name, model, kw, digest, accepts, step, energy in GOLDEN_BLOCK_CHAINS:
+        st = run_chain(model, **kw)
+        got = hashlib.sha256(st.positions.tobytes() + st.samples.tobytes())
+        assert got.hexdigest() == digest, name
+        assert st.accept_count == accepts, name
+        assert st.step_scale == step, name
+        assert abs(st.total_energy - energy) <= 1e-12 * abs(energy), name
+
+
 def test_acceptance_rate_sane_and_consistent():
     for model in (GasModel(2.0, 8, "ginibre"),
                   GasModel(2.0, 8, "elliptic", tau=0.5),
