@@ -148,6 +148,11 @@ def _log_distance_matrix(model: GasModel, pts) -> np.ndarray:
     return logd
 
 
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+# particles per block of a Metropolis sweep (see run_chain)
+_BLOCK = 32
+
+
 @dataclass
 class ChainState:
     """Final state of a Metropolis chain plus the retained sample stream."""
@@ -171,16 +176,24 @@ class ChainState:
                 raise ValueError("ChainState: acceptance tallies inconsistent")
 
 
-def _sweep_generator(seed: int, chain: int, sweep: int) -> np.random.Generator:
+def _sweep_generator(seed: int, chain: int, sweep: int,
+                     gen: np.random.Generator = None) -> np.random.Generator:
+    """The Philox generator of one sweep.  Given `gen`, its bit generator is
+    re-keyed in place (zero counter, empty buffer) instead, which draws the
+    same stream as a new generator at a fraction of the cost."""
     # the (chain, sweep) pair goes into the Philox KEY, not the counter: the
     # counter's low word advances with every generated block, so nearby
     # counter starts would overlap and correlate consecutive sweeps
     if not (0 <= chain < 2 ** 16 and 0 <= sweep < 2 ** 47):
         raise ValueError("_sweep_generator: chain < 2^16 and sweep < 2^47")
-    word = (chain << 48) | sweep
-    bitgen = np.random.Philox(key=np.array([seed & (2 ** 64 - 1), word],
-                                           dtype=np.uint64))
-    return np.random.Generator(bitgen)
+    key = np.array([seed & (2 ** 64 - 1), (chain << 48) | sweep], dtype=np.uint64)
+    if gen is None:
+        return np.random.Generator(np.random.Philox(key=key))
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": _ZERO4, "key": key},
+                               "buffer": _ZERO4, "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def _initial_positions(model: GasModel, seed: int, chain: int) -> np.ndarray:
@@ -260,11 +273,20 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
     then frozen, preserving detailed balance over the measurement sweeps.
     Identical (model, sweeps, seed, chain) reproduce identical output.
 
-    The chain keeps the matrix of log pair distances: a proposal computes
-    one new row, its pair energy change is minus the new row's sum plus the
-    stored row's, and an accepted move writes the row and column back.  Row
-    sums are taken afresh from the stored row, never updated incrementally,
-    so they do not drift.
+    The chain keeps the matrix of log pair distances, and a sweep visits
+    its particles in blocks of at most _BLOCK.  Every proposal of a sweep is
+    drawn up front, so one block I = [b0, b1) costs three array operations:
+    with p the current points, q the proposals and O the stored rows of I,
+    A = log d(q_I, p) and Bq = log d(q_I, q_I), both zero on each particle's
+    own entry.  Proposal i then changes the energy by
+        base_i + sum_{j in S} K[i, j],
+        base_i = -sum_j (A - O)[i, j] + V(q_i) - V(p_i),
+        K = -(Bq - A_II - A_II^T + O_II),
+    where S holds the earlier acceptances of the block: K swaps particle j's
+    old position for its new one in row i.  That sum is a scalar loop.  The
+    accepted rows and columns are written back from A, with Bq between
+    particles accepted in the same block, so no distance is computed twice
+    and no row sum is updated incrementally.  N <= _BLOCK is one block.
     """
     if not (1 <= sweeps < 2 ** 46):
         raise ValueError("run_chain: need 1 <= sweeps < 2^46")
@@ -275,7 +297,7 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
     pos = _initial_positions(model, seed, chain)
     pts = _points(model, pos)
     logd = _log_distance_matrix(model, pts)
-    one_body = _one_body(model, pos).tolist()
+    one_body = _one_body(model, pos)
     step = _default_step(model) if step_scale is None else float(step_scale)
     burn_in = int(burn_in_frac * sweeps)
     total_u = model.total_energy(pos)
@@ -284,40 +306,66 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
     proposal_count = 0
     window_accepts = 0
     window_size = 50
+    gen = None
+    diag = np.arange(min(n, _BLOCK))
 
-    for sweep in range(sweeps):
-        gen = _sweep_generator(seed, chain, sweep)
-        normals = gen.standard_normal(2 * n)
-        unifs = gen.random(n).tolist()
-        measuring = sweep >= burn_in
-        # particle i is still at its start-of-sweep position when visited,
-        # so the whole sweep's proposals are known up front
-        new = _proposals(model, pos, step, normals)
-        new_pts = _points(model, new)
-        new_one_body = _one_body(model, new).tolist()
-        for i in range(n):
-            row = _log_distance(model, pts, new_pts[i])
-            row[i] = 0.0
-            du = -float(row.sum() - logd[i].sum()) + new_one_body[i] - one_body[i]
-            proposal_count += 1
-            arg = -beta * du
-            if not math.isfinite(arg):
-                raise OverflowError("run_chain: non-finite log-weight")
-            if arg >= 0.0 or unifs[i] < math.exp(arg):
-                pos[i] = new[i]
-                pts[i] = new_pts[i]
-                one_body[i] = new_one_body[i]
-                logd[i] = row
-                logd[:, i] = row
-                total_u += du
-                accept_count += 1
-                window_accepts += 1
-        if not measuring and (sweep + 1) % window_size == 0:
-            rate = window_accepts / (window_size * n)
-            step *= math.exp(rate - target_acceptance)
-            window_accepts = 0
-        if measuring and (sweep - burn_in) % record_every == 0:
-            samples.append(pos.copy())
+    # log 0 on the diagonal of Bq is overwritten; any other infinity makes
+    # an energy change non-finite and raises below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for sweep in range(sweeps):
+            gen = _sweep_generator(seed, chain, sweep, gen)
+            normals = gen.standard_normal(2 * n)
+            unifs = gen.random(n).tolist()
+            measuring = sweep >= burn_in
+            # particle i is still at its start-of-sweep position when
+            # visited, so the whole sweep's proposals are known up front
+            new = _proposals(model, pos, step, normals)
+            new_pts = _points(model, new)
+            new_one_body = _one_body(model, new)
+            dv = new_one_body - one_body
+            for b0 in range(0, n, _BLOCK):
+                b1 = min(b0 + _BLOCK, n)
+                d = diag[: b1 - b0]
+                q = new_pts[b0:b1, None]
+                a = _log_distance(model, q, pts)
+                a[d, b0 + d] = 0.0
+                bq = _log_distance(model, q, new_pts[None, b0:b1])
+                bq[d, d] = 0.0
+                o = logd[b0:b1]
+                a_ii = a[:, b0:b1]
+                base = (dv[b0:b1] - (a - o).sum(axis=1)).tolist()
+                k = (a_ii + a_ii.T - bq - o[:, b0:b1]).tolist()
+                block_accepts = []
+                for i in d.tolist():
+                    du = base[i]
+                    k_i = k[i]
+                    for j in block_accepts:
+                        du += k_i[j]
+                    arg = -beta * du
+                    if not math.isfinite(arg):
+                        raise OverflowError("run_chain: non-finite log-weight")
+                    if arg >= 0.0 or unifs[b0 + i] < math.exp(arg):
+                        block_accepts.append(i)
+                        total_u += du
+                proposal_count += b1 - b0
+                if block_accepts:
+                    acc = np.array(block_accepts)
+                    idx = b0 + acc
+                    rows = a[acc]
+                    rows[:, idx] = bq[acc[:, None], acc]
+                    logd[idx] = rows
+                    logd[:, idx] = rows.T
+                    pos[idx] = new[idx]
+                    pts[idx] = new_pts[idx]
+                    one_body[idx] = new_one_body[idx]
+                    accept_count += len(block_accepts)
+                    window_accepts += len(block_accepts)
+            if not measuring and (sweep + 1) % window_size == 0:
+                rate = window_accepts / (window_size * n)
+                step *= math.exp(rate - target_acceptance)
+                window_accepts = 0
+            if measuring and (sweep - burn_in) % record_every == 0:
+                samples.append(pos.copy())
 
     rate = accept_count / proposal_count
     return ChainState(

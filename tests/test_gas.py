@@ -20,6 +20,7 @@ from coulomblab.gas import (
     run_chain,
     statistic_covariance,
 )
+from coulomblab.gas import _sweep_generator
 
 
 # ----------------------------------------------------------------- mechanics
@@ -121,6 +122,21 @@ def test_chain_streams_golden_blocks():
         assert st.accept_count == accepts, name
         assert st.step_scale == step, name
         assert abs(st.total_energy - energy) <= 1e-12 * abs(energy), name
+
+
+def test_sweep_generator_rekey_matches_fresh():
+    # run_chain re-keys one generator per sweep; after any mix of draws it
+    # must give the stream of a generator built for that sweep
+    gen = _sweep_generator(5, 3, 0)
+    for sweep in (1, 2, 2 ** 46, 7):
+        gen.standard_normal(5)
+        gen.random(3)
+        gen = _sweep_generator(5, 3, sweep, gen)
+        fresh = _sweep_generator(5, 3, sweep)
+        assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9))
+        assert np.array_equal(gen.random(4), fresh.random(4))
+    with pytest.raises(ValueError):
+        _sweep_generator(5, 3, 2 ** 47, gen)
 
 
 def test_acceptance_rate_sane_and_consistent():
