@@ -576,15 +576,25 @@ def statistic_covariance(model: GasModel, f, g, chains: int = 4,
 
     f and g act elementwise: each is called once on a chain's whole
     (samples, N) array of positions (a constant result is broadcast).
+
+    The estimate is the pooled var+ form of Gelman-Rubin (Vehtari et al.,
+    Bayesian Analysis 2021), taken per chain so that the chains also give
+    its standard error: with K chains of n samples, chain means m_k and
+    grand means F, G,
+        c_k = (n - 1)/n W_k + (m_k^f - F)(m_k^g - G) K/(K - 1),
+    where W_k is chain k's covariance (ddof 1).  Centring each chain on its
+    own mean alone reads low by the variance of a chain mean, ~tau_int/n.
     """
     if chains < 4:
         raise ValueError("statistic_covariance: chains >= 4 required")
-    covs = []
+    sums = []
     for chain in range(chains):
         s = run_chain(model, sweeps, seed, chain=chain,
                       record_every=record_every).samples
-        fs = np.broadcast_to(f(s), s.shape).sum(axis=1)
-        gs = np.broadcast_to(g(s), s.shape).sum(axis=1)
-        covs.append(float(np.mean((fs - fs.mean()) * (gs - gs.mean()))))
-    covs = np.array(covs)
+        sums.append((np.broadcast_to(f(s), s.shape).sum(axis=1),
+                     np.broadcast_to(g(s), s.shape).sum(axis=1)))
+    fs, gs = (np.array(x) for x in zip(*sums))
+    mf, mg = fs.mean(axis=1), gs.mean(axis=1)
+    within = np.mean((fs - mf[:, None]) * (gs - mg[:, None]), axis=1)
+    covs = within + (mf - mf.mean()) * (mg - mg.mean()) * chains / (chains - 1)
     return float(np.mean(covs)), float(np.std(covs, ddof=1) / math.sqrt(chains))
