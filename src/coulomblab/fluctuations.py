@@ -137,9 +137,16 @@ def _quadrature_covariance(fvals, gvals, theta) -> float:
     return float(np.sum(kern)) * dtheta ** 2 / (4.0 * math.pi) ** 2
 
 
+def _check_beta(where: str, beta: float) -> None:
+    # beta = 0 is left to the ZeroDivisionError of the 1/beta prefactor
+    if beta < 0:
+        raise ValueError(f"{where}: beta must be positive, got {beta}")
+
+
 def covariance_circle(f, g, beta: float = 2.0, route: str = "fourier") -> float:
     """Limiting covariance of linear statistics for the log-gas on the unit
     circle, scaled by 2/beta relative to the beta = 2 value."""
+    _check_beta("covariance_circle", beta)
     fs, gs = _as_statistic(f), _as_statistic(g)
     if route == "fourier":
         m = _GRID
@@ -166,6 +173,7 @@ def covariance_mapped(mp: LaurentMap, f, g, beta: float = 2.0,
     convention selects the prefactor: 2/beta on a contour, 1/beta with a
     neutralizing background, 4/beta for the degenerate interval.
     """
+    _check_beta("covariance_mapped", beta)
     if convention not in _CONVENTION_PREFACTOR:
         raise ValueError(f"covariance_mapped: unknown convention {convention!r}")
     theta = 2.0 * math.pi * np.arange(m) / m
@@ -185,6 +193,7 @@ def surface_correlation(geometry, beta: float, p1, p2) -> float:
     points on the wall; a LaurentMap takes boundary points as complex numbers
     (conjectural exterior-kernel form, marked in the CLI output).
     """
+    _check_beta("surface_correlation", beta)
     if isinstance(geometry, LaurentMap):
         z, w = complex(p1), complex(p2)
         if abs(z - w) < 1e-14:

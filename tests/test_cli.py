@@ -490,6 +490,15 @@ def test_zero_beta_exit_2():
     assert code == 2 and rec["error"]["type"] == "ZeroDivisionError"
 
 
+def test_negative_beta_exit_2():
+    for op in ("cov", "surface", "mapped-cov"):
+        argv = ["fluct", "--op", op, "--beta", "-2"]
+        if op == "mapped-cov":
+            argv += ["--map", "ellipse:a1=2,a2=1"]
+        code, rec = record_of(argv)
+        assert code == 2 and rec["error"]["type"] == "ValueError", op
+
+
 def test_help_exit_0(capsys):
     for argv in (["--help"], ["potential", "--help"], ["sample", "--help", "--json"]):
         code = main(argv)
