@@ -3,7 +3,7 @@ empirical density and support estimation, exact beta = 2 partition products,
 and electrostatic free-energy predictions.
 
 Reproducibility: every random draw comes from a counter-based generator
-(Philox) keyed by (seed, chain) with the sweep index as the counter, so a
+(Philox) keyed by (seed, chain, sweep) with a zero counter, so a
 (model, sweeps, seed) triple reproduces the identical stream regardless of
 history.  Chains with different ids are independent and may run in parallel.
 """
@@ -275,7 +275,7 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
 
     The chain keeps the matrix of log pair distances, and a sweep visits
     its particles in blocks of at most _BLOCK.  Every proposal of a sweep is
-    drawn up front, so one block I = [b0, b1) costs three array operations:
+    drawn up front, so a block I = [b0, b1) computes its pair terms at once:
     with p the current points, q the proposals and O the stored rows of I,
     A = log d(q_I, p) and Bq = log d(q_I, q_I), both zero on each particle's
     own entry.  Proposal i then changes the energy by
@@ -285,7 +285,7 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
     where S holds the earlier acceptances of the block: K swaps particle j's
     old position for its new one in row i.  That sum is a scalar loop.  The
     accepted rows and columns are written back from A, with Bq between
-    particles accepted in the same block, so no distance is computed twice
+    particles accepted in the same block, so the write-back takes no new log
     and no row sum is updated incrementally.  N <= _BLOCK is one block.
     """
     if not (1 <= sweeps < 2 ** 46):
@@ -307,7 +307,7 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
     window_accepts = 0
     window_size = 50
     gen = None
-    diag = np.arange(min(n, _BLOCK))
+    diag = np.arange(min(n, _BLOCK))  # local indices of a full block
 
     # log 0 on the diagonal of Bq is overwritten; any other infinity makes
     # an energy change non-finite and raises below
@@ -336,7 +336,7 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
                 base = (dv[b0:b1] - (a - o).sum(axis=1)).tolist()
                 k = (a_ii + a_ii.T - bq - o[:, b0:b1]).tolist()
                 block_accepts = []
-                for i in d.tolist():
+                for i in range(b1 - b0):
                     du = base[i]
                     k_i = k[i]
                     for j in block_accepts:
