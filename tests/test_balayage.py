@@ -153,6 +153,12 @@ def test_disk_hole_energy_closed_form():
     for a in (0.5, 1.0, 2.0):
         e = hole_energy(HoleSpec(Ball(2, a)))
         assert abs(e - math.pi ** 2 * a ** 4 / 8.0) < 1e-8
+    # ellipse hole: h = C(1 - x^2/a^2 - y^2/b^2) with -lap h = 2 pi gives
+    # E = (1/2) int h = pi^2 a^3 b^3 / (4 (a^2 + b^2)); the disk is a = b
+    for a, b in ((2.0, 1.0), (1.5, 1.0), (1.2, 0.6)):
+        e = hole_energy(HoleSpec(Ellipse2D(a, b)))
+        exact = math.pi ** 2 * a ** 3 * b ** 3 / (4.0 * (a * a + b * b))
+        assert abs(e - exact) < 1e-8
 
 
 def test_hole_energy_quartic_scaling():
