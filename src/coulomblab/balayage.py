@@ -9,7 +9,7 @@ energies are positive and gap probabilities decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .domains import (
     UnsupportedRegionError,
     _point,
     background_potential,
+    interaction_energy,
     sphere_area,
 )
 from .surfaces import shell_potential
@@ -49,14 +50,13 @@ class BalayageComponent:
     density: object  # theta -> dmu/dtheta
     mass: float
 
-    def point(self, theta: float):
-        if self.kind == "circle":
-            (radius,) = self.params
-            return np.array([radius * math.cos(theta), radius * math.sin(theta)])
-        if self.kind == "ellipse":
-            a1, a2 = self.params
-            return np.array([a1 * math.cos(theta), a2 * math.sin(theta)])
-        raise ValueError(f"unknown component kind {self.kind!r}")
+    def point(self, theta):
+        """Boundary point(s) at theta, shape theta.shape + (2,); (R,) is (R, R)."""
+        if self.kind not in ("circle", "ellipse"):
+            raise ValueError(f"unknown component kind {self.kind!r}")
+        a1, a2 = self.params if self.kind == "ellipse" else self.params * 2
+        theta = np.asarray(theta, dtype=float)
+        return np.stack([a1 * np.cos(theta), a2 * np.sin(theta)], axis=-1)
 
     def potential(self, r) -> float:
         """Coulomb potential of this component: the -log kernel at a planar
@@ -70,14 +70,14 @@ class BalayageComponent:
             dens = self.density(0.0)
             uniform = abs(dens * 2.0 * math.pi - self.mass) < 1e-12 * max(1.0, self.mass)
             if uniform:
-                return -self.mass * math.log(max(float(np.linalg.norm(p)), radius))
+                return shell_potential(2, radius, self.mass, p)
 
         def f(thetas):
-            out = np.empty_like(thetas)
-            for i, th in enumerate(thetas):
-                q = self.point(th)
-                out[i] = -math.log(float(np.linalg.norm(p - q))) * self.density(th)
-            return out
+            # -math.log(np.linalg.norm(p - q)) at each node q, bit for bit
+            diff = p - self.point(thetas)
+            dist = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+            logs = [math.log(x) for x in dist.tolist()]
+            return -np.array(logs) * self.density(thetas)
 
         val, _ = adaptive_1d(f, 0.0, 2.0 * math.pi, 1e-10)
         return val
@@ -147,7 +147,7 @@ def balayage_measure(dom: UniformDomain) -> BalayageMeasure:
         # the printed density integrates to Q a1 a2 over theta; rescaled so
         # the total mass is Q, then validated by exterior-potential matching
         def dens(th, q=q_total, k=kappa2):
-            return q / (2.0 * math.pi) * (1.0 - k * math.cos(2.0 * th))
+            return q / (2.0 * math.pi) * (1.0 - k * np.cos(2.0 * th))
 
         comp = BalayageComponent("ellipse", (a1, a2), dens, q_total)
         return BalayageMeasure((comp,), q_total)
@@ -185,51 +185,18 @@ def exterior_moment(dom: UniformDomain, ell: int):
         f"exterior_moment: unsupported geometry {type(geo).__name__}")
 
 
-def _unit_hole_potential(geo) -> object:
-    """U(r) = int_hole -log|r - w| d^2w at unit density, as a callable."""
-    dom = UniformDomain(geo, geo.volume)  # rho_b = 1
-
-    def u(r):
-        return -background_potential(dom, r)
-
-    return u
-
-
 def hole_energy(spec: HoleSpec) -> float:
     """Electrostatic energy E of the charge-neutral system formed by the
     unit-density hole and its oppositely charged balayage measure:
-    E = (1/2)(int_hole U - int_boundary U dmu).  Callers scale by rho_b^2."""
-    geo = spec.hole
-    u = _unit_hole_potential(geo)
-    measure = balayage_measure(UniformDomain(geo, geo.volume))
-
-    if isinstance(geo, (Ball, Annulus2D)):
-        lo = geo.c * geo.R if isinstance(geo, Annulus2D) else 0.0
-
-        def f(rs):
-            return np.array([u([r, 0.0]) * 2.0 * math.pi * r for r in rs])
-
-        volume_term, _ = adaptive_1d(f, lo, geo.R, 1e-10)
-    elif isinstance(geo, Ellipse2D):
-        a1, a2 = geo.a1, geo.a2
-        x, w = gl_nodes(64)
-        rho = 0.5 * (x + 1.0)
-        wr = 0.5 * w
-        th = math.pi * (x + 1.0)
-        wt = math.pi * w
-        volume_term = 0.0
-        for r_i, w_i in zip(rho, wr):
-            vals = np.array([u([r_i * a1 * math.cos(t), r_i * a2 * math.sin(t)])
-                             for t in th])
-            volume_term += w_i * float(np.dot(wt, vals)) * r_i * a1 * a2
-    else:
-        raise UnsupportedRegionError(
-            f"hole_energy: unsupported geometry {type(geo).__name__}")
-
+    E = (1/2)(int_hole U - int_boundary U dmu), U the hole's potential.
+    int_hole U = int int -log|r - w| = 2 U_bb.  Callers scale by rho_b^2."""
+    unit = UniformDomain(spec.hole, spec.hole.volume)  # rho_b = 1
+    volume_term = 2.0 * interaction_energy(unit, [])
     boundary_term = 0.0
-    for comp in measure.components:
+    for comp in balayage_measure(unit).components:
         def f(thetas, comp=comp):
-            return np.array([u(comp.point(t)) * comp.density(t) for t in thetas])
+            u = [-background_potential(unit, q) for q in comp.point(thetas)]
+            return np.array(u) * comp.density(thetas)
 
         val, _ = adaptive_1d(f, 0.0, 2.0 * math.pi, 1e-10)
         boundary_term += val

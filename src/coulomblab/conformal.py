@@ -46,7 +46,7 @@ class MapConstructionError(ValueError):
     """The coefficient data does not describe a univalent exterior map."""
 
 
-def _segments_intersect(p, q):
+def _segments_intersect(p):
     """Vectorized proper-intersection count among closed polyline segments."""
     a = p
     b = np.roll(p, -1, axis=0)
@@ -105,7 +105,7 @@ class LaurentMap:
         w = (1.0 + 1e-3) * np.exp(1j * theta)
         z = self.evaluate(w)
         pts = np.column_stack([z.real, z.imag])
-        if _segments_intersect(pts, None) > 0:
+        if _segments_intersect(pts) > 0:
             raise MapConstructionError("LaurentMap: boundary image self-intersects")
 
     def evaluate(self, w):

@@ -91,12 +91,6 @@ class GasModel:
     def is_planar(self) -> bool:
         return self.ensemble in ("ginibre", "elliptic", "induced")
 
-    def one_body(self, z) -> float:
-        return float(_one_body(self, z))
-
-    def pair_interaction(self, u, v) -> float:
-        return -float(_log_distance(self, _points(self, u), _points(self, v)))
-
     def total_energy(self, positions) -> float:
         pos = np.asarray(positions)
         logd = _log_distance_matrix(self, _points(self, pos))
@@ -224,7 +218,7 @@ def _default_step(model: GasModel) -> float:
     if model.is_planar:
         return 1.0
     if model.ensemble == "sinh":
-        return 1.0 / math.sqrt(model.beta * model.c * model.N ** 0)
+        return 1.0 / math.sqrt(model.beta * model.c)
     return 2.0 * math.pi / model.N
 
 

@@ -72,6 +72,16 @@ def test_densities_nonnegative():
         assert m.components[0].density(t) >= 0.0
 
 
+def test_component_point_and_density_on_arrays():
+    thetas = np.linspace(0.0, 2 * math.pi, 17)
+    for geo in (Ball(2, 1.3), Annulus2D(1.0, 0.4), Ellipse2D(2.0, 1.0)):
+        for comp in balayage_measure(UniformDomain(geo, 2.7)).components:
+            stacked = np.stack([comp.point(t) for t in thetas])
+            assert np.array_equal(comp.point(thetas), stacked)
+            dens = np.broadcast_to(comp.density(thetas), thetas.shape)
+            assert np.array_equal(dens, [comp.density(t) for t in thetas])
+
+
 def test_unsupported_geometry():
     with pytest.raises(UnsupportedRegionError):
         balayage_measure(UniformDomain(Cuboid(((0, 1), (0, 1), (0, 1))), 1.0))
