@@ -51,7 +51,7 @@ class BalayageComponent:
     mass: float
 
     def point(self, theta):
-        """Boundary point(s) at theta, shape theta.shape + (2,); (R,) is (R, R)."""
+        """Points at angle(s) theta, shape theta.shape + (2,); a circle is (R, R)."""
         if self.kind not in ("circle", "ellipse"):
             raise ValueError(f"unknown component kind {self.kind!r}")
         a1, a2 = self.params if self.kind == "ellipse" else self.params * 2
