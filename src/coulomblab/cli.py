@@ -346,9 +346,9 @@ def _cmd_sample(args):
     if int(opts["chains"]) < 1:
         raise ValueError("sample: need chains >= 1")
     t0 = time.time()
-    states = [gas.run_chain(model, int(opts["sweeps"]), int(opts["seed"]),
-                            chain=chain, record_every=int(opts["record_every"]))
-              for chain in range(int(opts["chains"]))]
+    states = gas.run_chains(model, int(opts["sweeps"]), int(opts["seed"]),
+                            range(int(opts["chains"])),
+                            record_every=int(opts["record_every"]))
     runtime_ms = 1000.0 * (time.time() - t0)
     rates = [s.acceptance_rate for s in states]
     estimates = {"acceptance_rate": float(np.mean(rates)),

@@ -5,7 +5,9 @@ and electrostatic free-energy predictions.
 Reproducibility: every random draw comes from a counter-based generator
 (Philox) keyed by (seed, chain, sweep) with a zero counter, so a
 (model, sweeps, seed) triple reproduces the identical stream regardless of
-history.  Chains with different ids are independent and may run in parallel.
+history.  Chains with different ids are independent.  `run_chains` advances
+several chains of one model in lockstep through one kernel, and each chain
+ends bit for bit where `run_chain` alone would take it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "ChainState",
     "AsymptoticPrediction",
     "run_chain",
+    "run_chains",
     "empirical_density",
     "mean_density_inside",
     "exact_log_partition",
@@ -135,16 +138,20 @@ def _points(model: GasModel, coords):
 
 
 def _log_distance_matrix(model: GasModel, pts) -> np.ndarray:
-    """N x N matrix of log pair distances with a zero diagonal."""
+    """N x N matrix of log pair distances with a zero diagonal, for each
+    configuration along any leading axes of pts."""
     with np.errstate(divide="ignore"):
-        logd = _log_distance(model, pts[:, None], pts[None, :])
-    np.fill_diagonal(logd, 0.0)
+        logd = _log_distance(model, pts[..., :, None], pts[..., None, :])
+    d = np.arange(pts.shape[-1])
+    logd[..., d, d] = 0.0
     return logd
 
 
 _ZERO4 = np.zeros(4, dtype=np.uint64)
-# particles per block of a Metropolis sweep (see run_chain)
+# particles per block of a Metropolis sweep (see _lockstep)
 _BLOCK = 32
+# most log-distance entries, K N^2, that one lockstep group of chains holds
+_LOCKSTEP_ENTRIES = 2 ** 20
 
 
 @dataclass
@@ -222,14 +229,15 @@ def _default_step(model: GasModel) -> float:
     return 2.0 * math.pi / model.N
 
 
-def _proposals(model: GasModel, pos, step: float, normals) -> np.ndarray:
-    """One sweep's Metropolis proposals: particle i moves from pos[i] to
-    the i-th entry.  Planar moves take normals (2i, 2i + 1) as the real and
-    imaginary step, 1d and contour moves normal 2i; contour angles wrap to
-    [0, 2 pi)."""
+def _proposals(model: GasModel, pos, step, normals) -> np.ndarray:
+    """One sweep's Metropolis proposals: particle i moves from pos[..., i]
+    to the i-th entry.  Planar moves take normals (2i, 2i + 1) as the real
+    and imaginary step, 1d and contour moves normal 2i; contour angles wrap
+    to [0, 2 pi).  pos (K, N) and normals (K, 2N) of K chains take their
+    steps as step (K, 1)."""
     if model.is_planar:
-        return pos + step * (normals[0::2] + 1j * normals[1::2])
-    new = pos + step * normals[0::2]
+        return pos + step * (normals[..., 0::2] + 1j * normals[..., 1::2])
+    new = pos + step * normals[..., 0::2]
     if model.ensemble == "contour":
         new %= 2.0 * math.pi
     return new
@@ -261,118 +269,176 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
               ) -> ChainState:
     """Run a single-particle Metropolis chain and return the final state plus
     the retained sample stream (one configuration per recorded sweep, after
-    burn-in).
+    burn-in).  This is `run_chains` with the one chain id `chain`.
 
     The step scale adapts toward the target acceptance during burn-in and is
     then frozen, preserving detailed balance over the measurement sweeps.
     Identical (model, sweeps, seed, chain) reproduce identical output.
 
-    The chain keeps the matrix of log pair distances, and a sweep visits
-    its particles in blocks of at most _BLOCK.  Every proposal of a sweep is
-    drawn up front, so a block I = [b0, b1) computes its pair terms at once:
-    with p the current points, q the proposals and O the stored rows of I,
-    A = log d(q_I, p) and Bq = log d(q_I, q_I), both zero on each particle's
-    own entry.  Proposal i then changes the energy by
-        base_i + sum_{j in S} K[i, j],
-        base_i = -sum_j (A - O)[i, j] + V(q_i) - V(p_i),
-        K = -(Bq - A_II - A_II^T + O_II),
-    where S holds the earlier acceptances of the block: K swaps particle j's
-    old position for its new one in row i.  That sum is a scalar loop.  The
-    accepted rows and columns are written back from A, with Bq between
-    particles accepted in the same block, so the write-back takes no new log
-    and no row sum is updated incrementally.  N <= _BLOCK is one block.
+    The kernel (`_lockstep`) visits a sweep's particles in blocks of at
+    most _BLOCK and finds a block's accept/reject decisions at once, as the
+    fixed point of a triangular solve: with u the block's uniforms, the
+    accept vector a satisfies a = [base + L a <= -log(u) / beta], where base
+    holds each proposal's energy change against the start of the block and
+    L the changes that earlier acceptances of the block make to it.
+    """
+    return run_chains(model, sweeps, seed, [chain], step_scale=step_scale,
+                      record_every=record_every, burn_in_frac=burn_in_frac,
+                      target_acceptance=target_acceptance)[0]
+
+
+def run_chains(model: GasModel, sweeps: int, seed: int, chains,
+               step_scale: float = None, record_every: int = 1,
+               burn_in_frac: float = 0.2, target_acceptance: float = 0.35
+               ) -> list:
+    """Run the Metropolis chains with ids `chains` in lockstep and return
+    their ChainStates in that order.  Each chain draws from its own Philox
+    streams (seed, chain, sweep) and adapts its own step, so chain c's state
+    is bit for bit the one `run_chain(..., chain=c)` returns.
+
+    The chains advance in groups whose log-distance matrices hold at most
+    _LOCKSTEP_ENTRIES entries between them (at least one chain per group).
     """
     if not (1 <= sweeps < 2 ** 46):
         raise ValueError("run_chain: need 1 <= sweeps < 2^46")
     if record_every < 1:
         raise ValueError("run_chain: need record_every >= 1")
+    chains = [int(c) for c in chains]
+    group = max(1, _LOCKSTEP_ENTRIES // (model.N * model.N))
+    states = []
+    for g0 in range(0, len(chains), group):
+        states += _lockstep(model, sweeps, seed, chains[g0:g0 + group],
+                            step_scale, record_every, burn_in_frac,
+                            target_acceptance)
+    return states
+
+
+def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
+              burn_in_frac, target_acceptance) -> list:
+    """The Metropolis kernel: K chains of one model, advanced together.
+
+    Its state has a leading chain axis: positions (K, N) and the matrix of
+    log pair distances (K, N, N).  A sweep visits its particles in blocks
+    of at most _BLOCK.  Every proposal of a sweep is drawn up front, so a
+    block I = [b0, b1) computes its pair terms at once: with p the current
+    points, q the proposals and O the stored rows of I, A = log d(q_I, p)
+    and Bq = log d(q_I, q_I), both zero on each particle's own entry.
+    Proposal i then changes the energy by
+        du_i = base_i + sum_{j < i accepted} K[i, j],
+        base_i = -sum_j (A - O)[i, j] + V(q_i) - V(p_i),
+        K = -(Bq - A_II - A_II^T + O_II),
+    where K swaps particle j's old position for its new one in row i.  With
+    t_i = -log(u_i) / beta, proposal i is accepted iff du_i <= t_i, so the
+    block's accept vector a solves the triangular fixed point
+    a = [base + L a <= t], L the strict lower triangle of K.  Iterating it
+    from a = [base <= t] fixes one more row per pass at least and stops
+    when a pass changes nothing.  The accepted rows and columns are written
+    back from A, with Bq between particles accepted in the same block, so
+    the write-back takes no new log.  N <= _BLOCK is one block.
+    """
     n = model.N
+    nc = len(chains)
     beta = model.beta
-    pos = _initial_positions(model, seed, chain)
+    pos = np.stack([_initial_positions(model, seed, c) for c in chains])
     pts = _points(model, pos)
     logd = _log_distance_matrix(model, pts)
     one_body = _one_body(model, pos)
-    step = _default_step(model) if step_scale is None else float(step_scale)
+    total_u = np.array([model.total_energy(p) for p in pos])
+    step = np.full(nc, _default_step(model) if step_scale is None
+                   else float(step_scale))
     burn_in = int(burn_in_frac * sweeps)
-    total_u = model.total_energy(pos)
-    samples = []
-    accept_count = 0
-    proposal_count = 0
-    window_accepts = 0
+    # sweeps s >= burn_in with (s - burn_in) % record_every == 0 are kept
+    recorded = len(range(max(burn_in, burn_in % record_every), sweeps, record_every))
+    samples = np.empty((nc, recorded, n), dtype=pos.dtype)
+    kept = 0
+    accepts = np.zeros(nc, dtype=np.int64)
+    window_start = accepts.copy()  # accepts before the adaptation window
     window_size = 50
     gen = None
-    diag = np.arange(min(n, _BLOCK))  # local indices of a full block
+    normals = np.empty((nc, 2 * n))
+    unifs = np.empty((nc, n))
+    width = min(n, _BLOCK)
+    diag = np.arange(width)  # local indices of a full block
+    lower = np.tri(width, k=-1, dtype=bool)
 
-    # log 0 on the diagonal of Bq is overwritten; any other infinity makes
-    # an energy change non-finite and raises below
+    # log 0 on the diagonals of A and Bq is overwritten; any other infinity
+    # makes an energy change non-finite and raises below
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(sweeps):
-            gen = _sweep_generator(seed, chain, sweep, gen)
-            normals = gen.standard_normal(2 * n)
-            unifs = gen.random(n).tolist()
+            for k, chain in enumerate(chains):
+                gen = _sweep_generator(seed, chain, sweep, gen)
+                gen.standard_normal(out=normals[k])
+                gen.random(out=unifs[k])
+            thresholds = np.log(unifs) / -beta
             measuring = sweep >= burn_in
             # particle i is still at its start-of-sweep position when
             # visited, so the whole sweep's proposals are known up front
-            new = _proposals(model, pos, step, normals)
+            new = _proposals(model, pos, step[:, None], normals)
             new_pts = _points(model, new)
             new_one_body = _one_body(model, new)
             dv = new_one_body - one_body
             for b0 in range(0, n, _BLOCK):
                 b1 = min(b0 + _BLOCK, n)
                 d = diag[: b1 - b0]
-                q = new_pts[b0:b1, None]
-                a = _log_distance(model, q, pts)
-                a[d, b0 + d] = 0.0
-                bq = _log_distance(model, q, new_pts[None, b0:b1])
-                bq[d, d] = 0.0
-                o = logd[b0:b1]
-                a_ii = a[:, b0:b1]
-                base = (dv[b0:b1] - (a - o).sum(axis=1)).tolist()
-                k = (a_ii + a_ii.T - bq - o[:, b0:b1]).tolist()
-                block_accepts = []
-                for i in range(b1 - b0):
-                    du = base[i]
-                    k_i = k[i]
-                    for j in block_accepts:
-                        du += k_i[j]
-                    arg = -beta * du
-                    if not math.isfinite(arg):
-                        raise OverflowError("run_chain: non-finite log-weight")
-                    if arg >= 0.0 or unifs[b0 + i] < math.exp(arg):
-                        block_accepts.append(i)
-                        total_u += du
-                proposal_count += b1 - b0
-                if block_accepts:
-                    acc = np.array(block_accepts)
-                    idx = b0 + acc
-                    rows = a[acc]
-                    rows[:, idx] = bq[acc[:, None], acc]
-                    logd[idx] = rows
-                    logd[:, idx] = rows.T
-                    pos[idx] = new[idx]
-                    pts[idx] = new_pts[idx]
-                    one_body[idx] = new_one_body[idx]
-                    accept_count += len(block_accepts)
-                    window_accepts += len(block_accepts)
+                q = new_pts[:, b0:b1, None]
+                a = _log_distance(model, q, pts[:, None, :])
+                a[:, d, b0 + d] = 0.0
+                bq = _log_distance(model, q, new_pts[:, None, b0:b1])
+                bq[:, d, d] = 0.0
+                o = logd[:, b0:b1]
+                a_ii = a[:, :, b0:b1]
+                base = dv[:, b0:b1] - (a - o).sum(axis=2)
+                tri = a_ii + a_ii.swapaxes(1, 2)
+                tri -= bq
+                tri -= o[:, :, b0:b1]
+                tri = np.where(lower[: b1 - b0, : b1 - b0], tri, 0.0)
+                t = thresholds[:, b0:b1]
+                acc = base <= t
+                while True:
+                    # a masked sum, not tri @ acc: an infinite entry in the
+                    # column of a rejected proposal must not give inf * 0
+                    du = base + np.add.reduce(np.where(acc[:, None, :], tri, 0.0), axis=2)
+                    nxt = du <= t
+                    if nxt.tobytes() == acc.tobytes():
+                        break
+                    acc = nxt
+                if not np.isfinite(du).all():
+                    raise OverflowError("run_chain: non-finite log-weight")
+                # accepted rows and columns of logd from A, with Bq between
+                # particles accepted together (the column write lands last)
+                np.copyto(a_ii, bq, where=acc[:, None, :])
+                kk, ii = np.nonzero(acc)
+                idx = b0 + ii
+                rows = a[kk, ii]
+                logd[kk, idx] = rows
+                logd[kk, :, idx] = rows
+                np.copyto(pos[:, b0:b1], new[:, b0:b1], where=acc)
+                if pts is not pos:  # off the contour the points are pos
+                    np.copyto(pts[:, b0:b1], new_pts[:, b0:b1], where=acc)
+                np.copyto(one_body[:, b0:b1], new_one_body[:, b0:b1], where=acc)
+                accepts += np.bincount(kk, minlength=nc)
+                total_u += np.bincount(kk, weights=du[kk, ii], minlength=nc)
             if not measuring and (sweep + 1) % window_size == 0:
-                rate = window_accepts / (window_size * n)
-                step *= math.exp(rate - target_acceptance)
-                window_accepts = 0
+                for k in range(nc):
+                    rate = int(accepts[k] - window_start[k]) / (window_size * n)
+                    step[k] *= math.exp(rate - target_acceptance)
+                window_start = accepts.copy()
             if measuring and (sweep - burn_in) % record_every == 0:
-                samples.append(pos.copy())
+                samples[:, kept] = pos
+                kept += 1
 
-    rate = accept_count / proposal_count
-    return ChainState(
-        positions=pos,
-        step_scale=step,
+    proposals = sweeps * n
+    return [ChainState(
+        positions=pos[k],
+        step_scale=float(step[k]),
         rng_seed=seed,
         sweep_count=sweeps,
-        acceptance_rate=rate,
-        total_energy=total_u,
-        samples=np.array(samples),
-        accept_count=accept_count,
-        proposal_count=proposal_count,
-    )
+        acceptance_rate=int(accepts[k]) / proposals,
+        total_energy=float(total_u[k]),
+        samples=samples[k],
+        accept_count=int(accepts[k]),
+        proposal_count=proposals,
+    ) for k in range(nc)]
 
 
 # -------------------------------------------------------- density estimation
@@ -582,9 +648,9 @@ def statistic_covariance(model: GasModel, f, g, chains: int = 4,
     if chains < 4:
         raise ValueError("statistic_covariance: chains >= 4 required")
     sums = []
-    for chain in range(chains):
-        s = run_chain(model, sweeps, seed, chain=chain,
-                      record_every=record_every).samples
+    for state in run_chains(model, sweeps, seed, range(chains),
+                            record_every=record_every):
+        s = state.samples
         sums.append((np.broadcast_to(f(s), s.shape).sum(axis=1),
                      np.broadcast_to(g(s), s.shape).sum(axis=1)))
     fs, gs = (np.array(x) for x in zip(*sums))

@@ -165,6 +165,25 @@ def test_sample_csv_determinism(tmp_path):
     assert "runtime_ms" in rec1["values"]
 
 
+def test_sample_chains_csv_matches_run_chain(tmp_path):
+    # the lockstep chains of `sample --chains 3` write each chain's own
+    # run_chain stream
+    from coulomblab.gas import GasModel, run_chain
+
+    out = tmp_path / "f.csv"
+    code, _ = record_of(["sample", "--ensemble", "ginibre", "--n", "4",
+                         "--sweeps", "200", "--seed", "5", "--chains", "3",
+                         "--out", str(out)])
+    assert code == 0
+    lines = ["chain,sweep,particle,re,im"]
+    for chain in range(3):
+        state = run_chain(GasModel(2.0, 4, "ginibre"), 200, 5, chain=chain)
+        for s_idx, row in enumerate(state.samples.tolist()):
+            for p_idx, z in enumerate(row):
+                lines.append(f"{chain},{s_idx},{p_idx},{z.real:.17g},{z.imag:.17g}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_sample_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sampler configuration\nsweeps = 200\nseed = 4\nn = 3\n")
@@ -245,8 +264,8 @@ def test_error_records_honour_json(capsys, monkeypatch):
     rec = json.loads(capsys.readouterr().out)
     assert code == 2 and rec["error"]["type"] == "ArgumentError"
 
-    # the budget-error argv of test_budget_error_exit_3, with the oracle
-    # forced to exhaust its budget
+    # an annulus ring-point oracle argv, with the oracle forced to exhaust
+    # its budget
     def exhausted(*args, **kwargs):
         raise QuadratureBudgetError(0.25, 1e-3)
 

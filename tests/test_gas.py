@@ -20,6 +20,7 @@ from coulomblab.gas import (
     log_partition_normalized,
     mean_density_inside,
     run_chain,
+    run_chains,
     statistic_covariance,
 )
 from coulomblab.gas import _sweep_generator
@@ -124,6 +125,99 @@ def test_chain_streams_golden_blocks():
         assert st.accept_count == accepts, name
         assert st.step_scale == step, name
         assert abs(st.total_energy - energy) <= 1e-12 * abs(energy), name
+
+
+LOCKSTEP_MODELS = [
+    GasModel(2.0, 80, "ginibre"),
+    GasModel(2.0, 80, "elliptic", tau=0.5),
+    GasModel(2.0, 80, "induced", alpha=1.0),
+    GasModel(2.0, 80, "sinh", c=1.0, L=2 * math.pi),
+    GasModel(2.0, 80, "contour", contour_map=ellipse_map(2.0, 1.0)),
+]
+
+
+def _same_state(a, b):
+    return (np.array_equal(a.positions, b.positions)
+            and np.array_equal(a.samples, b.samples)
+            and a.samples.shape == b.samples.shape
+            and a.accept_count == b.accept_count
+            and a.step_scale == b.step_scale
+            and a.total_energy == b.total_energy)
+
+
+def test_run_chains_match_run_chain():
+    # lockstep chains give each chain its own run bit for bit: blocks of
+    # 32, 32 and 16, one adaptation window (250 sweeps), record_every = 2
+    # and chain ids out of order
+    ids = [5, 0, 3]
+    for model in LOCKSTEP_MODELS:
+        kw = dict(sweeps=250, seed=51, record_every=2)
+        together = run_chains(model, chains=ids, **kw)
+        assert len(together) == len(ids)
+        for chain, state in zip(ids, together):
+            alone = run_chain(model, chain=chain, **kw)
+            assert _same_state(state, alone), (model.ensemble, chain)
+        assert together[0].step_scale != together[1].step_scale, model.ensemble
+
+
+def test_run_chains_bounded_groups_match_one_group(monkeypatch):
+    # 8 chains of N = 8 in groups of at most 3 (3, 3, 2) give the states of
+    # one group of 8
+    model = GasModel(2.0, 8, "ginibre")
+    one = run_chains(model, 260, 61, range(8))
+    calls = []
+    lockstep = gas._lockstep
+
+    def counted(model, sweeps, seed, chains, *args):
+        calls.append(list(chains))
+        return lockstep(model, sweeps, seed, chains, *args)
+
+    monkeypatch.setattr(gas, "_LOCKSTEP_ENTRIES", 3 * 8 * 8)
+    monkeypatch.setattr(gas, "_lockstep", counted)
+    grouped = run_chains(model, 260, 61, range(8))
+    assert calls == [[0, 1, 2], [3, 4, 5], [6, 7]]
+    assert all(_same_state(a, b) for a, b in zip(one, grouped))
+
+
+def test_proposal_at_induced_origin_raises(monkeypatch):
+    proposals = gas._proposals
+
+    def at_origin(model, pos, step, normals):
+        new = proposals(model, pos, step, normals)
+        new[..., 0] = 0.0
+        return new
+
+    monkeypatch.setattr(gas, "_proposals", at_origin)
+    model = GasModel(2.0, 8, "induced", alpha=1.0)
+    with pytest.raises(OverflowError):
+        run_chain(model, 5, seed=1)
+    with pytest.raises(OverflowError):
+        run_chains(model, 5, 1, [0, 1, 2])
+
+
+def test_infinite_entry_of_rejected_proposal_is_ignored(monkeypatch):
+    # particles 0 and 1 are both proposed at z = 1000, so K[1, 0] =
+    # -log|q_1 - q_0| = +inf; particle 0 is rejected (V = 5e5), and the
+    # solve must leave that entry out, not turn inf * 0 into a raise
+    proposals = gas._proposals
+    far = {"on": True}
+
+    def coincide(model, pos, step, normals):
+        new = proposals(model, pos, step, normals)
+        new[..., :2] = 1000.0 if far["on"] else pos[..., :1]
+        return new
+
+    monkeypatch.setattr(gas, "_proposals", coincide)
+    model = GasModel(2.0, 8, "ginibre")
+    start = gas._initial_positions(model, 2, 0)
+    for states in ([run_chain(model, 20, seed=2)], run_chains(model, 20, 2, [0, 1])):
+        for state in states:
+            assert np.isfinite(state.total_energy)
+        assert np.array_equal(states[0].positions[:2], start[:2])
+    # landing on a particle that was accepted first still raises
+    far["on"] = False
+    with pytest.raises(OverflowError):
+        run_chain(model, 20, seed=2)
 
 
 def test_sweep_generator_rekey_matches_fresh():
@@ -360,10 +454,10 @@ def test_statistic_covariance_unbiased_on_correlated_streams(monkeypatch):
     for t in range(1, n):
         streams[:, t] = phi * streams[:, t - 1] + math.sqrt(1 - phi * phi) * noise[:, t]
 
-    def fake_chain(model, sweeps, seed, chain=0, record_every=1):
-        return SimpleNamespace(samples=streams[chain][:, None])
+    def fake_chains(model, sweeps, seed, chains, record_every=1):
+        return [SimpleNamespace(samples=streams[chain][:, None]) for chain in chains]
 
-    monkeypatch.setattr(gas, "run_chain", fake_chain)
+    monkeypatch.setattr(gas, "run_chains", fake_chains)
     f = lambda z: z
     est, stderr = statistic_covariance(GasModel(2.0, 1, "sinh"), f, f,
                                        chains=chains, sweeps=n)
