@@ -369,7 +369,8 @@ def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
                 gen = _sweep_generator(seed, chain, sweep, gen)
                 gen.standard_normal(out=normals[k])
                 gen.random(out=unifs[k])
-            thresholds = np.log(unifs) / -beta
+            thresholds = np.log(unifs, out=unifs)  # t = -log(u) / beta
+            thresholds /= -beta
             measuring = sweep >= burn_in
             # particle i is still at its start-of-sweep position when
             # visited, so the whole sweep's proposals are known up front
@@ -417,7 +418,7 @@ def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
                     np.copyto(pts[:, b0:b1], new_pts[:, b0:b1], where=acc)
                 np.copyto(one_body[:, b0:b1], new_one_body[:, b0:b1], where=acc)
                 accepts += np.bincount(kk, minlength=nc)
-                total_u += np.bincount(kk, weights=du[kk, ii], minlength=nc)
+                total_u += np.add.reduce(du, axis=1, where=acc)
             if not measuring and (sweep + 1) % window_size == 0:
                 for k in range(nc):
                     rate = int(accepts[k] - window_start[k]) / (window_size * n)
