@@ -313,6 +313,22 @@ def run_chains(model: GasModel, sweeps: int, seed: int, chains,
     return states
 
 
+def _accept(base, tri, t):
+    """The accept vectors a = [base + tri a <= t] of K blocks, tri (K, B, B)
+    strictly lower triangular, and their energy changes base + tri a.
+    Starting from a = [base <= t], each pass fixes at least one more row;
+    the solve stops when a pass changes nothing.  Each row's sum runs in
+    one einsum loop of its own, so a chain's result does not depend on the
+    other chains beside it."""
+    acc = base <= t
+    while True:
+        du = base + np.einsum("kij,kj->ki", tri, acc.astype(float))
+        nxt = du <= t
+        if nxt.tobytes() == acc.tobytes():
+            return du, acc
+        acc = nxt
+
+
 def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
               burn_in_frac, target_acceptance) -> list:
     """The Metropolis kernel: K chains of one model, advanced together.
@@ -330,11 +346,12 @@ def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
     where K swaps particle j's old position for its new one in row i.  With
     t_i = -log(u_i) / beta, proposal i is accepted iff du_i <= t_i, so the
     block's accept vector a solves the triangular fixed point
-    a = [base + L a <= t], L the strict lower triangle of K.  Iterating it
-    from a = [base <= t] fixes one more row per pass at least and stops
-    when a pass changes nothing.  The accepted rows and columns are written
-    back from A, with Bq between particles accepted in the same block, so
-    the write-back takes no new log.  N <= _BLOCK is one block.
+    a = [base + L a <= t], L the strict lower triangle of K (`_accept`).
+    Any non-finite energy change raises OverflowError, as does a proposal
+    onto one accepted earlier in its block.  The accepted rows and columns
+    are written back from A, with Bq between particles accepted in the
+    same block, so the write-back takes no new log.  N <= _BLOCK is one
+    block.
     """
     n = model.N
     nc = len(chains)
@@ -394,17 +411,16 @@ def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
                 tri -= o[:, :, b0:b1]
                 tri = np.where(lower[: b1 - b0, : b1 - b0], tri, 0.0)
                 t = thresholds[:, b0:b1]
-                acc = base <= t
-                while True:
-                    # a masked sum, not tri @ acc: an infinite entry in the
-                    # column of a rejected proposal must not give inf * 0
-                    du = base + np.add.reduce(np.where(acc[:, None, :], tri, 0.0), axis=2)
-                    nxt = du <= t
-                    if nxt.tobytes() == acc.tobytes():
-                        break
-                    acc = nxt
+                du, acc = _accept(base, tri, t)
                 if not np.isfinite(du).all():
-                    raise OverflowError("run_chain: non-finite log-weight")
+                    # an infinite entry of tri (a proposal on top of
+                    # another's) counts only where that other proposal is
+                    # accepted: zero it, so no inf * 0, and solve again
+                    bad = ~np.isfinite(tri)
+                    tri[bad] = 0.0
+                    du, acc = _accept(base, tri, t)
+                    if not np.isfinite(du).all() or (bad & acc[:, None, :]).any():
+                        raise OverflowError("run_chain: non-finite log-weight")
                 # accepted rows and columns of logd from A, with Bq between
                 # particles accepted together (the column write lands last)
                 np.copyto(a_ii, bq, where=acc[:, None, :])

@@ -204,7 +204,7 @@ def test_infinite_entry_of_rejected_proposal_is_ignored(monkeypatch):
 
     def coincide(model, pos, step, normals):
         new = proposals(model, pos, step, normals)
-        new[..., :2] = 1000.0 if far["on"] else pos[..., :1]
+        new[..., :2] = 1000.0 if far["on"] else pos[..., :1] + 1e-9
         return new
 
     monkeypatch.setattr(gas, "_proposals", coincide)
@@ -214,7 +214,8 @@ def test_infinite_entry_of_rejected_proposal_is_ignored(monkeypatch):
         for state in states:
             assert np.isfinite(state.total_energy)
         assert np.array_equal(states[0].positions[:2], start[:2])
-    # landing on a particle that was accepted first still raises
+    # particle 0 moved by 1e-9 is accepted, and particle 1 proposed on top
+    # of it raises through the same infinite entry
     far["on"] = False
     with pytest.raises(OverflowError):
         run_chain(model, 20, seed=2)
