@@ -379,7 +379,7 @@ def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
     lower = np.tri(width, k=-1, dtype=bool)
 
     # log 0 on the diagonals of A and Bq is overwritten; any other infinity
-    # makes an energy change non-finite and raises below
+    # is settled at the block's solve below
     with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(sweeps):
             for k, chain in enumerate(chains):
