@@ -208,6 +208,87 @@ def test_oracle_edge_cost(geo, kind, monkeypatch):
             assert abs(val - ref) < 1e-11 * abs(ref), p
 
 
+# potential_oracle values at tol 1e-9, recorded with the depth-first
+# adaptive_1d, to full precision: the ten points of each
+# test_oracle_edge_cost class, one point of each class of the benchmark's
+# oracle workload (seed 1) and two points of the unit square
+PINNED_GEOMETRIES = {
+    "disk": Ball(2, 1.0), "annulus": Annulus2D(1.0, 0.5),
+    "ellipse": Ellipse2D(2.0, 1.0), "ball3": Ball(3, 1.0),
+    "square": Rectangle(((0.0, 1.0), (0.0, 1.0))),
+    "cube": Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))),
+    "segment": Segment1D(1.0)}
+
+ORACLE_PINNED = [
+    ("disk", (-0.6489945384661341, -1.2903417070084469), 0.36766627426509435),
+    ("disk", (-0.9498689439725894, 2.4234398243330526), 0.9566426786391116),
+    ("disk", (1.3011662500991448, -0.034327770201876634), 0.26360886982059534),
+    ("disk", (1.2128552188172181, 0.6541804580116424), 0.3206557783735249),
+    ("disk", (-0.8619289019785521, 1.0466122748762978), 0.30442569813726517),
+    ("disk", (-1.9016785985292741, -1.1861490269125157), 0.8070466303477121),
+    ("disk", (1.687864630301099, 1.3158055442741106), 0.7608747430288297),
+    ("disk", (1.9401148971490432, 0.05645174507891754), 0.6631703385891439),
+    ("disk", (2.5723948466907687, -0.3971248949725252), 0.9566140323906666),
+    ("disk", (-1.3656203916685459, -0.951113565266102), 0.5093399108792508),
+    ("annulus", (-0.6489945384661341, -1.2903417070084469), 0.36766627426509446),
+    ("annulus", (-0.9498689439725894, 2.4234398243330526), 0.9566426786391126),
+    ("annulus", (1.3011662500991448, -0.034327770201876634), 0.26360886982059534),
+    ("annulus", (1.2128552188172181, 0.6541804580116424), 0.3206557783735247),
+    ("annulus", (-0.8619289019785521, 1.0466122748762978), 0.3044256981372651),
+    ("annulus", (-1.9016785985292741, -1.1861490269125157), 0.807046630347712),
+    ("annulus", (1.687864630301099, 1.3158055442741106), 0.7608747430288301),
+    ("annulus", (1.9401148971490432, 0.05645174507891754), 0.663170338589144),
+    ("annulus", (2.5723948466907687, -0.3971248949725252), 0.9566140323906659),
+    ("annulus", (-1.3656203916685459, -0.951113565266102), 0.5093399108792509),
+    ("annulus", (-0.27538330704311154, -0.5475216591675248), -0.2530580259176213),
+    ("annulus", (-0.3261460014681601, 0.8321097489505186), -0.09670269950087304),
+    ("annulus", (0.5780701303404292, -0.015250824860684088), -0.2611641602190832),
+    ("annulus", (0.5252613135416905, 0.28331138072984136), -0.25716318047494513),
+    ("annulus", (-0.3759715846375857, 0.456530085698625), -0.2584059252447143),
+    ("annulus", (-0.6839316302772105, -0.42659408290938683), -0.16164078875773183),
+    ("annulus", (0.61638374932786, 0.4805131526580895), -0.17729379101291962),
+    ("annulus", (0.7329470094757797, 0.02132664297154927), -0.2048029935861556),
+    ("annulus", (0.8832622266773141, -0.1363575344794621), -0.09671749794738284),
+    ("annulus", (-0.5466509907879044, -0.38072598796600576), -0.23540906539652534),
+    ("ellipse", (-1.2979890769322682, -1.2903417070084469), 0.6255655586604167),
+    ("ellipse", (-1.8997378879451787, 2.4234398243330526), 1.1366155407526906),
+    ("ellipse", (2.6023325001982895, -0.034327770201876634), 0.893540310219592),
+    ("ellipse", (2.4257104376344363, 0.6541804580116424), 0.8667034899655124),
+    ("ellipse", (-1.7238578039571042, 1.0466122748762978), 0.6736206401011718),
+    ("ellipse", (-3.8033571970585482, -1.1861490269125157), 1.3624897789899564),
+    ("ellipse", (3.375729260602198, 1.3158055442741106), 1.2662784702807761),
+    ("ellipse", (3.8802297942980863, 0.05645174507891754), 1.3297565249139003),
+    ("ellipse", (5.144789693381537, -0.3971248949725252), 1.626642297247853),
+    ("ellipse", (-2.7312407833370917, -0.951113565266102), 1.0263164011130073),
+    ("ball3", (2.2060606744492692, 1.540716232339793, -1.307550310056798), -0.33425943746068504),
+    ("ball3", (0.5646162306930054, 0.3337723628022812, 1.186643673498956), -0.7375468273018653),
+    ("ball3", (-0.3779679931210882, -0.5724992360543635, 0.7671824453806579), -0.9716598934203856),
+    ("ball3", (-1.182581539747762, -0.3749167492026175, -1.1092675065958177), -0.600892090262948),
+    ("ball3", (-2.4496480987774203, -0.8836660727589504, 0.27099110174720453), -0.38193882589528544),
+    ("ball3", (-0.5346492803072788, 1.0076441571893875, -1.0392514763902676), -0.64803489819488),
+    ("ball3", (0.47887674654282597, 0.2537163402132987, 1.869721690078432), -0.5136957151960209),
+    ("ball3", (-0.34964107199132927, -0.8318926888892585, 1.0518387035441676), -0.7215640193352593),
+    ("ball3", (-0.9154466389042383, -1.3831711450852844, 0.418143218726475), -0.5846005555397175),
+    ("ball3", (1.438415089967377, -0.08934640171707142, -0.8768362955639392), -0.5927793044716633),
+    ("disk", (0.17233575722125705, -0.14448561178969657), -0.4747121473843664),
+    ("annulus", (-0.10116223185846021, 0.025636791662654406), -0.26895093981335155),
+    ("ellipse", (-0.05793808897067211, 0.05668605276398209), -0.0929043186735864),
+    ("ellipse", (0.6978969388330988, 1.17287511140857), 0.41883676338884385),
+    ("ball3", (-0.07961896786452116, 0.0582189775117982, 0.12144831975228146), -1.4877608381215084),
+    ("cube", (0.31859349001651666, 0.7629988806384898, 0.4069340931955976), -2.1517784996732123),
+    ("segment", (-0.7909924481945942,), 0.8128345265504388),
+    ("square", (1.62961129, 0.41572916), 0.1270168158269133),
+    ("square", (0.3, 0.6), -0.9828684408342068),
+]
+
+
+@pytest.mark.parametrize("key,p,value", ORACLE_PINNED)
+def test_oracle_values_pinned(key, p, value):
+    dom = UniformDomain(PINNED_GEOMETRIES[key], 1.0)
+    val = potential_oracle(dom, p, 1e-9).value
+    assert abs(val - value) <= 1e-13 * abs(value), (val, value)
+
+
 def test_shell_theorem_exterior():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):
