@@ -570,20 +570,40 @@ def _kink_angles(geo, origin):
     return sorted((a % (2.0 * math.pi), is_edge) for a in angles)
 
 
-def _edge_integral(h, lo, hi, tol, lo_edge, hi_edge):
-    """adaptive_1d of h over [lo, hi], substituting theta = lo + (hi - lo) u(s)
-    at the ends that are support edges: u = s^2 at the lower end, s (2 - s) at
-    the upper, s^2 (3 - 2 s) at both.  Where h grows like the square root of
-    the distance to an edge, the vanishing u' leaves an integrand smooth in s
-    (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984)."""
-    if not (lo_edge or hi_edge):
-        return adaptive_1d(h, lo, hi, tol)
-    u, du = {(True, False): (lambda s: s * s, lambda s: 2.0 * s),
-             (False, True): (lambda s: s * (2.0 - s), lambda s: 2.0 - 2.0 * s),
-             (True, True): (lambda s: s * s * (3.0 - 2.0 * s),
-                            lambda s: 6.0 * s * (1.0 - s))}[lo_edge, hi_edge]
-    return adaptive_1d(lambda s: (hi - lo) * du(s) * h(lo + (hi - lo) * u(s)),
-                       0.0, 1.0, tol)
+# u(s) = c1 s + c2 s^2 + c3 s^3 on an interval, by which of its ends
+# (lower, upper) are support edges
+_EDGE_MAPS = {(False, False): (1.0, 0.0, 0.0), (True, False): (0.0, 1.0, 0.0),
+              (False, True): (2.0, -1.0, 0.0), (True, True): (0.0, 3.0, -2.0)}
+
+
+def _edge_integral(h, pieces):
+    """Sum of the integrals of h over the pieces (lo, hi, lo_edge, hi_edge,
+    tol), in one adaptive_1d call.
+
+    Piece k lies on [k, k + 1] of the quadrature variable x; with s = x - k
+    it is mapped by theta = lo + (hi - lo) u(s), where u substitutes at the
+    ends that are support edges: u = s^2 at the lower end, s (2 - s) at the
+    upper, s^2 (3 - 2 s) at both, and u = s at neither.  Where h grows like
+    the square root of the distance to an edge, the vanishing u' leaves an
+    integrand smooth in s (Davis & Rabinowitz, Methods of Numerical
+    Integration, 2nd ed., 1984).
+    """
+    lo, hi, lo_edge, hi_edge, tol = (np.array(c) for c in zip(*pieces))
+    c = (hi - lo)[:, None] * np.array([_EDGE_MAPS[e] for e in zip(lo_edge, hi_edge)])
+    # per piece: theta = lo + s (a1 + s (a2 + s a3)), dtheta/ds = a1 + s (b2 + s b3)
+    table = np.column_stack([lo, c, 2.0 * c[:, 1], 3.0 * c[:, 2]])
+    last = len(pieces) - 1
+
+    def f(x):
+        # a node that rounds onto k + 1 (panels below ~1e-13 wide) is read
+        # at s = 0 of the next piece, with a weight below roundoff
+        k = np.minimum(x.astype(np.intp), last)
+        base, a1, a2, a3, b2, b3 = table[k].T
+        s = x - k
+        return (a1 + s * (b2 + s * b3)) * h(base + s * (a1 + s * (a2 + s * a3)))
+
+    start = np.arange(len(pieces), dtype=float)
+    return adaptive_1d(f, start, start + 1.0, tol)
 
 
 def _log_primitive(t):
@@ -598,13 +618,8 @@ def _oracle_1d(geo: Segment1D, rho_b: float, x: float, tol: float):
     def f(xp):
         return rho_b * np.abs(x - xp)
 
-    pieces = sorted({-R, R} | ({x} if -R < x < R else set()))
-    val, err = 0.0, 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        v, e = adaptive_1d(f, lo, hi, tol / max(1, len(pieces) - 1))
-        val += v
-        err += e
-    return val, err
+    cuts = sorted({-R, R} | ({x} if -R < x < R else set()))
+    return adaptive_1d(f, cuts[:-1], cuts[1:], tol / (len(cuts) - 1))
 
 
 def _oracle_2d(geo, rho_b: float, r, tol: float):
@@ -618,15 +633,9 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
     # the integrand is smooth between the cuts; integrating across one
     # blind-sides the panel error estimate
     cuts = [(0.0, False), *_kink_angles(geo, origin), (2.0 * math.pi, False)]
-    total, err_total = 0.0, 0.0
-    for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:]):
-        if hi - lo < 1e-14:
-            continue
-        val, err = _edge_integral(h, lo, hi, tol * (hi - lo) / (2.0 * math.pi),
-                                  lo_edge, hi_edge)
-        total += val
-        err_total += err
-    return total, err_total
+    return _edge_integral(h, [(lo, hi, lo_edge, hi_edge, tol * (hi - lo) / (2.0 * math.pi))
+                              for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:])
+                              if hi - lo >= 1e-14])
 
 
 def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
@@ -649,8 +658,8 @@ def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
         return (t1 * t1 - t0 * t0) / 2.0 * np.sin(gammas) ** (d - 2)
 
     lo = math.pi - math.asin(min(R / rr, 1.0)) if rr > R else 0.0
-    val, err = _edge_integral(h, lo, math.pi, tol, rr > R, False)
-    return -rho_b * c_dm1 * val, c_dm1 * err
+    res = _edge_integral(h, [(lo, math.pi, rr > R, False, tol)])
+    return -rho_b * c_dm1 * res[0], c_dm1 * res[1], res.stats
 
 
 def _corner_box(L1: float, L2: float, L3: float, n: int) -> float:
@@ -722,8 +731,13 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     tangents to each boundary circle or ellipse that the point lies on or
     outside, and rays through rectangle corners.  At a support edge the
     integrand opens like a square root, which a quadratic change of variable
-    at that end of the interval removes (as at the d-ball's cone edge).
-    Returns value and an absolute error estimate; raises
+    at that end of the interval removes (as at the d-ball's cone edge).  All
+    the intervals of one point are integrated in one breadth-first
+    ``adaptive_1d`` call, one integrand call per level of the panel tree.
+    Returns value and an absolute error estimate, with the quadrature's
+    ``QuadStats`` in ``stats`` on the segment, 2d and d-ball paths
+    (``stats.tol_met`` is false when a panel was accepted at the roundoff
+    floor or the depth cap short of its tolerance); raises
     QuadratureBudgetError carrying the best estimate on failure.
     """
     if tol <= 0:
@@ -731,22 +745,22 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     geo = dom.geometry
     rho_b = dom.rho_b
     if isinstance(geo, Segment1D):
-        val, err = _oracle_1d(geo, rho_b, float(np.atleast_1d(r)[0]), tol)
-        return EvalResult(val, err)
+        res = _oracle_1d(geo, rho_b, float(np.atleast_1d(r)[0]), tol)
+        return EvalResult(*res, res.stats)
     if isinstance(geo, (Annulus2D, Ellipse2D, Rectangle)) or \
             (isinstance(geo, Ball) and geo.d == 2):
-        val, err = _oracle_2d(geo, rho_b, _point(r, 2), tol)
-        return EvalResult(val, err)
+        res = _oracle_2d(geo, rho_b, _point(r, 2), tol)
+        return EvalResult(*res, res.stats)
     if isinstance(geo, Ball):
-        val, err = _oracle_ball_radial(geo, rho_b, _point(r, geo.d), tol)
-        return EvalResult(val, abs(err) * rho_b + 1e-16)
+        val, err, stats = _oracle_ball_radial(geo, rho_b, _point(r, geo.d), tol)
+        return EvalResult(val, abs(err) * rho_b + 1e-16, stats)
     if isinstance(geo, Cuboid):
         val, err = _oracle_cuboid(geo, rho_b, _point(r, 3), tol)
         return EvalResult(val, err)
     if isinstance(geo, Hyperellipsoid):
         if geo.dim == 2:
-            val, err = _oracle_2d(Ellipse2D(*geo.axes), rho_b, _point(r, 2), tol)
-            return EvalResult(val, err)
+            res = _oracle_2d(Ellipse2D(*geo.axes), rho_b, _point(r, 2), tol)
+            return EvalResult(*res, res.stats)
         val, err = _oracle_ellipsoid_qmc(geo, rho_b, _point(r, geo.dim))
         return EvalResult(val, err)
     raise UnsupportedRegionError(f"no oracle for geometry {type(geo).__name__}")

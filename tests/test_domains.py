@@ -199,7 +199,7 @@ def test_oracle_edge_cost(geo, kind, monkeypatch):
         p = _edge_points(kind, rng)
         nodes[0] = 0
         val = potential_oracle(dom, p, 1e-9).value
-        assert nodes[0] <= 900, (p, nodes[0])
+        assert 0 < nodes[0] <= 900, (p, nodes[0])
         if kind == "ellipse":
             ref = -balayage_measure(dom).potential(p)
             assert abs(val - ref) < 1e-9 * abs(ref), p
@@ -287,6 +287,28 @@ def test_oracle_values_pinned(key, p, value):
     dom = UniformDomain(PINNED_GEOMETRIES[key], 1.0)
     val = potential_oracle(dom, p, 1e-9).value
     assert abs(val - value) <= 1e-13 * abs(value), (val, value)
+
+
+
+def test_oracle_stats_flag_unmet_tolerance():
+    # tol 1e-30 is below roundoff: panels are accepted at the floor, and the
+    # record says so
+    dom = UniformDomain(Ellipse2D(2.0, 1.0), 1.0)
+    tight = potential_oracle(dom, (3.0, 0.5), 1e-30)
+    assert not tight.stats.tol_met and tight.stats.at_floor > 0
+    loose = potential_oracle(dom, (3.0, 0.5), 1e-9)
+    assert loose.stats.tol_met
+    assert abs(tight.value - loose.value) < 1e-12
+
+
+def test_oracle_stats_on_quadrature_paths():
+    for geo, p in [(Segment1D(1.0), (0.3,)), (Ball(2, 1.0), (1.5, 0.4)),
+                   (Rectangle(((0.0, 1.0), (0.0, 1.0))), (1.2, 0.5)),
+                   (Hyperellipsoid((2.0, 1.0)), (0.5, 0.2)), (Ball(3, 1.0), (2.0, 0.3, 0.0))]:
+        stats = potential_oracle(UniformDomain(geo, 1.0), p, 1e-9).stats
+        assert stats.tol_met and stats.panels >= 3, geo
+    cube = UniformDomain(Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))), 1.0)
+    assert potential_oracle(cube, (0.5, 0.5, 0.5), 1e-9).stats is None
 
 
 def test_shell_theorem_exterior():
