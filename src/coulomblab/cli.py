@@ -350,9 +350,9 @@ def _cmd_sample(args):
                             range(int(opts["chains"])),
                             record_every=int(opts["record_every"]))
     runtime_ms = 1000.0 * (time.time() - t0)
-    rates = [s.acceptance_rate for s in states]
-    estimates = {"acceptance_rate": float(np.mean(rates)),
-                 "step_scale": states[-1].step_scale}
+    # each chain adapts its own step; both figures are means over the chains
+    estimates = {"acceptance_rate": float(np.mean([s.acceptance_rate for s in states])),
+                 "step_scale": float(np.mean([s.step_scale for s in states]))}
     stderr = {}
     if model.is_planar:
         all_r2 = np.concatenate([(np.abs(s.samples) ** 2).ravel() for s in states])

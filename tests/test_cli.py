@@ -184,6 +184,20 @@ def test_sample_chains_csv_matches_run_chain(tmp_path):
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+
+def test_sample_chains_step_scale_is_the_chain_mean():
+    # every chain freezes its own adapted step; the record reports their mean
+    from coulomblab.gas import GasModel, run_chains
+
+    code, rec = record_of(["sample", "--ensemble", "ginibre", "--n", "16",
+                           "--sweeps", "4000", "--seed", "3", "--chains", "4"])
+    assert code == 0
+    steps = [s.step_scale for s in run_chains(GasModel(2.0, 16, "ginibre"),
+                                              4000, 3, range(4))]
+    assert len(set(steps)) > 1
+    assert rec["values"]["estimates"]["step_scale"] == float(np.mean(steps))
+
+
 def test_sample_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sampler configuration\nsweeps = 200\nseed = 4\nn = 3\n")
