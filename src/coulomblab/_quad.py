@@ -48,13 +48,11 @@ class QuadStats:
 
 
 class QuadResult(tuple):
-    """``(value, est_error)`` with the call's ``QuadStats`` in ``.stats`` and
-    the value of each interval in ``.parts``."""
+    """``(value, est_error)`` with the call's ``QuadStats`` in ``.stats``."""
 
-    def __new__(cls, value, est_error, stats, parts):
+    def __new__(cls, value, est_error, stats):
         self = super().__new__(cls, (value, est_error))
         self.stats = stats
-        self.parts = parts
         return self
 
 
@@ -63,13 +61,6 @@ def gl_nodes(n: int):
     """Gauss-Legendre nodes/weights on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
-
-
-@lru_cache(maxsize=8)
-def _shifted_rule(order: int):
-    """The GL rule of ``order`` points as (x + 1, w)."""
-    x, w = gl_nodes(order)
-    return x + 1.0, w
 
 
 def adaptive_1d(f, a, b, tol, max_panels: int = 20000, order: int = 15,
@@ -91,12 +82,13 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000, order: int = 15,
     depth-first walk of the same tree, bit for bit.
 
     Returns a ``QuadResult``: the pair ``(value, est_error)`` summed over the
-    intervals in order, with ``.parts`` the value of each interval and
-    ``.stats`` a ``QuadStats``.  Each interval may evaluate ``max_panels``
-    panels plus two per level of depth; a level that still needs splitting
-    past that raises QuadratureBudgetError carrying the running estimate.
+    intervals in order, with a ``QuadStats`` in ``.stats``.  Each interval
+    may evaluate ``max_panels`` panels plus two per level of depth; a level
+    that still needs splitting past that raises QuadratureBudgetError
+    carrying the running estimate.
     """
-    xp1, w = _shifted_rule(order)
+    x, w = gl_nodes(order)
+    xp1 = x + 1.0
     a, b, tol = (np.array(v, dtype=float, ndmin=1) for v in (a, b, tol))
     if not a.size == b.size == tol.size:
         a, b, tol = np.broadcast_arrays(a, b, tol)
@@ -161,16 +153,16 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000, order: int = 15,
         used += 2 * n
     stats = QuadStats(used, depth + 1, at_cap, at_floor, at_cap == 0 and at_floor == 0)
     if not depth:     # the root panels, in interval order
-        return QuadResult(sum(fine.tolist()), sum((err / 15.0).tolist()), stats, fine)
+        return QuadResult(sum(fine.tolist()), sum((err / 15.0).tolist()), stats)
     # per interval, the accepted panels from the upper end down: the order in
     # which a depth-first walk that splits the right half first accepts them
     where, fine, err, done = (np.concatenate(c) for c in zip(*levels))
     where, fine, err = where[done], fine[done], err[done]
-    order = np.lexsort((-where[:, 0], where[:, 1]))
-    k = where[order, 1].astype(np.intp)
-    parts = np.bincount(k, weights=fine[order], minlength=m)
-    errs = np.bincount(k, weights=err[order] / 15.0, minlength=m)
-    return QuadResult(sum(parts.tolist()), sum(errs.tolist()), stats, parts)
+    seq = np.lexsort((-where[:, 0], where[:, 1]))
+    k = where[seq, 1].astype(np.intp)
+    parts = np.bincount(k, weights=fine[seq], minlength=m)
+    errs = np.bincount(k, weights=err[seq] / 15.0, minlength=m)
+    return QuadResult(sum(parts.tolist()), sum(errs.tolist()), stats)
 
 
 def tensor_gl_2d(f, ax: float, bx: float, ay: float, by: float,
