@@ -289,7 +289,6 @@ def test_oracle_values_pinned(key, p, value):
     assert abs(val - value) <= 1e-13 * abs(value), (val, value)
 
 
-
 def test_oracle_stats_flag_unmet_tolerance():
     # tol 1e-30 is below roundoff: panels are accepted at the floor, and the
     # record says so
