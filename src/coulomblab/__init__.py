@@ -1,15 +1,7 @@
 """coulomblab: closed-form electrostatics, log-gas potential theory, and
-Monte Carlo verification tools."""
+Monte Carlo verification tools.
 
-from . import (  # noqa: F401
-    balayage,
-    conformal,
-    domains,
-    fluctuations,
-    gas,
-    riesz,
-    specfun,
-    surfaces,
-)
+Importing the package loads no submodule: import the module you use, e.g.
+``from coulomblab import domains``."""
 
 __version__ = "0.1.0"

@@ -63,10 +63,10 @@ def gl_nodes(n: int):
     return x, w
 
 
-def adaptive_1d(f, a, b, tol, max_panels: int = 20000, order: int = 15,
+def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
                 max_depth: int = 48) -> QuadResult:
-    """Adaptive bisection quadrature with a fixed GL rule per panel, over
-    one interval or several at once.
+    """Adaptive bisection quadrature with a fixed 15-point GL rule per panel,
+    over one interval or several at once.
 
     ``a``, ``b`` and ``tol`` are scalars or equal-length arrays, one entry
     per interval.  The panel tree is walked breadth-first: the halves of
@@ -87,7 +87,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000, order: int = 15,
     that still needs splitting past that raises QuadratureBudgetError
     carrying the running estimate.
     """
-    x, w = gl_nodes(order)
+    x, w = gl_nodes(15)
     xp1 = x + 1.0
     a, b, tol = (np.array(v, dtype=float, ndmin=1) for v in (a, b, tol))
     if not a.size == b.size == tol.size:
@@ -99,7 +99,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000, order: int = 15,
     starts = np.array([a, a, mid]).T
     hs = 0.5 * (np.array([b, mid, b]).T - starts)
     sums = hs * np.dot(f((starts[:, :, None] + hs[:, :, None] * xp1).ravel())
-                       .reshape(m, 3, order), w)
+                       .reshape(m, 3, 15), w)
     root, halves = sums[:, 0], sums[:, 1:]
     # one row per panel being refined: lo, mid, hi, its value, its position
     # (lo - a) / (b - a), and its interval's index, tol, b - a and roundoff
@@ -149,7 +149,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000, order: int = 15,
         n = len(rows)
         hs = 0.5 * (rows[:, 1:3] - rows[:, 0:2])
         halves = hs * np.dot(f((rows[:, 0:2, None] + hs[:, :, None] * xp1).ravel())
-                             .reshape(n, 2, order), w)
+                             .reshape(n, 2, 15), w)
         used += 2 * n
     stats = QuadStats(used, depth + 1, at_cap, at_floor, at_cap == 0 and at_floor == 0)
     if not depth:     # the root panels, in interval order

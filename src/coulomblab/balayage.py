@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_1d, gl_nodes
+from ._quad import adaptive_1d
 from .domains import (
     Annulus2D,
     Ball,
@@ -73,11 +73,8 @@ class BalayageComponent:
                 return shell_potential(2, radius, self.mass, p)
 
         def f(thetas):
-            # -math.log(np.linalg.norm(p - q)) at each node q, bit for bit
-            diff = p - self.point(thetas)
-            dist = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
-            logs = [math.log(x) for x in dist.tolist()]
-            return -np.array(logs) * self.density(thetas)
+            q = self.point(thetas)
+            return -np.log(np.hypot(p[0] - q[:, 0], p[1] - q[:, 1])) * self.density(thetas)
 
         val, _ = adaptive_1d(f, 0.0, 2.0 * math.pi, 1e-10)
         return val
@@ -157,7 +154,11 @@ def balayage_measure(dom: UniformDomain) -> BalayageMeasure:
 
 def exterior_moment(dom: UniformDomain, ell: int):
     """Raw area moment m_l = int_Omega w^l d^2w of the planar body (complex
-    coordinates; independent of the charge)."""
+    coordinates; independent of the charge).
+
+    For the ellipse, m_l = 2 pi a1 a2 C(l, l/2) x^(l/2) / (l + 2) with
+    x = (a1^2 - a2^2)/4 at even l, i.e. area * Catalan(l/2) * x^(l/2), and 0
+    at odd l.  It is taken through logs, so a large l overflows to inf."""
     if ell < 0:
         raise ValueError("exterior_moment: l >= 0")
     geo = dom.geometry
@@ -166,21 +167,14 @@ def exterior_moment(dom: UniformDomain, ell: int):
             raise UnsupportedRegionError("exterior_moment: planar bodies only")
         return geo.volume if ell == 0 else 0.0
     if isinstance(geo, Ellipse2D):
-        a1, a2 = geo.a1, geo.a2
-        x, w = gl_nodes(80)
-        rho = 0.5 * (x + 1.0)
-        wr = 0.5 * w
-        th = math.pi * (x + 1.0)
-        wt = math.pi * w
-        rr, tt = np.meshgrid(rho, th, indexing="ij")
-        zmat = rr * (a1 * np.cos(tt) + 1j * a2 * np.sin(tt))
-        integ = zmat ** ell * rr * a1 * a2
-        val = complex(np.einsum("i,j,ij->", wr, wt, integ))
-        if abs(val.imag) < 1e-10 * max(1.0, abs(val)):
-            val = val.real
-        if isinstance(val, float) and abs(val) < 1e-12:
-            return 0.0
-        return val
+        k, odd = divmod(ell, 2)
+        x = (geo.a1 ** 2 - geo.a2 ** 2) / 4.0
+        if odd or not (x and ell):  # l = 0, odd l, or a circle (x = 0)
+            return 0.0 if ell else geo.volume
+        log_m = math.log(geo.volume) + math.lgamma(ell + 1) - math.lgamma(k + 1) \
+            - math.lgamma(k + 2) + k * math.log(abs(x))
+        with np.errstate(over="ignore"):
+            return math.copysign(1.0, x) ** k * float(np.exp(log_m))
     raise UnsupportedRegionError(
         f"exterior_moment: unsupported geometry {type(geo).__name__}")
 

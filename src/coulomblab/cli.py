@@ -20,12 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import QuadratureBudgetError
-from . import acceptance
 from . import balayage as bal
 from . import conformal as conf
 from . import domains as dom
 from . import fluctuations as fluct
-from . import gas
 from . import riesz as riesz_mod
 from . import surfaces
 
@@ -324,6 +322,8 @@ def _cmd_hole(args):
 
 
 def _cmd_sample(args):
+    from . import gas
+
     opts = {k: getattr(args, k) for k in ("ensemble", "beta", "n", "sweeps", "seed",
                                           "chains", "tau", "alpha", "c", "L",
                                           "record_every", "out")}
@@ -376,6 +376,8 @@ def _cmd_sample(args):
 
 
 def _cmd_check(args):
+    from . import acceptance
+
     lines = []
     results = acceptance.run_suite(args.suite, report=lines.append)
     passed = all(r.passed for r in results)

@@ -126,16 +126,17 @@ class LaurentMap:
     def boundary_point(self, theta: float) -> complex:
         return complex(self.evaluate(np.exp(1j * theta)))
 
-    def invert(self, z: complex, tol: float = 1e-13, max_iter: int = 50) -> complex:
-        """zeta(z): Newton iteration seeded from the linear part."""
+    def invert(self, z: complex) -> complex:
+        """zeta(z): at most 50 Newton steps seeded from the linear part, to a
+        residual of 1e-13 max(1, |z|) (1e-10 accepted after the last)."""
         z = complex(z)
         a0 = self.coefficients[0] if self.coefficients else 0.0
         w = (z - a0) / self.scale
         if abs(w) < 0.5:
             w = 0.5 * cmath.exp(1j * cmath.phase(w if w != 0 else 1.0))
-        for _ in range(max_iter):
+        for _ in range(50):
             fw = complex(self.evaluate(w)) - z
-            if abs(fw) <= tol * max(1.0, abs(z)):
+            if abs(fw) <= 1e-13 * max(1.0, abs(z)):
                 return w
             dw = complex(self.derivative(w))
             if dw == 0:
@@ -244,12 +245,12 @@ def quadratic_droplet(alpha: float, area: float) -> LaurentMap:
     return LaurentMap(a1, (0.0, -2.0 * alpha * a1))
 
 
-def droplet_radii(q, qprime, bracket=(0.0, 8.0), samples: int = 256):
+def droplet_radii(q, qprime, bracket=(0.0, 8.0)):
     """Support radii (r0, r1) of the radially symmetric droplet.
 
     r0 solves r q'(r) = 0 and r1 solves r q'(r) = 2, located by bisection.
     q must be strictly subharmonic on the bracket: r q'(r) is checked for
-    monotone increase on a sample grid.
+    monotone increase on a grid of 256 samples.
     """
     lo, hi = bracket
     if not (0.0 <= lo < hi):
@@ -259,7 +260,7 @@ def droplet_radii(q, qprime, bracket=(0.0, 8.0), samples: int = 256):
         return r * qprime(r)
 
     eps = max(1e-12, 1e-9 * hi)
-    grid = np.linspace(lo + eps, hi, samples)
+    grid = np.linspace(lo + eps, hi, 256)
     vals = np.array([h(float(r)) for r in grid])
     if np.any(np.diff(vals) <= 0):
         raise ValueError("droplet_radii: r q'(r) is not strictly increasing "

@@ -264,15 +264,14 @@ def acceptance_probability(model: GasModel, positions, i: int, proposal):
 
 
 def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
-              step_scale: float = None, record_every: int = 1,
-              burn_in_frac: float = 0.2, target_acceptance: float = 0.35
-              ) -> ChainState:
+              record_every: int = 1) -> ChainState:
     """Run a single-particle Metropolis chain and return the final state plus
     the retained sample stream (one configuration per recorded sweep, after
     burn-in).  This is `run_chains` with the one chain id `chain`.
 
-    The step scale adapts toward the target acceptance during burn-in and is
-    then frozen, preserving detailed balance over the measurement sweeps.
+    The step scale adapts toward an acceptance rate of 0.35 during burn-in
+    (the first 20% of the sweeps) and is then frozen, preserving detailed
+    balance over the measurement sweeps.
     Identical (model, sweeps, seed, chain) reproduce identical output.
 
     The kernel (`_lockstep`) visits a sweep's particles in blocks of at
@@ -282,15 +281,11 @@ def run_chain(model: GasModel, sweeps: int, seed: int, chain: int = 0,
     holds each proposal's energy change against the start of the block and
     L the changes that earlier acceptances of the block make to it.
     """
-    return run_chains(model, sweeps, seed, [chain], step_scale=step_scale,
-                      record_every=record_every, burn_in_frac=burn_in_frac,
-                      target_acceptance=target_acceptance)[0]
+    return run_chains(model, sweeps, seed, [chain], record_every=record_every)[0]
 
 
 def run_chains(model: GasModel, sweeps: int, seed: int, chains,
-               step_scale: float = None, record_every: int = 1,
-               burn_in_frac: float = 0.2, target_acceptance: float = 0.35
-               ) -> list:
+               record_every: int = 1) -> list:
     """Run the Metropolis chains with ids `chains` in lockstep and return
     their ChainStates in that order.  Each chain draws from its own Philox
     streams (seed, chain, sweep) and adapts its own step, so chain c's state
@@ -308,8 +303,7 @@ def run_chains(model: GasModel, sweeps: int, seed: int, chains,
     states = []
     for g0 in range(0, len(chains), group):
         states += _lockstep(model, sweeps, seed, chains[g0:g0 + group],
-                            step_scale, record_every, burn_in_frac,
-                            target_acceptance)
+                            record_every)
     return states
 
 
@@ -329,8 +323,7 @@ def _accept(base, tri, t):
         acc = nxt
 
 
-def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
-              burn_in_frac, target_acceptance) -> list:
+def _lockstep(model, sweeps, seed, chains, record_every) -> list:
     """The Metropolis kernel: K chains of one model, advanced together.
 
     Its state has a leading chain axis: positions (K, N) and the matrix of
@@ -361,9 +354,8 @@ def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
     logd = _log_distance_matrix(model, pts)
     one_body = _one_body(model, pos)
     total_u = np.array([model.total_energy(p) for p in pos])
-    step = np.full(nc, _default_step(model) if step_scale is None
-                   else float(step_scale))
-    burn_in = int(burn_in_frac * sweeps)
+    step = np.full(nc, _default_step(model))
+    burn_in = int(0.2 * sweeps)
     # sweeps s >= burn_in with (s - burn_in) % record_every == 0 are kept
     recorded = len(range(max(burn_in, burn_in % record_every), sweeps, record_every))
     samples = np.empty((nc, recorded, n), dtype=pos.dtype)
@@ -438,7 +430,7 @@ def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
             if not measuring and (sweep + 1) % window_size == 0:
                 for k in range(nc):
                     rate = int(accepts[k] - window_start[k]) / (window_size * n)
-                    step[k] *= math.exp(rate - target_acceptance)
+                    step[k] *= math.exp(rate - 0.35)
                 window_start = accepts.copy()
             if measuring and (sweep - burn_in) % record_every == 0:
                 samples[:, kept] = pos
@@ -460,8 +452,7 @@ def _lockstep(model, sweeps, seed, chains, step_scale, record_every,
 
 # -------------------------------------------------------- density estimation
 
-def empirical_density(samples, bins: int = 60, outer_quantile: float = 0.005,
-                      kind: str = "radial") -> dict:
+def empirical_density(samples, bins: int = 60, kind: str = "radial") -> dict:
     """Normalized density histogram and support estimates from retained
     planar configurations (shape (n_configs, N)).
 
@@ -475,8 +466,8 @@ def empirical_density(samples, bins: int = 60, outer_quantile: float = 0.005,
         raise ValueError("empirical_density: need >= 1e3 retained configurations")
     n_configs, n_particles = samples.shape
     radii = np.abs(samples).ravel()
-    outer = float(np.quantile(radii, 1.0 - outer_quantile))
-    inner = float(np.quantile(radii, outer_quantile))
+    outer = float(np.quantile(radii, 0.995))
+    inner = float(np.quantile(radii, 0.005))
     edge = math.sqrt(2.0 * float(np.quantile(radii ** 2, 0.5)))
     if kind == "radial":
         hist, edges = np.histogram(radii, bins=bins, range=(0.0, outer * 1.1))
@@ -546,7 +537,6 @@ class AsymptoticPrediction:
     "N3", "N2logN", "N2", "NlogN"."""
 
     coefficients: dict
-    derived_from: str = ""
 
     _TERMS = {
         "N3": lambda n: n ** 3,
@@ -609,8 +599,7 @@ def free_energy_prediction(model: GasModel) -> AsymptoticPrediction:
         return AsymptoticPrediction(
             {"N2logN": -model.beta / 2.0,
              "N2": -model.beta / 2.0 * robin,
-             "NlogN": model.beta / 2.0 - 1.0},
-            derived_from="robin constant of the contour map")
+             "NlogN": model.beta / 2.0 - 1.0})
     if model.ensemble == "sinh":
         keys = ["N3", "NlogN"]
     else:
@@ -627,7 +616,7 @@ def free_energy_prediction(model: GasModel) -> AsymptoticPrediction:
         rhs.append(target)
     coef = np.linalg.solve(np.array(rows), np.array(rhs))
     coeffs = {k: float(c) for k, c in zip(keys, coef)}
-    return AsymptoticPrediction(coeffs, derived_from="interaction-energy constants")
+    return AsymptoticPrediction(coeffs)
 
 
 def free_energy_remainder(model: GasModel, n: int) -> float:

@@ -4,6 +4,8 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they
 complete; the two Monte Carlo criteria (3 and 10) dominate the runtime.
 """
 
+import sys
+
 import pytest
 
 from coulomblab import acceptance
@@ -51,6 +53,15 @@ def test_criterion_08_balayage():
 
 def test_criterion_09_hole_probability():
     _run(9)
+
+
+def test_criterion_09_without_sympy_reports_the_skip(monkeypatch):
+    # without sympy only the numeric gap-rate check is made, and the detail
+    # says so instead of reporting a symbolic check
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    passed, detail = acceptance.criterion_9()
+    assert passed
+    assert "symbolic check skipped" in detail and "symbolic ok" not in detail
 
 
 def test_criterion_10_sampler_statistics():

@@ -157,6 +157,23 @@ def test_balayage_reproduces_moments():
         assert abs(measure_moment - body_moment) < 1e-9
 
 
+def test_ellipse_high_moments_match_the_measure():
+    # the closed form against the boundary measure's own moment at orders
+    # where an area grid loses digits (l = 40) and the sign (l = 60)
+    dom = UniformDomain(Ellipse2D(2.0, 1.0), 1.0)
+    comp = balayage_measure(dom).components[0]
+    for ell in (40, 60):
+        body_moment = exterior_moment(dom, ell) / dom.geometry.volume
+
+        def f(thetas, ell=ell):
+            q = comp.point(thetas)
+            return ((q[:, 0] + 1j * q[:, 1]) ** ell).real * comp.density(thetas)
+
+        measure_moment, _ = adaptive_1d(f, 0.0, 2.0 * math.pi,
+                                        1e-13 * abs(body_moment))
+        assert abs(measure_moment - body_moment) <= 1e-10 * abs(body_moment), ell
+
+
 # -------------------------------------------------------------- hole energy
 
 def test_disk_hole_energy_closed_form():

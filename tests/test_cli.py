@@ -259,6 +259,33 @@ def test_cli_import_loads_no_scipy():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("module, absent", [
+    ("coulomblab", ("coulomblab.",)),
+    ("coulomblab.cli", ("coulomblab.gas", "coulomblab.acceptance")),
+])
+def test_import_loads_only_what_it_uses(module, absent):
+    # the package loads no submodule, and the CLI imports gas and acceptance
+    # only inside the sample and check commands
+    src = os.path.dirname(os.path.dirname(coulomblab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import {module}, sys; "
+         f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_segment_point_of_two_coordinates_exit_2():
+    base = ["potential", "--domain", "segment:R=1", "--json"]
+    for extra in ([], ["--oracle"]):
+        code, rec = record_of(base + ["--point", "0.3,5"] + extra)
+        assert code == 2, extra
+        assert "expected a point in dimension 1" in rec["error"]["message"]
+    code, rec = record_of(base + ["--point", "0.3"])
+    assert code == 0 and rec["value"] == 0.5 * (0.3 * 0.3 - 1.0) + 1.0
+
+
 def test_sample_counts_below_one_exit_2():
     base = ["sample", "--ensemble", "ginibre", "--n", "4", "--sweeps", "10",
             "--json"]
