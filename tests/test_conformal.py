@@ -90,6 +90,54 @@ def test_univalence_check_rejects_bad_ansatz():
         LaurentMap(1.0, (0.0, 1.5))  # |a_-1| > scale: boundary image crosses
 
 
+def test_univalence_check_rejects_crossing_boundary():
+    # every critical point lies inside the disk (largest |root| 0.967), so
+    # only the polyline check can reject: the image of |w| = 1.001 has two
+    # proper crossings
+    with pytest.raises(MapConstructionError, match="self-intersects"):
+        LaurentMap(1.0, (0.0, 0.55, 0.36, -0.03, -0.17))
+
+
+def test_univalence_check_accepts_beyond_the_area_condition():
+    # sum k |a_-k| = 1.17 > scale, yet the map is univalent on |w| > 1
+    mp = LaurentMap(1.0, (0.0, -0.53, -0.32))
+    assert mp.coefficients == (0j, -0.53 + 0j, -0.32 + 0j)
+
+
+def _crosses_reference(pts):
+    """Any proper crossing of two non-adjacent segments of a closed polyline,
+    by the textbook orientation test over every pair."""
+    def orient(o, u, v):
+        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            c, d = pts[j], pts[(j + 1) % n]
+            if orient(c, d, a) * orient(c, d, b) < 0 and \
+                    orient(a, b, c) * orient(a, b, d) < 0:
+                return True
+    return False
+
+
+def test_self_intersection_verdict_matches_reference():
+    from coulomblab.conformal import _segments_intersect
+
+    rng = np.random.default_rng(20261019)
+    verdicts = []
+    for _ in range(300):
+        n = int(rng.integers(40, 121))
+        c = rng.uniform(0.02, 0.3, 4) * np.exp(2j * math.pi * rng.random(4))
+        w = 1.001 * np.exp(2j * math.pi * np.arange(n) / n)
+        z = w + sum(ck / w ** (k + 1) for k, ck in enumerate(c))
+        pts = np.column_stack([z.real, z.imag])
+        expected = _crosses_reference(pts.tolist())
+        assert bool(_segments_intersect(pts)) == expected, c
+        verdicts.append(expected)
+    assert min(verdicts.count(True), verdicts.count(False)) >= 50
+
+
 # --------------------------------------------------------- surface density
 
 def test_circle_density_constant():
