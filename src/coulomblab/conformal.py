@@ -47,28 +47,21 @@ class MapConstructionError(ValueError):
 
 
 def _segments_intersect(p):
-    """Vectorized proper-intersection count among closed polyline segments."""
-    a = p
-    b = np.roll(p, -1, axis=0)
-    n = len(a)
+    """Whether two segments of the closed polyline p (n x 2) cross properly.
 
-    def cross(o, u, v):
-        return ((u[..., 0] - o[..., 0]) * (v[..., 1] - o[..., 1])
-                - (u[..., 1] - o[..., 1]) * (v[..., 0] - o[..., 0]))
-
-    A = a[:, None, :]
-    B = b[:, None, :]
-    C = a[None, :, :]
-    D = b[None, :, :]
-    d1 = cross(C, D, A)
-    d2 = cross(C, D, B)
-    d3 = cross(A, B, C)
-    d4 = cross(A, B, D)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    idx = np.arange(n)
-    adjacent = (np.abs(idx[:, None] - idx[None, :]) <= 1) | \
-        (np.abs(idx[:, None] - idx[None, :]) == n - 1)
-    return int(np.sum(proper & ~adjacent)) // 2
+    With e_j = p_{j+1} - p_j and k_j = e_j x p_j, side[i, j] = e_j x p_i - k_j
+    tells which side of segment j's line point i lies on.  Segment i
+    straddles line j iff side[i, j] * side[i + 1, j] < 0, and two segments
+    cross iff each straddles the other's line.
+    """
+    e = np.roll(p, -1, axis=0) - p
+    k = e[:, 0] * p[:, 1] - e[:, 1] * p[:, 0]
+    side = np.multiply.outer(p[:, 1], e[:, 0])
+    side -= np.multiply.outer(p[:, 0], e[:, 1])
+    side -= k
+    # side[j, j] repeats k_j's products, so it is 0 exactly: adjacent pairs never count
+    m = side * np.roll(side, -1, axis=0) < 0
+    return bool(np.any(m & m.T))
 
 
 @dataclass(frozen=True)
@@ -76,8 +69,10 @@ class LaurentMap:
     """xi(w) = scale * w + a_0 + a_-1 / w + ..., univalent on |w| > 1.
 
     ``coefficients`` lists (a_0, a_-1, a_-2, ...).  Univalence is checked
-    numerically at construction: the image of |w| = 1 + 1e-3 on a 720-point
-    grid must be a simple curve with nonvanishing derivative.
+    at construction in two steps: every root of the derivative must lie in
+    the closed unit disk (``np.roots``), and the image of |w| = 1 + 1e-3 on a
+    720-point grid must be a simple polyline, with no two non-adjacent
+    segments crossing by the orientation test of ``_segments_intersect``.
     """
 
     scale: float
@@ -105,7 +100,7 @@ class LaurentMap:
         w = (1.0 + 1e-3) * np.exp(1j * theta)
         z = self.evaluate(w)
         pts = np.column_stack([z.real, z.imag])
-        if _segments_intersect(pts) > 0:
+        if _segments_intersect(pts):
             raise MapConstructionError("LaurentMap: boundary image self-intersects")
 
     def evaluate(self, w):
