@@ -613,7 +613,7 @@ def _log_primitive(t):
     return np.where(t > 0.0, tt * tt * (2.0 * np.log(tt) - 1.0) / 4.0, 0.0)
 
 
-def _oracle_1d(geo: Segment1D, rho_b: float, x: float, tol: float):
+def _oracle_1d(geo: Segment1D | Ball, rho_b: float, x: float, tol: float):
     R = geo.R
 
     def f(xp):
@@ -746,7 +746,7 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     geo = dom.geometry
     rho_b = dom.rho_b
     p = _point(r, geo.dim)
-    if isinstance(geo, Segment1D):
+    if isinstance(geo, Segment1D) or (isinstance(geo, Ball) and geo.d == 1):
         res = _oracle_1d(geo, rho_b, float(p[0]), tol)
         return EvalResult(*res, res.stats)
     if isinstance(geo, (Annulus2D, Ellipse2D, Rectangle)) or \

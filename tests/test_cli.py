@@ -15,7 +15,8 @@ import coulomblab
 from coulomblab import _quad
 from coulomblab._quad import QuadratureBudgetError
 from coulomblab.cli import main, parse_geometry, run_command
-from coulomblab.domains import Ball, Cuboid, Ellipse2D
+from coulomblab.domains import (Ball, Cuboid, Ellipse2D, UniformDomain, background_potential,
+                                potential_oracle)
 
 
 def record_of(argv):
@@ -286,6 +287,16 @@ def test_segment_point_of_two_coordinates_exit_2():
     assert code == 0 and rec["value"] == 0.5 * (0.3 * 0.3 - 1.0) + 1.0
 
 
+def test_one_dimensional_ball_oracle_is_the_segment_oracle():
+    # int_{-1}^{1} |0.5 - y| / 2 dy = (1.5^2 + 0.5^2) / 4
+    dom = UniformDomain(Ball(1, 1.0), 1.0)
+    assert abs(potential_oracle(dom, [0.5], tol=1e-10).value - 0.625) < 1e-9
+    assert abs(background_potential(dom, [0.5]) - 0.625) < 1e-9
+    code, rec = record_of(["potential", "--domain", "ball:d=1,R=1", "--point", "0.5",
+                           "--oracle", "--json"])
+    assert code == 0 and abs(rec["value"] - 0.625) < 1e-9
+
+
 def test_sample_counts_below_one_exit_2():
     base = ["sample", "--ensemble", "ginibre", "--n", "4", "--sweeps", "10",
             "--json"]
@@ -369,7 +380,8 @@ _GEO = ["ball:d=2,R=1", "ball:d=3,R=1.5,N=2", "ellipse:a1=2,a2=1",
         "hyperellipsoid:axes=1|2|1.5", "cuboid:x0=0,x1=1,y0=0,y1=1,z0=0,z1=1",
         "ball:d=2,R=nan", "ellipse:a1=inf,a2=1", "annulus:R=1,c=-inf",
         "hyperellipsoid:axes=1|nan", "ball:d=0,R=1", "ball:R=-1", "ball:d=x",
-        "ball:d=2,R", "ball:bogus=1", "torus:R=1", "ellipse:a1=2", ""]
+        "ball:d=2,R", "ball:bogus=1", "torus:R=1", "ellipse:a1=2", "",
+        "ball:d=1,R=1"]
 _MAPS = ["circle:R=1", "interval:L=1", "ellipse:a1=2,a2=1",
          "laurent:scale=1,coeffs=0|0.3", "ellipse:a1=1,a2=2", "ellipse:a1=nan,a2=1",
          "laurent:scale=inf,coeffs=0", "laurent:scale=1,coeffs=nan|0.1",
