@@ -15,8 +15,8 @@ import coulomblab
 from coulomblab import _quad
 from coulomblab._quad import QuadratureBudgetError
 from coulomblab.cli import main, parse_geometry, run_command
-from coulomblab.domains import (Ball, Cuboid, Ellipse2D, UniformDomain, background_potential,
-                                potential_oracle)
+from coulomblab.domains import (Ball, Cuboid, Ellipse2D, UniformDomain,
+                                background_potential, potential_oracle)
 
 
 def record_of(argv):
