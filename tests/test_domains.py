@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coulomblab import _quad
+from coulomblab import _quad, domains
 from coulomblab.balayage import balayage_measure
 from coulomblab.domains import (
     Annulus2D,
@@ -91,6 +91,54 @@ def test_cube_center_matches_oracle_tight():
     closed = background_potential(dom, [0.5, 0.5, 0.5])
     orc = potential_oracle(dom, [0.5, 0.5, 0.5], 1e-9)
     assert abs(closed - orc.value) < 1e-8
+
+
+def _corner_box_reference(L1, L2, L3, n):
+    # Duffy-split integral of 1/|x| over [0,L1]x[0,L2]x[0,L3], one corner at
+    # a time: the three pyramids with apex at the origin on an n x n grid
+    x, w = _quad.gl_nodes(n)
+    t = 0.5 * (x + 1.0)
+    wt = 0.5 * w
+    V, W = np.meshgrid(t, t, indexing="ij")
+    WW = np.outer(wt, wt)
+    total = 0.0
+    for (a, b, c) in ((L1, L2, L3), (L2, L3, L1), (L3, L1, L2)):
+        total += a * b * c * 0.5 * float(
+            np.sum(WW / np.sqrt(a * a + (b * V) ** 2 + (c * W) ** 2)))
+    return total
+
+
+def _cuboid_integral_reference(bounds, y, n):
+    # signed sum over the eight corner boxes; a corner with a zero side is
+    # skipped
+    total = 0.0
+    for i0 in range(2):
+        for i1 in range(2):
+            for i2 in range(2):
+                sgn = (-1) ** (i0 + i1 + i2)
+                v = [bounds[k][1 - ik] - y[k] for k, ik in enumerate((i0, i1, i2))]
+                s = math.prod(math.copysign(1.0, vi) if vi != 0.0 else 0.0 for vi in v)
+                if s == 0.0:
+                    continue
+                total += sgn * s * _corner_box_reference(abs(v[0]), abs(v[1]), abs(v[2]), n)
+    return total
+
+
+def test_cuboid_integral_matches_per_corner_reference():
+    bounds = ((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))
+    rng = np.random.default_rng(1515)
+    points = [rng.uniform((-0.5, -0.5, -0.5), (1.5, 2.5, 1.0)) for _ in range(200)]
+    # faces, edges and corners, and points outside on their planes: one, two
+    # or three coordinates on a bound, so four, six or seven corner boxes have
+    # a zero side and are skipped
+    levels = [(-0.4, 0.0, 0.3, 1.0, 1.3), (-0.2, 0.0, 1.2, 2.0, 2.6),
+              (-0.3, 0.0, 0.2, 0.5, 0.9)]
+    points += [np.array(p) for p in
+               [(x, y, z) for x in levels[0] for y in levels[1] for z in levels[2]]]
+    for n in (28, 40):
+        for y in points:
+            got = domains._cuboid_newton_integral(bounds, y, n)
+            assert got == _cuboid_integral_reference(bounds, y, n), (n, y)
 
 
 # ------------------------------------------------------- oracle cross-checks
