@@ -485,7 +485,8 @@ def background_potential(dom: UniformDomain, r) -> float:
 
 def _ray_chords(geo, origin, dirs):
     """Chords of the rays {origin + t e, t >= 0} through the body, for the
-    rows e of the (n, d) array ``dirs``.
+    directions e whose d components are the (n,) arrays of the sequence
+    ``dirs`` (a component that is zero on every ray may be the float 0.0).
 
     Returns a list of (t0, t1) pairs of (n,) arrays with 0 <= t0 <= t1: one
     pair for the convex bodies, two for the annulus (before and after the
@@ -493,13 +494,13 @@ def _ray_chords(geo, origin, dirs):
     """
     o = np.asarray(origin, dtype=float)
     if isinstance(geo, (Rectangle, Cuboid)):
-        lo, hi = np.array(geo.bounds).T
-        # slab method; a ray parallel to a slab gives +-inf (nan on its face,
-        # which fmax/fmin skip)
+        # slab method, one axis at a time; a ray parallel to a slab gives
+        # +-inf (nan on its face, which fmax/fmin skip)
+        t0, t1 = 0.0, math.inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            ta, tb = (lo - o) / dirs, (hi - o) / dirs
-        t0 = np.fmax.reduce(np.fmin(ta, tb), axis=1, initial=0.0)
-        t1 = np.fmin.reduce(np.fmax(ta, tb), axis=1, initial=math.inf)
+            for (lo, hi), ok, e in zip(geo.bounds, o, dirs):
+                ta, tb = (lo - ok) / e, (hi - ok) / e
+                t0, t1 = np.fmax(t0, np.fmin(ta, tb)), np.fmin(t1, np.fmax(ta, tb))
         hit = t1 > t0
         return [(np.where(hit, t0, 0.0), np.where(hit, t1, 0.0))]
     if isinstance(geo, Annulus2D):
@@ -518,10 +519,14 @@ def _ray_chords(geo, origin, dirs):
 
 
 def _quadric_chord(origin, dirs, axes):
-    """Chords of the rays through the solid ellipsoid sum (x_i/a_i)^2 <= 1."""
+    """Chords of the rays through the solid ellipsoid sum (x_i/a_i)^2 <= 1,
+    for direction components ``dirs`` as in ``_ray_chords``; the quadratic's
+    coefficients are summed component by component, first to last."""
     ax = np.asarray(axes, dtype=float)
-    a = np.sum((dirs / ax) ** 2, axis=1)
-    b = np.sum(origin * dirs / ax ** 2, axis=1)
+    ax2 = ax ** 2
+    a = sum([(e / ak) ** 2 for e, ak in zip(dirs[1:], ax[1:])], (dirs[0] / ax[0]) ** 2)
+    b = sum([ok * e / ak2 for ok, e, ak2 in zip(origin[1:], dirs[1:], ax2[1:])],
+            origin[0] * dirs[0] / ax2[0])
     c = np.sum((origin / ax) ** 2) - 1.0
     sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
     t0 = np.maximum((-b - sq) / a, 0.0)
@@ -627,9 +632,9 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
     origin = np.asarray(r, dtype=float)
 
     def h(thetas):
-        dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        return rho_b * sum(_log_primitive(t1) - _log_primitive(t0)
-                           for t0, t1 in _ray_chords(geo, origin, dirs))
+        # one primitive call on every chord end: p[k] holds chord k's (t0, t1)
+        p = _log_primitive(np.array(_ray_chords(geo, origin, (np.cos(thetas), np.sin(thetas)))))
+        return rho_b * sum(p[:, 1] - p[:, 0])
 
     # the integrand is smooth between the cuts; integrating across one
     # blind-sides the panel error estimate
@@ -653,8 +658,7 @@ def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
     origin[0] = rr
 
     def h(gammas):
-        dirs = np.zeros((len(gammas), d))
-        dirs[:, 0], dirs[:, 1] = np.cos(gammas), np.sin(gammas)
+        dirs = (np.cos(gammas), np.sin(gammas), *[0.0] * (d - 2))
         ((t0, t1),) = _ray_chords(geo, origin, dirs)
         return (t1 * t1 - t0 * t0) / 2.0 * np.sin(gammas) ** (d - 2)
 
@@ -663,23 +667,17 @@ def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
     return -rho_b * c_dm1 * res[0], c_dm1 * res[1], res.stats
 
 
-def _corner_box(L1: float, L2: float, L3: float, n: int) -> float:
-    """Duffy-split integral of 1/|x| over [0,L1]x[0,L2]x[0,L3]."""
-    x, w = gl_nodes(n)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    V, W = np.meshgrid(t, t, indexing="ij")
-    WW = np.outer(wt, wt)
-    total = 0.0
-    for (a, b, c) in ((L1, L2, L3), (L2, L3, L1), (L3, L1, L2)):
-        total += a * b * c * 0.5 * float(
-            np.sum(WW / np.sqrt(a * a + (b * V) ** 2 + (c * W) ** 2)))
-    return total
-
-
 def _cuboid_newton_integral(bounds, y, n: int) -> float:
-    """Direct integral of 1/|y - x| by signed corner decomposition."""
-    total = 0.0
+    """Direct integral of 1/|y - x| by signed corner decomposition.
+
+    Each corner box [0, L1] x [0, L2] x [0, L3] of y with no zero side splits
+    into three Duffy pyramids with apex at y (Duffy, SIAM J. Numer. Anal. 19,
+    1982); pyramid (a, b, c) contributes a b c / 2 times the n x n
+    Gauss-Legendre sum of 1 / sqrt(a^2 + (b v)^2 + (c w)^2) over the unit
+    square.  All pyramids are evaluated on the grid in one pass and summed
+    per box, then per corner.
+    """
+    signs, sides = [], []
     for i0 in range(2):
         for i1 in range(2):
             for i2 in range(2):
@@ -688,7 +686,19 @@ def _cuboid_newton_integral(bounds, y, n: int) -> float:
                 s = math.prod(math.copysign(1.0, vi) if vi != 0.0 else 0.0 for vi in v)
                 if s == 0.0:
                     continue
-                total += sgn * s * _corner_box(abs(v[0]), abs(v[1]), abs(v[2]), n)
+                L1, L2, L3 = abs(v[0]), abs(v[1]), abs(v[2])
+                signs.append(sgn * s)
+                sides += [(L1, L2, L3), (L2, L3, L1), (L3, L1, L2)]
+    x, w = gl_nodes(n)
+    t = 0.5 * (x + 1.0)
+    wt = 0.5 * w
+    a, b, c = np.array(sides).T[:, :, None, None]
+    grid = np.sum(np.outer(wt, wt) / np.sqrt(a * a + (b * t[:, None]) ** 2 + (c * t) ** 2),
+                  axis=(1, 2))
+    pyramids = ((a * b * c * 0.5).ravel() * grid).reshape(-1, 3).tolist()
+    total = 0.0
+    for sign, (p0, p1, p2) in zip(signs, pyramids):
+        total += sign * (p0 + p1 + p2)
     return total
 
 
@@ -713,7 +723,7 @@ def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r):
         u = sob.random_base2(13)
         g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-        ((t0, t1),) = _ray_chords(geo, origin, dirs)
+        ((t0, t1),) = _ray_chords(geo, origin, dirs.T)
         contrib = (t1 * t1 - t0 * t0) / 2.0
         estimates.append(-rho_b * sphere_area(d) * float(np.mean(contrib)))
     val = float(np.mean(estimates))

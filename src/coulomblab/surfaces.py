@@ -130,7 +130,7 @@ def _weighted_ray_integral(geo, point, weight, kernel, tol):
     def angular(thetas):
         dirs = np.zeros((len(thetas), d))
         dirs[:, 0], dirs[:, 1] = np.cos(thetas), np.sin(thetas)
-        ((_, exits),) = _ray_chords(geo, p, dirs)
+        ((_, exits),) = _ray_chords(geo, p, dirs.T)
         out = np.empty_like(thetas)
         for i, (e, L) in enumerate(zip(dirs, exits)):
             def radial(vs):

@@ -358,6 +358,84 @@ def test_oracle_stats_on_quadrature_paths():
     assert potential_oracle(cube, (0.5, 0.5, 0.5), 1e-9).stats is None
 
 
+def _quadric_chord_reference(origin, dirs, axes):
+    ax = np.asarray(axes, dtype=float)
+    a = np.sum((dirs / ax) ** 2, axis=1)
+    b = np.sum(origin * dirs / ax ** 2, axis=1)
+    c = np.sum((origin / ax) ** 2) - 1.0
+    sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    t0 = np.maximum((-b - sq) / a, 0.0)
+    t1 = np.maximum((-b + sq) / a, t0)
+    return t0, t1
+
+
+def _ray_chords_reference(geo, origin, dirs):
+    # the (n, d)-array form: directions are the rows of dirs, and the slab
+    # bounds and quadric coefficients are reduced over its second axis
+    o = np.asarray(origin, dtype=float)
+    if isinstance(geo, (Rectangle, Cuboid)):
+        lo, hi = np.array(geo.bounds).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta, tb = (lo - o) / dirs, (hi - o) / dirs
+        t0 = np.fmax.reduce(np.fmin(ta, tb), axis=1, initial=0.0)
+        t1 = np.fmin.reduce(np.fmax(ta, tb), axis=1, initial=math.inf)
+        hit = t1 > t0
+        return [(np.where(hit, t0, 0.0), np.where(hit, t1, 0.0))]
+    if isinstance(geo, Annulus2D):
+        t0, t1 = _quadric_chord_reference(o, dirs, (geo.R, geo.R))
+        h0, h1 = _quadric_chord_reference(o, dirs, (geo.c * geo.R, geo.c * geo.R))
+        miss = h1 <= h0
+        h0, h1 = np.where(miss, t1, h0), np.where(miss, t1, h1)
+        return [(t0, h0), (h1, t1)]
+    axes = {Ball: lambda g: (g.R,) * g.d, Ellipse2D: lambda g: (g.a1, g.a2),
+            Hyperellipsoid: lambda g: g.axes}[type(geo)](geo)
+    return [_quadric_chord_reference(o, dirs, axes)]
+
+
+RAY_BODIES = [
+    pytest.param(Rectangle(((0.0, 1.0), (0.0, 2.0))),
+                 [(0.3, 0.4), (0.0, 0.5), (1.0, 2.0), (1.6, -0.3)], id="rectangle"),
+    pytest.param(Cuboid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))),
+                 [(0.3, 0.4, 0.2), (0.0, 1.0, 0.5), (1.0, 2.0, 0.0), (1.5, -0.4, 0.25)],
+                 id="cuboid"),
+    pytest.param(Annulus2D(1.0, 0.5), [(0.7, 0.1), (0.1, -0.2), (1.6, 0.3), (0.0, 0.5)],
+                 id="annulus"),
+    pytest.param(Ball(2, 1.0), [(0.3, -0.2), (1.0, 0.0), (-1.5, 0.4)], id="disk"),
+    pytest.param(Ball(3, 1.0), [(0.2, 0.1, -0.3), (1.8, 0.0, 0.0), (0.0, 0.0, 1.0)],
+                 id="ball3"),
+    pytest.param(Ellipse2D(2.0, 1.0), [(0.5, 0.3), (3.0, 0.5), (2.0, 0.0)], id="ellipse"),
+    pytest.param(Hyperellipsoid((1.0, 2.0, 1.5, 0.7)),
+                 [(0.2, 0.4, -0.3, 0.1), (1.2, -1.0, 0.5, 0.3)], id="hyperellipsoid4"),
+]
+
+
+@pytest.mark.parametrize("geo,origins", RAY_BODIES)
+def test_ray_chords_on_components_match_row_form(geo, origins):
+    d = geo.dim
+    rng = np.random.default_rng(d + len(origins))
+    g = rng.standard_normal((200, d))
+    # random directions plus the axis directions, which run parallel to every
+    # slab face but one pair (0/0 on a face the origin lies on)
+    dirs = np.vstack([g / np.linalg.norm(g, axis=1, keepdims=True), np.eye(d), -np.eye(d)])
+    for origin in origins:
+        got = domains._ray_chords(geo, origin, dirs.T)
+        ref = _ray_chords_reference(geo, origin, dirs)
+        assert len(got) == len(ref)
+        for (g0, g1), (r0, r1) in zip(got, ref):
+            assert np.array_equal(g0, r0) and np.array_equal(g1, r1), origin
+    if isinstance(geo, Annulus2D):
+        # from outside, some rays cross the hole and some miss it
+        (_, h0), (h1, _) = domains._ray_chords(geo, (1.6, 0.3), dirs.T)
+        assert np.any(h1 > h0) and np.any((h1 == h0) & (h0 > 0.0))
+    if isinstance(geo, Ball) and d == 3:
+        # the d-ball oracle's planar fan: a zero component given as 0.0
+        gam = rng.uniform(0.0, math.pi, 50)
+        fan = np.column_stack([np.cos(gam), np.sin(gam), np.zeros(50)])
+        ((g0, g1),) = domains._ray_chords(geo, (1.8, 0.0, 0.0), (fan[:, 0], fan[:, 1], 0.0))
+        ((r0, r1),) = _ray_chords_reference(geo, (1.8, 0.0, 0.0), fan)
+        assert np.array_equal(g0, r0) and np.array_equal(g1, r1)
+
+
 def test_shell_theorem_exterior():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):
