@@ -15,7 +15,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -153,8 +153,11 @@ def _cmd_potential(args):
     p = _point(args.point, "--point")
     if args.oracle:
         res = dom.potential_oracle(u, p, args.tol)
+        # the quadrature's QuadStats (none on the fixed-rule cuboid and QMC
+        # paths): tol_met is false when --tol was not reached
         return dict(value=res.value, method="direct quadrature oracle",
-                    tolerance=res.est_error)
+                    tolerance=res.est_error,
+                    diagnostics=None if res.stats is None else asdict(res.stats))
     return dict(value=dom.background_potential(u, p), method="closed form",
                 provenance="uniform-background potential, charge -N")
 

@@ -68,6 +68,25 @@ def test_oracle_route():
     assert abs(rec["value"] - rec2["value"]) < 1e-7
 
 
+def test_oracle_record_says_tolerance_unmet(capsys):
+    # tol 1e-30 is below roundoff: the command still exits 0, and the
+    # record's diagnostics say the tolerance was not met
+    code = main(["potential", "--domain", "ellipse:a1=2,a2=1", "--point", "3,0.5",
+                 "--oracle", "--tol", "1e-30", "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 0
+    diag = rec["diagnostics"]
+    assert list(diag) == ["panels", "depth", "at_cap", "at_floor", "tol_met"]
+    assert diag["tol_met"] is False and diag["at_floor"] > 0
+    code, rec = record_of(["potential", "--domain", "ellipse:a1=2,a2=1",
+                           "--point", "3,0.5", "--oracle", "--tol", "1e-9"])
+    assert code == 0 and rec["diagnostics"]["tol_met"] is True
+    # the cuboid's fixed rules carry no quadrature stats
+    code, rec = record_of(["potential", "--domain", "cuboid:x0=0,x1=1,y0=0,y1=2,z0=0,z1=0.5",
+                           "--point", "0.3,0.5,0.2", "--oracle"])
+    assert code == 0 and rec["diagnostics"] is None
+
+
 def test_negative_first_coordinate():
     code, rec = record_of(["potential", "--domain", "ball:d=2,R=1",
                            "--point", "-0.5,0.3"])
