@@ -26,7 +26,6 @@ __all__ = [
     "covariance_circle",
     "covariance_mapped",
     "surface_correlation",
-    "ellipse_correlation_discrepancy",
 ]
 
 _GRID = 4096  # discrete-transform size for Fourier coefficients
@@ -235,21 +234,3 @@ def surface_correlation(geometry, beta: float, p1, p2) -> float:
         h2 = abs(complex(mp.derivative(cmath.exp(1j * e2))))
         return -1.0 / (2.0 * beta * math.pi ** 2 * gap * h1 * h2)
     raise ValueError(f"surface_correlation: unknown geometry {geometry!r}")
-
-
-def ellipse_correlation_discrepancy(a1: float, a2: float, beta: float,
-                                    eta1: float, eta2: float) -> dict:
-    """Both ellipse surface-correlation routes and their difference: the
-    curvilinear-coordinate formula and -1/beta times the conjectural
-    exterior-kernel form, evaluated at the same physical boundary points."""
-    direct = surface_correlation(("ellipse", a1, a2), beta, eta1, eta2)
-    mp = ellipse_map(a1, a2)
-    z1 = mp.boundary_point(eta1)
-    z2 = mp.boundary_point(eta2)
-    conjectural = surface_correlation(mp, beta, z1, z2)
-    return {
-        "curvilinear": direct,
-        "exterior_kernel": conjectural,
-        "difference": direct - conjectural,
-        "status": "exterior_kernel route is conjectural",
-    }

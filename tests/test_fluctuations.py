@@ -14,7 +14,6 @@ from coulomblab.fluctuations import (
     covariance_circle,
     covariance_mapped,
     cue_kernel,
-    ellipse_correlation_discrepancy,
     subblock_kernel,
     surface_correlation,
 )
@@ -230,13 +229,6 @@ def test_linear_response_identity():
             rhs = -(1.0 / beta) * (green + math.log(abs(z - w))
                                    - math.log(abs(z * w)))
             assert abs(cov - rhs) < 1e-8
-
-
-def test_ellipse_discrepancy_report():
-    rep = ellipse_correlation_discrepancy(2.0, 1.0, 2.0, 0.3, 2.0)
-    assert "difference" in rep and "status" in rep
-    # both routes are negative correlations
-    assert rep["curvilinear"] < 0 and rep["exterior_kernel"] < 0
 
 
 def test_ellipse_reduces_to_disk():
