@@ -524,9 +524,9 @@ def _quadric_chord(origin, dirs, axes):
     coefficients are summed component by component, first to last."""
     ax = np.asarray(axes, dtype=float)
     ax2 = ax ** 2
-    a = sum([(e / ak) ** 2 for e, ak in zip(dirs[1:], ax[1:])], (dirs[0] / ax[0]) ** 2)
-    b = sum([ok * e / ak2 for ok, e, ak2 in zip(origin[1:], dirs[1:], ax2[1:])],
-            origin[0] * dirs[0] / ax2[0])
+    a, b = (dirs[0] / ax[0]) ** 2, origin[0] * dirs[0] / ax2[0]
+    for ok, e, ak, ak2 in zip(origin[1:], dirs[1:], ax[1:], ax2[1:]):
+        a, b = a + (e / ak) ** 2, b + ok * e / ak2
     c = np.sum((origin / ax) ** 2) - 1.0
     sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
     t0 = np.maximum((-b - sq) / a, 0.0)
