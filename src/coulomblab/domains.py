@@ -745,11 +745,15 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     at that end of the interval removes (as at the d-ball's cone edge).  All
     the intervals of one point are integrated in one breadth-first
     ``adaptive_1d`` call, one integrand call per level of the panel tree.
+    The cuboid is not adaptive: its corner boxes split into Duffy pyramids,
+    all evaluated in one grid pass by fixed 28- and 40-point rules; it
+    ignores ``tol`` and its error estimate is |fine - coarse|.
     Returns value and an absolute error estimate, with the quadrature's
     ``QuadStats`` in ``stats`` on the segment, 2d and d-ball paths
     (``stats.tol_met`` is false when a panel was accepted at the roundoff
-    floor or the depth cap short of its tolerance); raises
-    QuadratureBudgetError carrying the best estimate on failure.
+    floor or the depth cap short of its tolerance; the cuboid and QMC paths
+    carry none); raises QuadratureBudgetError carrying the best estimate on
+    failure.
     """
     if tol <= 0:
         raise ValueError("potential_oracle: tol must be > 0")
