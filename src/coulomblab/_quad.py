@@ -1,6 +1,5 @@
-"""Shared quadrature helpers: cached Gauss-Legendre rules, a tensor-product
-rule on rectangles, and the adaptive panel integrator behind every
-numerical oracle.
+"""Shared quadrature helpers: cached Gauss-Legendre rules and the adaptive
+panel integrator behind every numerical oracle.
 
 ``adaptive_1d`` bisects breadth-first: one level of the panel tree, over
 every interval it was given, is one call of the (vectorised) integrand.
@@ -164,18 +163,3 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     errs = np.bincount(k, weights=err[seq] / 15.0, minlength=m)
     return QuadResult(sum(parts.tolist()), sum(errs.tolist()), stats)
 
-
-def tensor_gl_2d(f, ax: float, bx: float, ay: float, by: float,
-                 nx: int = 48, ny: int = 48) -> float:
-    """Tensor-product GL integral of f(x, y) over a rectangle.
-
-    ``f`` is called on meshgrid arrays.
-    """
-    x, wx = gl_nodes(nx)
-    y, wy = gl_nodes(ny)
-    hx, hy = 0.5 * (bx - ax), 0.5 * (by - ay)
-    X = ax + hx * (x + 1.0)
-    Y = ay + hy * (y + 1.0)
-    XX, YY = np.meshgrid(X, Y, indexing="ij")
-    vals = f(XX, YY)
-    return hx * hy * float(wx @ vals @ wy)

@@ -584,6 +584,8 @@ def main(argv=None) -> int:
         print(json.dumps(record, allow_nan=False))
     else:
         _print_human(record)
+        if (record.get("diagnostics") or {}).get("tol_met") is False:
+            print("warning: --tol was not met (see --json)", file=sys.stderr)
     return result.exit_code
 
 

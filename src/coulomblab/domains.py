@@ -30,7 +30,6 @@ __all__ = [
     "UniformDomain",
     "UnsupportedRegionError",
     "SingularityError",
-    "kernel_eval",
     "background_potential",
     "potential_oracle",
     "interaction_energy",
@@ -83,28 +82,15 @@ class Kernel:
         return float(self.d - 2) if self.d > 2 else 1.0
 
 
-def riesz_potential(s: float, u: float) -> float:
-    """Psi_s(u) for separation u > 0: -u^-s (s<0), -log u (s=0), u^-s (s>0)."""
-    if u <= 0.0:
-        raise SingularityError("riesz_potential: zero separation")
-    if s == 0.0:
-        return -math.log(u)
-    if s < 0.0:
-        return -u ** (-s)
-    return u ** (-s)
-
-
 def coulomb_radial(d: int, u: float) -> float:
-    """Phi_d at separation u: -u (d=1), -log u (d=2), u^{2-d} (d>2)."""
-    return riesz_potential(d - 2.0, u)
-
-
-def kernel_eval(k: Kernel, r, rp) -> float:
-    """Evaluate the kernel between two points (Coulomb if s = d-2)."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    rp = np.atleast_1d(np.asarray(rp, dtype=float))
-    u = float(np.linalg.norm(r - rp))
-    return riesz_potential(k.s, u)
+    """Phi_d at separation u > 0: -u (d=1), -log u (d=2), u^{2-d} (d>2)."""
+    if u <= 0.0:
+        raise SingularityError("coulomb_radial: zero separation")
+    if d == 1:
+        return -u
+    if d == 2:
+        return -math.log(u)
+    return u ** (2.0 - d)
 
 
 # ----------------------------------------------------------------- geometries
@@ -320,12 +306,8 @@ def hyperellipsoid_coefficients(axes, N: float = 1.0):
     axes = tuple(float(a) for a in axes)
     d = len(axes)
     if d == 2:
-        dom = UniformDomain(Ellipse2D(axes[0], axes[1]), N)
-        pref = math.pi * dom.rho_b / 2.0
-        kappa = (axes[0] - axes[1]) / (axes[0] + axes[1])
-        a0 = pref * (2.0 * axes[0] * axes[1] * math.log((axes[0] + axes[1]) / 2.0)
-                     - axes[0] * axes[1])
-        return a0, [pref * (1.0 - kappa), pref * (1.0 + kappa)]
+        UniformDomain(Ellipse2D(*axes), N)  # checks the axes and the charge
+        return _ellipse_coefficients(*axes, N)
     if d < 3:
         raise ValueError("hyperellipsoid_coefficients: need d >= 2")
     pref = N * (d / 2.0) * (d / 2.0 - 1.0)
@@ -385,17 +367,23 @@ def _segment_potential(geo: Segment1D, N: float, x: float) -> float:
     return N * abs(x)
 
 
+def _ellipse_coefficients(a1: float, a2: float, N: float):
+    """(alpha_0, [alpha_1, alpha_2]) of the ellipse's interior potential
+    alpha_0 + alpha_1 x^2 + alpha_2 y^2, total charge -N."""
+    pref = math.pi * (N / (math.pi * a1 * a2)) / 2.0
+    kappa = (a1 - a2) / (a1 + a2)
+    a0 = pref * (2.0 * a1 * a2 * math.log((a1 + a2) / 2.0) - a1 * a2)
+    return a0, [pref * (1.0 - kappa), pref * (1.0 + kappa)]
+
+
 def _ellipse_potential(geo: Ellipse2D, N: float, r) -> float:
     a1, a2 = geo.a1, geo.a2
     x, y = float(r[0]), float(r[1])
     if (x / a1) ** 2 + (y / a2) ** 2 > 1.0 + 1e-12:
         raise UnsupportedRegionError(
             "ellipse closed form is interior-only; use potential_oracle")
-    rho_b = N / (math.pi * a1 * a2)
-    kappa = (a1 - a2) / (a1 + a2)
-    return (math.pi * rho_b / 2.0) * (
-        x * x + y * y - kappa * (x * x - y * y)
-        + 2.0 * a1 * a2 * math.log((a1 + a2) / 2.0) - a1 * a2)
+    a0, (c1, c2) = _ellipse_coefficients(a1, a2, N)
+    return a0 + c1 * x * x + c2 * y * y
 
 
 def _hyperellipsoid_potential(geo: Hyperellipsoid, N: float, r) -> float:
@@ -653,7 +641,7 @@ def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
     """
     d, R = geo.d, geo.R
     rr = float(np.linalg.norm(r))
-    c_dm1 = sphere_area(d - 1) if d > 2 else 2.0
+    c_dm1 = sphere_area(d - 1)
     origin = np.zeros(d)
     origin[0] = rr
 
@@ -787,10 +775,9 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
 def _background_self_energy(dom: UniformDomain) -> float:
     """Closed-form U_bb for the geometries with printed energy formulas."""
     geo, N = dom.geometry, dom.N
-    if isinstance(geo, Ball) and geo.d == 2:
-        return N * N / 8.0 - (N * N / 2.0) * math.log(geo.R)
-    if isinstance(geo, Ellipse2D):
-        return N * N / 8.0 - (N * N / 2.0) * math.log((geo.a1 + geo.a2) / 2.0)
+    if isinstance(geo, Ellipse2D) or (isinstance(geo, Ball) and geo.d == 2):
+        cap = geo.R if isinstance(geo, Ball) else (geo.a1 + geo.a2) / 2.0
+        return N * N / 8.0 - (N * N / 2.0) * math.log(cap)
     if isinstance(geo, Segment1D):
         return -N * N * geo.R / 3.0
     if isinstance(geo, Annulus2D):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .conformal import LaurentMap, ellipse_map
 from .domains import SingularityError
 
 __all__ = [
-    "LinearStatistic",
     "cue_kernel",
     "subblock_kernel",
     "covariance_circle",
@@ -31,39 +29,9 @@ __all__ = [
 _GRID = 4096  # discrete-transform size for Fourier coefficients
 
 
-@dataclass
-class LinearStatistic:
-    """A statistic sum_j f(x_j): the function plus optional precomputed
-    Fourier coefficients f_n = (1/2pi) int f(theta) e^{-in theta} dtheta,
-    stored for n = 0, 1, ..., n_max, -n_max, ..., -1 (fft layout)."""
-
-    f: object
-    fourier: np.ndarray = None
-
-    def __post_init__(self):
-        if self.fourier is not None:
-            self.fourier = np.asarray(self.fourier, dtype=complex)
-            theta = 2.0 * math.pi * np.arange(512) / 512.0
-            n = np.fft.fftfreq(len(self.fourier), 1.0 / len(self.fourier))
-            recon = np.real(self.fourier[None, :] *
-                            np.exp(1j * np.outer(theta, n))).sum(axis=1)
-            target = np.array([self.f(t) for t in theta], dtype=float)
-            if np.max(np.abs(recon - target)) > 1e-8:
-                raise ValueError("LinearStatistic: fourier data does not "
-                                 "reconstruct f to 1e-8")
-
-    def values(self, theta):
-        return np.array([float(self.f(t)) for t in theta])
-
-    def coefficients(self, m: int = _GRID):
-        if self.fourier is not None and len(self.fourier) >= m:
-            return self.fourier
-        theta = 2.0 * math.pi * np.arange(m) / m
-        return np.fft.fft(self.values(theta)) / m
-
-
-def _as_statistic(f) -> LinearStatistic:
-    return f if isinstance(f, LinearStatistic) else LinearStatistic(f)
+def _samples(f, points):
+    """f at each of the points, as a float array."""
+    return np.array([float(f(p)) for p in points])
 
 
 def cue_kernel(N: int, theta: float, thetap: float) -> float:
@@ -111,8 +79,10 @@ def subblock_kernel(N: int, z: complex, zp: complex, smoothed: bool = False):
     return float(np.sum(dens * R1 * R2 * W))
 
 
-def _fourier_pairing(fc, gc, m: int) -> float:
-    """sum_n |n| f_n g_{-n} truncated at |n| < m/2 (fft index layout)."""
+def _fourier_pairing(fvals, gvals) -> float:
+    """sum_{|n| < m/2} |n| f_n g_{-n} over the DFT of m equally spaced samples."""
+    m = len(fvals)
+    fc, gc = np.fft.fft(fvals) / m, np.fft.fft(gvals) / m
     n = np.fft.fftfreq(m, 1.0 / m)
     keep = np.abs(n) < m // 2
     idx_neg = (-n).astype(int) % m
@@ -146,16 +116,15 @@ def covariance_circle(f, g, beta: float = 2.0, route: str = "fourier") -> float:
     """Limiting covariance of linear statistics for the log-gas on the unit
     circle, scaled by 2/beta relative to the beta = 2 value."""
     _check_beta("covariance_circle", beta)
-    fs, gs = _as_statistic(f), _as_statistic(g)
-    if route == "fourier":
-        m = _GRID
-        val = _fourier_pairing(fs.coefficients(m), gs.coefficients(m), m)
-    elif route == "quadrature":
-        m = 512
-        theta = 2.0 * math.pi * np.arange(m) / m
-        val = _quadrature_covariance(fs.values(theta), gs.values(theta), theta)
-    else:
+    if route not in ("fourier", "quadrature"):
         raise ValueError(f"covariance_circle: unknown route {route!r}")
+    m = _GRID if route == "fourier" else 512
+    theta = 2.0 * math.pi * np.arange(m) / m
+    fvals, gvals = _samples(f, theta), _samples(g, theta)
+    if route == "fourier":
+        val = _fourier_pairing(fvals, gvals)
+    else:
+        val = _quadrature_covariance(fvals, gvals, theta)
     return (2.0 / beta) * val
 
 
@@ -177,9 +146,7 @@ def covariance_mapped(mp: LaurentMap, f, g, beta: float = 2.0,
         raise ValueError(f"covariance_mapped: unknown convention {convention!r}")
     theta = 2.0 * math.pi * np.arange(m) / m
     boundary = mp.evaluate(np.exp(1j * theta))
-    fvals = np.array([float(f(z)) for z in boundary])
-    gvals = np.array([float(g(z)) for z in boundary])
-    val = _fourier_pairing(np.fft.fft(fvals) / m, np.fft.fft(gvals) / m, m)
+    val = _fourier_pairing(_samples(f, boundary), _samples(g, boundary))
     return _CONVENTION_PREFACTOR[convention] / beta * val
 
 

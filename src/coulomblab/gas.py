@@ -13,7 +13,7 @@ ends bit for bit where `run_chain` alone would take it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .domains import (
     Ellipse2D,
     Segment1D,
     UniformDomain,
+    background_potential,
     interaction_energy,
 )
 from .specfun import log_gamma
@@ -42,18 +43,7 @@ __all__ = [
     "free_energy_remainder",
     "statistic_covariance",
     "acceptance_probability",
-    "INCLUDES_FACTORIAL",
 ]
-
-# whether the standard normalization product for each ensemble carries an
-# explicit N! factor (conventions differ across ensembles; recorded rather
-# than unified)
-INCLUDES_FACTORIAL = {
-    "ginibre": False,
-    "elliptic": False,
-    "induced": True,
-    "sinh": True,
-}
 
 
 @dataclass(frozen=True)
@@ -502,8 +492,10 @@ def mean_density_inside(samples, radius: float) -> float:
 # ---------------------------------------------------- exact partition values
 
 def exact_log_partition(model: GasModel) -> float:
-    """log of the exact beta = 2 configuration integral (the printed
-    normalization product; see INCLUDES_FACTORIAL for the N! placement)."""
+    """log of the exact beta = 2 configuration integral: the printed
+    normalization product, whose N! placement differs across ensembles.  The
+    induced and sinh products carry the N! factor; the ginibre and elliptic
+    products do not."""
     if model.beta != 2.0:
         raise ValueError("exact_log_partition: beta = 2 ensembles only")
     n = model.N
@@ -551,39 +543,28 @@ class AsymptoticPrediction:
 
 def _electrostatic_constant(model: GasModel, n: int) -> float:
     """The configuration-independent part of beta(U_pb + U_bb) for the
-    background domain matching the ensemble's one-body potential, built from
-    the closed-form interaction energies."""
+    background domain matching the ensemble's one-body potential V, at n
+    particles: U_bb plus n times the constant gap between the background
+    potential and V on the support, read at the origin (on the outer circle
+    for the annulus, since the induced V is singular at the origin)."""
+    rn, z0 = math.sqrt(n), 0.0
     if model.ensemble == "ginibre":
-        dom = UniformDomain(Ball(2, math.sqrt(n)), float(n))
-        u_bb = interaction_energy(dom, [])
-        const_v = -0.5 * n + n * math.log(math.sqrt(n))
-        return u_bb + n * const_v
-    if model.ensemble == "elliptic":
-        a_ax = math.sqrt(n) * (1.0 + model.tau)
-        b_ax = math.sqrt(n) * (1.0 - model.tau)
-        dom = UniformDomain(Ellipse2D(a_ax, b_ax), float(n))
-        u_bb = interaction_energy(dom, [])
-        rho = dom.rho_b
-        const_v = (math.pi * rho / 2.0) * (
-            2.0 * a_ax * b_ax * math.log((a_ax + b_ax) / 2.0) - a_ax * b_ax)
-        return u_bb + n * const_v
-    if model.ensemble == "induced":
-        r2 = (1.0 + model.alpha) * n
-        c2 = model.alpha / (1.0 + model.alpha)
-        dom = UniformDomain(Annulus2D(math.sqrt(r2), math.sqrt(c2)), float(n))
-        u_bb = interaction_energy(dom, [])
-        rho = dom.rho_b
-        big_r = math.sqrt(r2)
-        const_v = -(math.pi * rho / 2.0) * r2 + math.pi * r2 * rho * math.log(big_r)
-        return u_bb + n * const_v
-    if model.ensemble == "sinh":
-        half = math.pi * n / (model.c * model.L)
-        dom = UniformDomain(Segment1D(half), float(n))
-        u_bb = interaction_energy(dom, [])
-        rho = dom.rho_b
-        const_v = -rho * half ** 2 + n * half
-        return (math.pi / model.L) * (u_bb + n * const_v)
-    raise ValueError(f"no electrostatic constant for {model.ensemble!r}")
+        geo = Ball(2, rn)
+    elif model.ensemble == "elliptic":
+        geo = Ellipse2D(rn * (1.0 + model.tau), rn * (1.0 - model.tau))
+    elif model.ensemble == "induced":
+        geo = Annulus2D(math.sqrt((1.0 + model.alpha) * n),
+                        math.sqrt(model.alpha / (1.0 + model.alpha)))
+        z0 = geo.R
+    elif model.ensemble == "sinh":
+        geo = Segment1D(math.pi * n / (model.c * model.L))
+    else:
+        raise ValueError(f"no electrostatic constant for {model.ensemble!r}")
+    dom = UniformDomain(geo, float(n))
+    const_v = background_potential(dom, [z0, 0.0][:geo.dim]) \
+        - float(_one_body(replace(model, N=n), z0))
+    total = interaction_energy(dom, []) + n * const_v
+    return (math.pi / model.L) * total if model.ensemble == "sinh" else total
 
 
 def free_energy_prediction(model: GasModel) -> AsymptoticPrediction:
@@ -625,9 +606,7 @@ def free_energy_remainder(model: GasModel, n: int) -> float:
     N log N term comes from Stirling and would cancel here)."""
     if model.ensemble not in ("ginibre", "elliptic", "induced"):
         raise ValueError("free_energy_remainder: planar background ensembles only")
-    scaled = GasModel(model.beta, n, model.ensemble, tau=model.tau,
-                      alpha=model.alpha, c=model.c, L=model.L,
-                      contour_map=model.contour_map)
+    scaled = replace(model, N=n)
     pred = free_energy_prediction(scaled)
     return (log_partition_normalized(scaled) - pred.evaluate(n)) / n ** 2
 

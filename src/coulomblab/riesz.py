@@ -47,20 +47,19 @@ def background_potential(gas: RieszCircle) -> float:
     return math.copysign(1.0, s) * N * R ** (-s) * ratio
 
 
+def _kernel(s: float, d):
+    """The pair kernel at separations d, elementwise: -log d at s = 0, d^-s
+    for s > 0 and -d^-s for s < 0."""
+    return -np.log(d) if s == 0.0 else math.copysign(1.0, s) * d ** (-s)
+
+
 def _pair_sum(gas: RieszCircle) -> float:
     """U_pp of the equally spaced configuration by compensated summation."""
-    s, N, R = gas.s, gas.N, gas.R
+    N, R = gas.N, gas.R
     if N == 1:
         return 0.0
     m = np.arange(1, N, dtype=float)
-    d = 2.0 * R * np.sin(math.pi * m / N)
-    if s == 0.0:
-        vals = -np.log(d)
-    elif s > 0.0:
-        vals = d ** (-s)
-    else:
-        vals = -(d ** (-s))
-    return 0.5 * N * math.fsum(vals)
+    return 0.5 * N * math.fsum(_kernel(gas.s, 2.0 * R * np.sin(math.pi * m / N)))
 
 
 def _literal_background(gas: RieszCircle) -> float:
@@ -106,13 +105,7 @@ def point_energy(gas: RieszCircle, x: float, mode: str = "finite") -> float:
     if mode != "finite":
         raise ValueError(f"point_energy: unknown mode {mode!r}")
     j = np.arange(1, N + 1, dtype=float)
-    d = 2.0 * R * np.abs(np.sin(math.pi * (j - x) / N))
-    if s == 0.0:
-        total = -math.fsum(np.log(d))
-    elif s > 0.0:
-        total = math.fsum(d ** (-s))
-    else:
-        total = -math.fsum(d ** (-s))
+    total = math.fsum(_kernel(s, 2.0 * R * np.abs(np.sin(math.pi * (j - x) / N))))
     # add the literal (negative-background) potential: the smeared charge
     # cancels the divergent part of the particle sum
     return total + _literal_background(gas)

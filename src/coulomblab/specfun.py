@@ -1,11 +1,10 @@
 """Scalar special functions backing the closed-form electrostatics results.
 
 Gamma and log-gamma come from the standard library (``math.gamma``,
-``math.lgamma``) and the incomplete elliptic integrals from
-``scipy.special`` (``ellipkinc``, ``ellipeinc``); this module adds the
-argument checks.  The Hurwitz zeta is an Euler-Maclaurin sum of its own,
-because ``scipy.special.zeta(s, a)`` is NaN for s < 1.  All functions are
-pure and safe to call from any number of workers.
+``math.lgamma``); this module adds the argument checks.  The Hurwitz zeta
+is an Euler-Maclaurin sum of its own, because ``scipy.special.zeta(s, a)``
+is NaN for s < 1.  All functions are pure and safe to call from any number
+of workers.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "gamma",
     "hurwitz_zeta",
     "riemann_zeta",
-    "elliptic_integrals",
 ]
 
 
@@ -102,20 +100,3 @@ def riemann_zeta(s: float) -> float:
     """Riemann zeta(s) = hurwitz_zeta(s; 1)."""
     return hurwitz_zeta(s, 1.0)
 
-
-def elliptic_integrals(phi: float, k: float):
-    """Incomplete elliptic integrals (F, E) of modulus k at amplitude phi.
-
-    Valid for phi in [0, pi/2] and k in [0, 1]; the complete first-kind
-    integral diverges at k = 1, which raises.
-    """
-    if not (0.0 <= phi <= math.pi / 2.0 + 1e-15):
-        raise ValueError(f"elliptic_integrals: require 0 <= phi <= pi/2, got {phi}")
-    if not (0.0 <= k <= 1.0):
-        raise ValueError(f"elliptic_integrals: require 0 <= k <= 1, got {k}")
-    if k == 1.0 and phi >= math.pi / 2.0 - 1e-15:
-        raise ValueError("elliptic_integrals: F(pi/2, 1) diverges")
-    from scipy.special import ellipeinc, ellipkinc
-
-    m = k * k
-    return float(ellipkinc(phi, m)), float(ellipeinc(phi, m))

@@ -5,7 +5,6 @@ lower-dimensional equilibrium measures."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +12,6 @@ from ._quad import adaptive_1d
 from .domains import (
     Ball,
     Ellipse2D,
-    UnsupportedRegionError,
     _lambda_integral,
     _lambda_star,
     _ray_chords,
@@ -23,7 +21,6 @@ from .domains import (
 from .specfun import gamma
 
 __all__ = [
-    "SurfaceChargeDensity",
     "OffSurfaceError",
     "shell_potential",
     "ellipsoid_surface_density",
@@ -35,22 +32,6 @@ __all__ = [
 
 class OffSurfaceError(ValueError):
     """Surface quantity requested away from the surface."""
-
-
-@dataclass(frozen=True)
-class SurfaceChargeDensity:
-    """A boundary-supported charge: geometry tag, total charge, density map."""
-
-    geometry: object
-    total: float
-
-    def density(self, r) -> float:
-        if isinstance(self.geometry, tuple) and self.geometry[0] == "sphere":
-            _, d, radius = self.geometry
-            return self.total / (radius ** (d - 1) * sphere_area(d))
-        if isinstance(self.geometry, tuple) and self.geometry[0] == "ellipsoid":
-            return ellipsoid_surface_density(self.geometry[1], self.total, r)
-        raise UnsupportedRegionError("unknown surface geometry")
 
 
 def shell_potential(d: int, R: float, Q: float, r) -> float:
@@ -105,8 +86,7 @@ def projection_density(d: int, R: float, r) -> float:
     if rho >= R:
         raise ValueError("projection_density: |r| < R required")
     # normalization: c_{d-1} R^{d-1} int_0^1 u^{d-2} (1-u^2)^{-1/2} du
-    c = sphere_area(d - 1) if d >= 3 else 2.0
-    z = c * R ** (d - 1) * 0.5 * math.sqrt(math.pi) \
+    z = sphere_area(d - 1) * R ** (d - 1) * 0.5 * math.sqrt(math.pi) \
         * gamma((d - 1) / 2.0) / gamma(d / 2.0)
     return (1.0 - (rho / R) ** 2) ** -0.5 / z
 

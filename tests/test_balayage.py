@@ -217,7 +217,7 @@ def test_hole_energy_direct_quadrature_route():
             return -(math.pi / 2.0) * (rr * rr - a * a) - math.pi * a * a * math.log(a)
         return -math.pi * a * a * math.log(rr)
 
-    from coulomblab._quad import tensor_gl_2d
+    from tensor_gl import tensor_gl_2d
 
     def integrand(RHO, TH):
         vals = np.empty_like(RHO)

@@ -1,9 +1,11 @@
 import contextlib
 import functools
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -85,6 +87,20 @@ def test_oracle_record_says_tolerance_unmet(capsys):
     code, rec = record_of(["potential", "--domain", "cuboid:x0=0,x1=1,y0=0,y1=2,z0=0,z1=0.5",
                            "--point", "0.3,0.5,0.2", "--oracle"])
     assert code == 0 and rec["diagnostics"] is None
+
+
+def test_text_output_warns_when_tolerance_unmet(capsys):
+    argv = ["potential", "--domain", "ellipse:a1=2,a2=1", "--point", "3,0.5",
+            "--oracle", "--tol"]
+    assert main(argv + ["1e-30"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "1.0711080866886831\n"
+    assert len(err.splitlines()) == 1 and "--tol was not met" in err
+    # the JSON record carries the verdict itself, and a met tolerance is quiet
+    assert main(argv + ["1e-30", "--json"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["1e-9"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_negative_first_coordinate():
@@ -294,6 +310,16 @@ def test_import_loads_only_what_it_uses(module, absent):
          f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(coulomblab.__path__)))
+def test_every_export_resolves(name):
+    # a name left in __all__ after its definition is gone fails here, not in
+    # a user's `from coulomblab.<module> import *`
+    module = importlib.import_module(f"coulomblab.{name}")
+    missing = [e for e in getattr(module, "__all__", ()) if not hasattr(module, e)]
+    assert missing == []
 
 
 def test_segment_point_of_two_coordinates_exit_2():

@@ -10,7 +10,6 @@ from coulomblab._quad import gl_nodes
 from coulomblab.conformal import circle_map, ellipse_map, green_two_point, interval_map
 from coulomblab.domains import SingularityError
 from coulomblab.fluctuations import (
-    LinearStatistic,
     covariance_circle,
     covariance_mapped,
     cue_kernel,
@@ -130,16 +129,6 @@ def test_bilinearity_and_symmetry():
     rhs = a * covariance_circle(f1, g) + covariance_circle(f2, g)
     assert abs(lhs - rhs) < 1e-10
     assert abs(covariance_circle(f1, g) - covariance_circle(g, f1)) < 1e-10
-
-
-def test_linear_statistic_fourier_validation():
-    coeffs = np.zeros(8, dtype=complex)
-    coeffs[1] = 0.5
-    coeffs[-1] = 0.5
-    stat = LinearStatistic(math.cos, coeffs)
-    assert abs(covariance_circle(stat, stat) - 0.5) < 1e-10
-    with pytest.raises(ValueError):
-        LinearStatistic(math.sin, coeffs)
 
 
 def test_mapped_identity_reduces_to_circle():

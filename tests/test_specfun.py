@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from coulomblab.specfun import (
     EvalResult,
-    elliptic_integrals,
     hurwitz_zeta,
     log_gamma,
     riemann_zeta,
@@ -102,64 +101,6 @@ def test_hurwitz_forward_recurrence(s, a):
     lhs = hurwitz_zeta(s, a) - hurwitz_zeta(s, a + 1.0)
     scale = max(1.0, abs(hurwitz_zeta(s, a)))
     assert abs(lhs - a ** (-s)) < 1e-10 * scale
-
-
-# --------------------------------------------------------- elliptic integrals
-
-def _agm_complete(k):
-    """AGM oracle for the complete integrals K(k), E(k)."""
-    a, b = 1.0, math.sqrt(1.0 - k * k)
-    c = k
-    ssum = 0.5 * c * c
-    pow2 = 1.0
-    for _ in range(60):
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        pow2 *= 2.0
-        ssum += 0.5 * pow2 * c * c
-        if abs(c) < 1e-17:
-            break
-    big_k = math.pi / (2.0 * a)
-    return big_k, big_k * (1.0 - ssum)
-
-
-def test_zero_modulus_degenerates_to_identity():
-    for phi in (0.0, 0.3, 1.0, math.pi / 2):
-        f, e = elliptic_integrals(phi, 0.0)
-        assert abs(f - phi) < 1e-14
-        assert abs(e - phi) < 1e-14
-
-
-def test_complete_integrals_against_agm():
-    for k in (0.1, 0.3, 0.6, 0.9, 0.99):
-        f, e = elliptic_integrals(math.pi / 2, k)
-        big_k, big_e = _agm_complete(k)
-        assert abs(f - big_k) < 1e-12
-        assert abs(e - big_e) < 1e-12
-
-
-def test_unit_modulus_closed_form():
-    # F(phi, 1) = arctanh(sin phi); series-checked closed form
-    for phi in (0.2, 0.7, 1.2):
-        f, e = elliptic_integrals(phi, 1.0)
-        assert abs(f - math.atanh(math.sin(phi))) < 1e-12
-        assert abs(e - math.sin(phi)) < 1e-12
-
-
-def test_divergence_and_domain_errors():
-    with pytest.raises(ValueError):
-        elliptic_integrals(math.pi / 2, 1.0)
-    with pytest.raises(ValueError):
-        elliptic_integrals(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        elliptic_integrals(0.5, 1.2)
-
-
-@given(st.floats(min_value=1e-3, max_value=math.pi / 2 - 1e-9),
-       st.floats(min_value=1e-3, max_value=0.999))
-@settings(max_examples=60, deadline=None)
-def test_second_kind_below_first_kind(phi, k):
-    f, e = elliptic_integrals(phi, k)
-    assert e <= f + 1e-14
 
 
 def test_eval_result_invariants():

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from coulomblab._quad import adaptive_1d, tensor_gl_2d
-from coulomblab.domains import sphere_area
+from coulomblab._quad import adaptive_1d
+from coulomblab.domains import SingularityError, sphere_area
 from coulomblab.specfun import gamma
 from coulomblab.surfaces import (
     OffSurfaceError,
-    SurfaceChargeDensity,
     ellipsoid_surface_density,
     ellipsoid_surface_potential,
     projection_density,
     projection_identities,
     shell_potential,
 )
+from tensor_gl import tensor_gl_2d
 
 
 def ellipsoid_point(axes, theta, phi):
@@ -136,12 +136,11 @@ def test_surface_potential_against_surface_quadrature():
     assert abs(quad - closed) < 1e-6
 
 
-def test_surface_charge_density_container():
-    shell = SurfaceChargeDensity(("sphere", 3, 1.0), 2.0)
-    assert abs(shell.density([1, 0, 0]) - 2.0 / (4 * math.pi)) < 1e-13
-    ell = SurfaceChargeDensity(("ellipsoid", (1.0, 1.0, 2.0)), 1.0)
-    p = ellipsoid_point((1, 1, 2), 0.4, 0.9)
-    assert ell.density(p) == ellipsoid_surface_density((1, 1, 2), 1.0, p)
+def test_shell_of_zero_radius_read_at_its_centre_raises():
+    # a point charge read at its own position: the kernel's zero separation
+    for d in (2, 3):
+        with pytest.raises(SingularityError):
+            shell_potential(d, 0.0, 1.0, np.zeros(d))
 
 
 # --------------------------------------------------------------- projections
