@@ -162,4 +162,3 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     parts = np.bincount(k, weights=fine[seq], minlength=m)
     errs = np.bincount(k, weights=err[seq] / 15.0, minlength=m)
     return QuadResult(sum(parts.tolist()), sum(errs.tolist()), stats)
-

@@ -307,7 +307,8 @@ def hyperellipsoid_coefficients(axes, N: float = 1.0):
     d = len(axes)
     if d == 2:
         UniformDomain(Ellipse2D(*axes), N)  # checks the axes and the charge
-        return _ellipse_coefficients(*axes, N)
+        a0, c1, c2 = _ellipse_coefficients(*axes, N)
+        return a0, [c1, c2]
     if d < 3:
         raise ValueError("hyperellipsoid_coefficients: need d >= 2")
     pref = N * (d / 2.0) * (d / 2.0 - 1.0)
@@ -368,12 +369,12 @@ def _segment_potential(geo: Segment1D, N: float, x: float) -> float:
 
 
 def _ellipse_coefficients(a1: float, a2: float, N: float):
-    """(alpha_0, [alpha_1, alpha_2]) of the ellipse's interior potential
+    """(alpha_0, alpha_1, alpha_2) of the ellipse's interior potential
     alpha_0 + alpha_1 x^2 + alpha_2 y^2, total charge -N."""
     pref = math.pi * (N / (math.pi * a1 * a2)) / 2.0
     kappa = (a1 - a2) / (a1 + a2)
     a0 = pref * (2.0 * a1 * a2 * math.log((a1 + a2) / 2.0) - a1 * a2)
-    return a0, [pref * (1.0 - kappa), pref * (1.0 + kappa)]
+    return a0, pref * (1.0 - kappa), pref * (1.0 + kappa)
 
 
 def _ellipse_potential(geo: Ellipse2D, N: float, r) -> float:
@@ -382,7 +383,7 @@ def _ellipse_potential(geo: Ellipse2D, N: float, r) -> float:
     if (x / a1) ** 2 + (y / a2) ** 2 > 1.0 + 1e-12:
         raise UnsupportedRegionError(
             "ellipse closed form is interior-only; use potential_oracle")
-    a0, (c1, c2) = _ellipse_coefficients(a1, a2, N)
+    a0, c1, c2 = _ellipse_coefficients(a1, a2, N)
     return a0 + c1 * x * x + c2 * y * y
 
 

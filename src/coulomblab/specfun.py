@@ -99,4 +99,3 @@ def hurwitz_zeta(s: float, a: float) -> float:
 def riemann_zeta(s: float) -> float:
     """Riemann zeta(s) = hurwitz_zeta(s; 1)."""
     return hurwitz_zeta(s, 1.0)
-
