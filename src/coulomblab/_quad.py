@@ -86,8 +86,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     that still needs splitting past that raises QuadratureBudgetError
     carrying the running estimate.
     """
-    x, w = gl_nodes(15)
-    xp1 = x + 1.0
+    xp1, w = _rule15()
     a, b, tol = (np.array(v, dtype=float, ndmin=1) for v in (a, b, tol))
     if not a.size == b.size == tol.size:
         a, b, tol = np.broadcast_arrays(a, b, tol)
@@ -95,70 +94,104 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     # a panel [lo, hi] has nodes lo + h (x + 1) and value h (f . w), with
     # h = (hi - lo) / 2; the first call holds the root panels and their halves
     mid = 0.5 * (a + b)
-    starts = np.array([a, a, mid]).T
-    hs = 0.5 * (np.array([b, mid, b]).T - starts)
+    starts = np.array([a, a, mid])
+    hs = 0.5 * (np.array([b, mid, b]) - starts)
     sums = hs * np.dot(f((starts[:, :, None] + hs[:, :, None] * xp1).ravel())
-                       .reshape(m, 3, 15), w)
-    root, halves = sums[:, 0], sums[:, 1:]
-    # one row per panel being refined: lo, mid, hi, its value, its position
-    # (lo - a) / (b - a), and its interval's index, tol, b - a and roundoff
-    # floor
-    rows = np.array([a, mid, b, root, np.zeros(m), np.arange(m), tol, b - a,
-                     1e-15 * (1.0 + np.abs(root))]).T
+                       .reshape(3, m, 15), w)
+    coarse, halves = sums[0], sums[1:]
+    # the panels of a level: lo, hi, value, their halves' values, and their
+    # interval's tol, b - a and roundoff floor; the root level reads them off
+    # the inputs, deeper levels off the panel table
+    lo, hi, tl, span = a, b, tol, b - a
+    floor = 1e-15 * (1.0 + np.abs(coarse))
+    table = None
     used, depth, at_cap, at_floor = 3 * m, 0, 0, 0
     levels = []
     while True:
-        n = len(rows)
-        fine = halves[:, 0] + halves[:, 1]
-        err = np.abs(fine - rows[:, 3])
-        done = err < rows[:, 6] * np.maximum((rows[:, 2] - rows[:, 0]) / rows[:, 7], 1e-12)
+        n = len(coarse)
+        fine = halves[0] + halves[1]
+        err = np.abs(fine - coarse)
+        done = err < tl * np.maximum((hi - lo) / span, 1e-12)
         n_done = n_met = int(np.count_nonzero(done))
         if n_met < n:
-            done |= err < rows[:, 8]
+            done |= err < floor
             n_done = int(np.count_nonzero(done))
             at_floor += n_done - n_met
             if depth >= max_depth:
                 at_cap += n - n_done
                 done[:] = True
                 n_done = n
-        levels.append((rows[:, 4:6], fine, err, done))
+        if table is None:
+            if n_done == n:     # every root accepted: sum them in interval order
+                stats = QuadStats(used, 1, at_cap, at_floor, at_cap == 0 and at_floor == 0)
+                return QuadResult(sum(fine.tolist()), sum((err / 15.0).tolist()), stats)
+            table = np.array([a, mid, a, a, mid, b, np.zeros(m), np.arange(m), tol, span,
+                              floor, a])
+        levels.append((table, fine, err, done))
         if n_done == n:
             break
         split = ~done
-        rows, halves = rows[split], halves[split]
+        table = table.compress(split, axis=1)
+        halves = np.compress(split, halves, axis=1)
         # a depth-first walk of the same tree, checking its count panel by
         # panel, finishes up to two panels per level past its last check;
         # the allowance keeps every integral it finishes within budget here
         if used - 2 * depth > max_panels:
-            seen = np.concatenate([lv[0][:, 1] for lv in levels]).astype(np.intp)
-            per = 1 + 2 * np.bincount(seen, minlength=m)
-            if np.any(per[rows[:, 5].astype(np.intp)] - 2 * depth > max_panels):
-                accepted = [(lv[1][lv[3]], lv[2][lv[3]]) for lv in levels]
-                raise QuadratureBudgetError(
-                    float(sum(np.sum(v) for v, _ in accepted) + np.sum(halves)),
-                    float(sum(np.sum(e) for _, e in accepted) / 15.0 + np.sum(err[split])))
-        # each split panel becomes its left and right half, in that order
+            _check_budget(levels, table, halves, err.compress(split), m, depth, max_panels)
+        # each split panel becomes its left and right half, valued by its
+        # halves; one call values their halves, its quarters
         depth += 1
-        rows = np.repeat(rows, 2, axis=0)
-        rows[0::2, 2] = rows[0::2, 1]
-        rows[1::2, 0] = rows[1::2, 1]
-        rows[1::2, 4] += 0.5 ** depth
-        rows[:, 3] = halves.ravel()
-        rows[:, 1] = 0.5 * (rows[:, 0] + rows[:, 2])
-        n = len(rows)
-        hs = 0.5 * (rows[:, 1:3] - rows[:, 0:2])
-        halves = hs * np.dot(f((rows[:, 0:2, None] + hs[:, :, None] * xp1).ravel())
-                             .reshape(n, 2, 15), w)
-        used += 2 * n
+        np.multiply(table[0:2] + table[4:6], 0.5, out=table[2:4])
+        np.add(table[6], 0.5 ** depth, out=table[11])
+        hs = 0.5 * (table[2:6] - table[0:4])
+        coarse = halves.ravel()
+        halves = (hs * np.dot(f((table[0:4, :, None] + hs[:, :, None] * xp1).ravel())
+                              .reshape(4, -1, 15), w)).reshape(2, -1)
+        table = table.take(_CHILDREN, axis=0).reshape(12, -1)
+        used += 2 * len(coarse)
+        lo, hi, tl, span, floor = table[0], table[5], table[8], table[9], table[10]
     stats = QuadStats(used, depth + 1, at_cap, at_floor, at_cap == 0 and at_floor == 0)
-    if not depth:     # the root panels, in interval order
-        return QuadResult(sum(fine.tolist()), sum((err / 15.0).tolist()), stats)
     # per interval, the accepted panels from the upper end down: the order in
     # which a depth-first walk that splits the right half first accepts them
-    where, fine, err, done = (np.concatenate(c) for c in zip(*levels))
-    where, fine, err = where[done], fine[done], err[done]
-    seq = np.lexsort((-where[:, 0], where[:, 1]))
-    k = where[seq, 1].astype(np.intp)
-    parts = np.bincount(k, weights=fine[seq], minlength=m)
-    errs = np.bincount(k, weights=err[seq] / 15.0, minlength=m)
+    table, fine, err, done = (np.concatenate(c, axis=-1) for c in zip(*levels))
+    pos, k = table[6:8].compress(done, axis=1)
+    seq = np.lexsort((-pos, k))
+    k = k.take(seq).astype(np.intp)
+    parts = np.bincount(k, weights=fine.compress(done).take(seq), minlength=m)
+    errs = np.bincount(k, weights=err.compress(done).take(seq) / 15.0, minlength=m)
     return QuadResult(sum(parts.tolist()), sum(errs.tolist()), stats)
+
+
+# The panels being refined, one column each: lo, mid, q1, q3, mid, hi, its
+# position (lo - a) / (b - a), its interval's index, tol, b - a and roundoff
+# floor, and its right half's position.  q1 and q3, the midpoints of its
+# halves, and the last row are filled in when it is split: its quarters are
+# then the panels from rows 0-3 to rows 2-5.  The rows of a split panel's
+# left and right halves, all left halves first:
+_CHILDREN = np.array([[0, 1], [2, 3], [0, 0], [0, 0], [2, 3], [1, 5],
+                      [6, 11], [7, 7], [8, 8], [9, 9], [10, 10], [0, 0]])
+
+
+def _check_budget(levels, table, halves, err, m, depth, max_panels):
+    """Raise QuadratureBudgetError when an interval of the split panels in
+    ``table`` has evaluated more than ``max_panels`` panels plus two per
+    level, carrying the sum of the accepted panels and of the split panels'
+    halves, each level in interval and position order."""
+    seen = np.concatenate([t[7] for t, *_ in levels]).astype(np.intp)
+    per = 1 + 2 * np.bincount(seen, minlength=m)
+    if np.any(per[table[7].astype(np.intp)] - 2 * depth > max_panels):
+        value = estimate = 0.0
+        for t, fine, e, done in levels:
+            pos, k = t[6:8].compress(done, axis=1)
+            seq = np.lexsort((pos, k))
+            value += np.sum(fine.compress(done).take(seq))
+            estimate += np.sum(e.compress(done).take(seq))
+        seq = np.lexsort(table[6:8])
+        raise QuadratureBudgetError(float(value + np.sum(halves.take(seq, axis=1).T)),
+                                    float(estimate / 15.0 + np.sum(err.take(seq))))
+
+
+@lru_cache(maxsize=1)
+def _rule15():
+    x, w = gl_nodes(15)
+    return x + 1.0, w

@@ -472,55 +472,81 @@ def background_potential(dom: UniformDomain, r) -> float:
 
 # ------------------------------------------------------------ oracle (rays)
 
-def _ray_chords(geo, origin, dirs):
-    """Chords of the rays {origin + t e, t >= 0} through the body, for the
-    directions e whose d components are the (n,) arrays of the sequence
-    ``dirs`` (a component that is zero on every ray may be the float 0.0).
-
-    Returns a list of (t0, t1) pairs of (n,) arrays with 0 <= t0 <= t1: one
-    pair for the convex bodies, two for the annulus (before and after the
-    hole).  A ray that misses gives t0 = t1.
+def _ray_chords(geo, origin):
+    """Chords through the body of the rays {origin + t e, t >= 0}, as a
+    function of the directions e: it takes their d components as a sequence
+    of (n,) arrays (a component that is zero on every ray may be the float
+    0.0) and returns a (k, 2, n) array of chords (t0, t1), 0 <= t0 <= t1,
+    with k = 1 for the convex bodies and k = 2 for the annulus (before and
+    after the hole).  A ray that misses gives t0 = t1.  What depends on the
+    origin alone is computed here, once per point.
     """
     o = np.asarray(origin, dtype=float)
     if isinstance(geo, (Rectangle, Cuboid)):
         # slab method, one axis at a time; a ray parallel to a slab gives
         # +-inf (nan on its face, which fmax/fmin skip)
-        t0, t1 = 0.0, math.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for (lo, hi), ok, e in zip(geo.bounds, o, dirs):
-                ta, tb = (lo - ok) / e, (hi - ok) / e
-                t0, t1 = np.fmax(t0, np.fmin(ta, tb)), np.fmin(t1, np.fmax(ta, tb))
-        hit = t1 > t0
-        return [(np.where(hit, t0, 0.0), np.where(hit, t1, 0.0))]
+        slabs = [(lo - ok, hi - ok) for (lo, hi), ok in zip(geo.bounds, o)]
+
+        def slab_chords(dirs):
+            t0, t1 = 0.0, math.inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for (lo, hi), e in zip(slabs, dirs):
+                    ta, tb = lo / e, hi / e
+                    t0, t1 = np.fmax(t0, np.fmin(ta, tb)), np.fmin(t1, np.fmax(ta, tb))
+            return np.where(t1 > t0, np.array([[t0, t1]]), 0.0)
+        return slab_chords
     if isinstance(geo, Annulus2D):
-        t0, t1 = _quadric_chord(o, dirs, (geo.R, geo.R))
-        h0, h1 = _quadric_chord(o, dirs, (geo.c * geo.R, geo.c * geo.R))
-        miss = h1 <= h0
-        h0, h1 = np.where(miss, t1, h0), np.where(miss, t1, h1)
-        return [(t0, h0), (h1, t1)]
+        # the disk and its hole in one pass
+        radii = np.array([[geo.R], [geo.c * geo.R]])
+        both = _quadric_chords(o, (radii, radii))
+
+        def annulus_chords(dirs):
+            r = both(dirs)
+            # a ray that misses the hole gets an empty hole chord at its exit
+            # from the disk; then the chords are (t0, hole t0), (hole t1, t1)
+            r[:, 1] = np.where(r[1, 1] <= r[0, 1], r[1, 0], r[:, 1])
+            r[1] = r[1, ::-1]
+            return r
+        return annulus_chords
     if isinstance(geo, Ball):
-        return [_quadric_chord(o, dirs, (geo.R,) * geo.d)]
-    if isinstance(geo, Ellipse2D):
-        return [_quadric_chord(o, dirs, (geo.a1, geo.a2))]
-    if isinstance(geo, Hyperellipsoid):
-        return [_quadric_chord(o, dirs, geo.axes)]
-    raise UnsupportedRegionError(f"no ray intersections for {type(geo).__name__}")
+        axes = (float(geo.R),) * geo.d
+    elif isinstance(geo, Ellipse2D):
+        axes = (float(geo.a1), float(geo.a2))
+    elif isinstance(geo, Hyperellipsoid):
+        axes = geo.axes
+    else:
+        raise UnsupportedRegionError(f"no ray intersections for {type(geo).__name__}")
+    one = _quadric_chords(o, axes)
+    return lambda dirs: one(dirs).reshape(1, 2, -1)
 
 
-def _quadric_chord(origin, dirs, axes):
-    """Chords of the rays through the solid ellipsoid sum (x_i/a_i)^2 <= 1,
-    for direction components ``dirs`` as in ``_ray_chords``; the quadratic's
-    coefficients are summed component by component, first to last."""
-    ax = np.asarray(axes, dtype=float)
-    ax2 = ax ** 2
-    a, b = (dirs[0] / ax[0]) ** 2, origin[0] * dirs[0] / ax2[0]
-    for ok, e, ak, ak2 in zip(origin[1:], dirs[1:], ax[1:], ax2[1:]):
-        a, b = a + (e / ak) ** 2, b + ok * e / ak2
-    c = np.sum((origin / ax) ** 2) - 1.0
-    sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
-    t0 = np.maximum((-b - sq) / a, 0.0)
-    t1 = np.maximum((-b + sq) / a, t0)
-    return t0, t1
+def _quadric_chords(origin, axes):
+    """Chords of the rays from ``origin`` through the solid ellipsoid
+    sum (x_i/a_i)^2 <= 1, as a function of direction components as in
+    ``_ray_chords``; it returns the (2, n) array of entries t0 and exits t1.
+    Each a_i may instead be a (k, 1) column, for k ellipsoids at once: then
+    the chords are (2, k, n).  Each quadratic's coefficients are summed
+    component by component, first to last."""
+    origin = origin.tolist()
+    ax2 = [a * a for a in axes]
+    c = np.add.reduce([(ok / a) * (ok / a) for ok, a in zip(origin, axes)]) - 1.0
+    rest = list(zip(origin[1:], axes[1:], ax2[1:]))
+    # the smaller and larger root of each quadratic, (-b -+ sq) / a
+    signs = _ROOT_SIGNS if c.ndim == 0 else _ROOT_SIGNS[:, :, None]
+
+    def chords(dirs):
+        a, b = (dirs[0] / axes[0]) ** 2, origin[0] * dirs[0] / ax2[0]
+        for (ok, ak, ak2), e in zip(rest, dirs[1:]):
+            a, b = a + (e / ak) ** 2, b + ok * e / ak2
+        sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
+        r = (sq * signs - b) / a
+        np.maximum(r[0], 0.0, out=r[0])
+        np.maximum(r[1], r[0], out=r[1])
+        return r
+    return chords
+
+
+_ROOT_SIGNS = np.array([[-1.0], [1.0]])
 
 
 def _conic_tangents(origin, a1, a2):
@@ -583,22 +609,25 @@ def _edge_integral(h, pieces):
     integrand smooth in s (Davis & Rabinowitz, Methods of Numerical
     Integration, 2nd ed., 1984).
     """
-    lo, hi, lo_edge, hi_edge, tol = (np.array(c) for c in zip(*pieces))
-    c = (hi - lo)[:, None] * np.array([_EDGE_MAPS[e] for e in zip(lo_edge, hi_edge)])
-    # per piece: theta = lo + s (a1 + s (a2 + s a3)), dtheta/ds = a1 + s (b2 + s b3)
-    table = np.column_stack([lo, c, 2.0 * c[:, 1], 3.0 * c[:, 2]])
+    # per piece: its start k and the Horner coefficients, highest last, of
+    # theta = lo + s (a1 + s (a2 + s a3)) and of dtheta/ds = a1 + s (b2 + s b3),
+    # side by side (b3 + s 0 = b3 for s >= 0), then its tolerance
+    rows = []
+    for k, (lo, hi, lo_edge, hi_edge, tol) in enumerate(pieces):
+        a1, a2, a3 = ((hi - lo) * c for c in _EDGE_MAPS[lo_edge, hi_edge])
+        rows.append((k, lo, a1, a1, 2.0 * a2, a2, 3.0 * a3, a3, 0.0, tol))
+    table = np.array(list(zip(*rows)))
     last = len(pieces) - 1
 
     def f(x):
         # a node that rounds onto k + 1 (panels below ~1e-13 wide) is read
         # at s = 0 of the next piece, with a weight below roundoff
-        k = np.minimum(x.astype(np.intp), last)
-        base, a1, a2, a3, b2, b3 = table[k].T
-        s = x - k
-        return (a1 + s * (b2 + s * b3)) * h(base + s * (a1 + s * (a2 + s * a3)))
+        c = table[:9].take(np.minimum(x.astype(np.intp), last), axis=1)
+        s = x - c[0]
+        theta, dtheta = c[1:3] + s * (c[3:5] + s * (c[5:7] + s * c[7:9]))
+        return dtheta * h(theta)
 
-    start = np.arange(len(pieces), dtype=float)
-    return adaptive_1d(f, start, start + 1.0, tol)
+    return adaptive_1d(f, table[0], table[0] + 1.0, table[9])
 
 
 def _log_primitive(t):
@@ -619,10 +648,11 @@ def _oracle_1d(geo: Segment1D | Ball, rho_b: float, x: float, tol: float):
 
 def _oracle_2d(geo, rho_b: float, r, tol: float):
     origin = np.asarray(r, dtype=float)
+    chords = _ray_chords(geo, origin)
 
     def h(thetas):
         # one primitive call on every chord end: p[k] holds chord k's (t0, t1)
-        p = _log_primitive(np.array(_ray_chords(geo, origin, (np.cos(thetas), np.sin(thetas)))))
+        p = _log_primitive(chords((np.cos(thetas), np.sin(thetas))))
         return rho_b * sum(p[:, 1] - p[:, 0])
 
     # the integrand is smooth between the cuts; integrating across one
@@ -645,10 +675,11 @@ def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
     c_dm1 = sphere_area(d - 1)
     origin = np.zeros(d)
     origin[0] = rr
+    chords = _ray_chords(geo, origin)
 
     def h(gammas):
         dirs = (np.cos(gammas), np.sin(gammas), *[0.0] * (d - 2))
-        ((t0, t1),) = _ray_chords(geo, origin, dirs)
+        ((t0, t1),) = chords(dirs)
         return (t1 * t1 - t0 * t0) / 2.0 * np.sin(gammas) ** (d - 2)
 
     lo = math.pi - math.asin(min(R / rr, 1.0)) if rr > R else 0.0
@@ -705,14 +736,14 @@ def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r):
     from scipy.stats import qmc
 
     d = geo.dim
-    origin = np.asarray(r, dtype=float)
+    chords = _ray_chords(geo, r)
     estimates = []
     for rep in range(8):
         sob = qmc.Sobol(d, scramble=True, seed=7 + rep)
         u = sob.random_base2(13)
         g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-        ((t0, t1),) = _ray_chords(geo, origin, dirs.T)
+        ((t0, t1),) = chords(dirs.T)
         contrib = (t1 * t1 - t0 * t0) / 2.0
         estimates.append(-rho_b * sphere_area(d) * float(np.mean(contrib)))
     val = float(np.mean(estimates))

@@ -400,20 +400,20 @@ def test_ray_chords_on_components_match_row_form(geo, origins):
     # slab face but one pair (0/0 on a face the origin lies on)
     dirs = np.vstack([g / np.linalg.norm(g, axis=1, keepdims=True), np.eye(d), -np.eye(d)])
     for origin in origins:
-        got = domains._ray_chords(geo, origin, dirs.T)
+        got = domains._ray_chords(geo, origin)(dirs.T)
         ref = _ray_chords_reference(geo, origin, dirs)
         assert len(got) == len(ref)
         for (g0, g1), (r0, r1) in zip(got, ref):
             assert np.array_equal(g0, r0) and np.array_equal(g1, r1), origin
     if isinstance(geo, Annulus2D):
         # from outside, some rays cross the hole and some miss it
-        (_, h0), (h1, _) = domains._ray_chords(geo, (1.6, 0.3), dirs.T)
+        (_, h0), (h1, _) = domains._ray_chords(geo, (1.6, 0.3))(dirs.T)
         assert np.any(h1 > h0) and np.any((h1 == h0) & (h0 > 0.0))
     if isinstance(geo, Ball) and d == 3:
         # the d-ball oracle's planar fan: a zero component given as 0.0
         gam = rng.uniform(0.0, math.pi, 50)
         fan = np.column_stack([np.cos(gam), np.sin(gam), np.zeros(50)])
-        ((g0, g1),) = domains._ray_chords(geo, (1.8, 0.0, 0.0), (fan[:, 0], fan[:, 1], 0.0))
+        ((g0, g1),) = domains._ray_chords(geo, (1.8, 0.0, 0.0))((fan[:, 0], fan[:, 1], 0.0))
         ((r0, r1),) = _ray_chords_reference(geo, (1.8, 0.0, 0.0), fan)
         assert np.array_equal(g0, r0) and np.array_equal(g1, r1)
 
