@@ -187,7 +187,7 @@ def _check_budget(levels, table, halves, err, m, depth, max_panels):
             value += np.sum(fine.compress(done).take(seq))
             estimate += np.sum(e.compress(done).take(seq))
         seq = np.lexsort(table[6:8])
-        raise QuadratureBudgetError(float(value + np.sum(halves.take(seq, axis=1).T)),
+        raise QuadratureBudgetError(float(value + np.sum(halves.take(seq, axis=1).T.ravel())),
                                     float(estimate / 15.0 + np.sum(err.take(seq))))
 
 

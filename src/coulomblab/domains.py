@@ -539,10 +539,8 @@ def _quadric_chords(origin, axes):
         for (ok, ak, ak2), e in zip(rest, dirs[1:]):
             a, b = a + (e / ak) ** 2, b + ok * e / ak2
         sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
-        r = (sq * signs - b) / a
-        np.maximum(r[0], 0.0, out=r[0])
-        np.maximum(r[1], r[0], out=r[1])
-        return r
+        # rounding is monotone, so the larger root stays the larger
+        return np.maximum((sq * signs - b) / a, 0.0)
     return chords
 
 
@@ -616,24 +614,26 @@ def _edge_integral(h, pieces):
     for k, (lo, hi, lo_edge, hi_edge, tol) in enumerate(pieces):
         a1, a2, a3 = ((hi - lo) * c for c in _EDGE_MAPS[lo_edge, hi_edge])
         rows.append((k, lo, a1, a1, 2.0 * a2, a2, 3.0 * a3, a3, 0.0, tol))
-    table = np.array(list(zip(*rows)))
-    last = len(pieces) - 1
+    # the last piece again, for the node x = k + 1 at its upper end
+    table = np.array(list(zip(*rows, rows[-1])))
 
     def f(x):
         # a node that rounds onto k + 1 (panels below ~1e-13 wide) is read
         # at s = 0 of the next piece, with a weight below roundoff
-        c = table[:9].take(np.minimum(x.astype(np.intp), last), axis=1)
+        c = table[:9].take(x.astype(np.intp), axis=1)
         s = x - c[0]
         theta, dtheta = c[1:3] + s * (c[3:5] + s * (c[5:7] + s * c[7:9]))
         return dtheta * h(theta)
 
-    return adaptive_1d(f, table[0], table[0] + 1.0, table[9])
+    start = table[0, :-1]
+    return adaptive_1d(f, start, start + 1.0, table[9, :-1])
 
 
 def _log_primitive(t):
-    # integral of u log u du from 0 to t
+    # integral of u log u du from 0 to t; -0.0 at t = 0, which a sum of
+    # chord differences started from 0 reads as 0.0
     tt = np.maximum(t, 1e-300)
-    return np.where(t > 0.0, tt * tt * (2.0 * np.log(tt) - 1.0) / 4.0, 0.0)
+    return tt * tt * (2.0 * np.log(tt) - 1.0) / 4.0
 
 
 def _oracle_1d(geo: Segment1D | Ball, rho_b: float, x: float, tol: float):
