@@ -6,6 +6,15 @@ every interval it was given, is one call of the (vectorised) integrand.
 This is the level-by-level form of adaptive Gauss rules (Davis &
 Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984), and it makes
 the integrand's fixed numpy cost per call a cost per level, not per panel.
+
+That rule is the whole contract: one integrand call per level, 15 nodes
+per panel, the depth-first walk's tree, budget and sums.  What is left is a
+fixed number of numpy calls on small arrays: the panels being refined live
+in one table that a level splits with one ``compress`` and grows with one
+``take``.  On the 2-core x86-64 benchmark machine (Python 3.11, numpy 2.4)
+a one-interval call that its root satisfies costs ~45 us and each level
+~45 us beside its integrand call; ``scripts/quad_overhead.py`` prints the
+current figures.
 """
 
 from __future__ import annotations
@@ -103,8 +112,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     # interval's tol, b - a and roundoff floor; the root level reads them off
     # the inputs, deeper levels off the panel table
     lo, hi, tl, span = a, b, tol, b - a
-    floor = 1e-15 * (1.0 + np.abs(coarse))
-    table = None
+    floor = table = None
     used, depth, at_cap, at_floor = 3 * m, 0, 0, 0
     levels = []
     while True:
@@ -114,6 +122,8 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
         done = err < tl * np.maximum((hi - lo) / span, 1e-12)
         n_done = n_met = int(np.count_nonzero(done))
         if n_met < n:
+            if floor is None:   # the roots' roundoff floor, when first needed
+                floor = 1e-15 * (1.0 + np.abs(coarse))
             done |= err < floor
             n_done = int(np.count_nonzero(done))
             at_floor += n_done - n_met

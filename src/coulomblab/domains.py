@@ -304,13 +304,11 @@ def hyperellipsoid_coefficients(axes, N: float = 1.0):
     ellipse closed form.
     """
     axes = tuple(float(a) for a in axes)
+    UniformDomain(Hyperellipsoid(axes), N)  # checks the axes and the charge
     d = len(axes)
     if d == 2:
-        UniformDomain(Ellipse2D(*axes), N)  # checks the axes and the charge
         a0, c1, c2 = _ellipse_coefficients(*axes, N)
         return a0, [c1, c2]
-    if d < 3:
-        raise ValueError("hyperellipsoid_coefficients: need d >= 2")
     pref = N * (d / 2.0) * (d / 2.0 - 1.0)
     a0 = -pref * _lambda_integral(axes, lambda lam: np.ones_like(lam))[0]
     alphas = [
@@ -765,6 +763,11 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     at that end of the interval removes (as at the d-ball's cone edge).  All
     the intervals of one point are integrated in one breadth-first
     ``adaptive_1d`` call, one integrand call per level of the panel tree.
+    What depends on the point alone (the chord quadratics' constant terms,
+    the piece table) is set up once per point, so an integrand call is a
+    fixed ~40 numpy operations on its nodes: ~50-60 us for a disk or ellipse
+    and ~65 us for the annulus, whose two circles share one pass, on the
+    2-core x86-64 benchmark machine (``scripts/quad_overhead.py``).
     The cuboid is not adaptive: its corner boxes split into Duffy pyramids,
     all evaluated in one grid pass by fixed 28- and 40-point rules; it
     ignores ``tol`` and its error estimate is |fine - coarse|.

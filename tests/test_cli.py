@@ -138,6 +138,30 @@ def test_coeffs_sum_rule():
     assert abs(rec["values"]["sum"] - 0.75) < 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--axes", "1|-1|1"],
+    ["coeffs", "--axes", "1|1|1", "--N", "-2"],
+    ["coeffs", "--axes", "1|-1"],
+])
+def test_coeffs_bad_axes_or_charge_exit_2(argv, capsys):
+    # every dimension checks its axes and charge, as the d = 2 path did
+    code = main(argv + ["--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+
+
+def test_coeffs_valid_axes_unchanged():
+    # the values the d = 2 closed form and the d = 3 lambda-integrals gave
+    # before the check moved
+    code, rec = record_of(["coeffs", "--axes", "2|1"])
+    assert code == 0 and rec["values"] == {
+        "alpha0": -0.09453489189183562,
+        "alphas": [0.16666666666666669, 0.3333333333333333], "sum": 0.5}
+    code, rec = record_of(["coeffs", "--axes", "1|1|1"])
+    assert code == 0 and rec["values"]["alpha0"] == -1.5
+    assert rec["values"]["alphas"] == [0.4999999999999999] * 3
+
+
 def test_green_and_capacity():
     code, rec = record_of(["green", "--geometry", "disk", "--z", "2,0",
                            "--w", "3,0"])

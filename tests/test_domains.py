@@ -418,6 +418,65 @@ def test_ray_chords_on_components_match_row_form(geo, origins):
         assert np.array_equal(g0, r0) and np.array_equal(g1, r1)
 
 
+@pytest.mark.parametrize("geo,origins", RAY_BODIES)
+def test_ray_chords_keep_each_origin_apart(geo, origins):
+    # what _ray_chords computes once per origin stays with that origin: two
+    # chord functions called in turn, on fresh directions each time, give
+    # each origin's own chords
+    d = geo.dim
+    rng = np.random.default_rng(7 * d + len(origins))
+    first, last = origins[0], origins[-1]
+    chords = {first: domains._ray_chords(geo, first), last: domains._ray_chords(geo, last)}
+    for origin in (first, last, first, last):
+        g = rng.standard_normal((64, d))
+        dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
+        got = chords[origin](dirs.T)
+        ref = _ray_chords_reference(geo, origin, dirs)
+        assert len(got) == len(ref)
+        for (g0, g1), (r0, r1) in zip(got, ref):
+            assert np.array_equal(g0, r0) and np.array_equal(g1, r1), origin
+
+
+def _edge_integrand_reference(h, pieces):
+    # the numpy construction of the piece table and its integrand, as built
+    # before the table was assembled from Python floats
+    lo, hi, lo_edge, hi_edge, tol = (np.array(c) for c in zip(*pieces))
+    c = (hi - lo)[:, None] * np.array([domains._EDGE_MAPS[e] for e in zip(lo_edge, hi_edge)])
+    table = np.column_stack([lo, c, 2.0 * c[:, 1], 3.0 * c[:, 2]])
+    last = len(pieces) - 1
+
+    def f(x):
+        k = np.minimum(x.astype(np.intp), last)
+        base, a1, a2, a3, b2, b3 = table[k].T
+        s = x - k
+        return (a1 + s * (b2 + s * b3)) * h(base + s * (a1 + s * (a2 + s * a3)))
+
+    start = np.arange(len(pieces), dtype=float)
+    return f, start, start + 1.0, tol
+
+
+def test_edge_integral_table_matches_numpy_construction(monkeypatch):
+    # all four edge-flag pairs, each once as a lone piece and together
+    pieces = [(0.0, 0.7, False, False, 1e-9), (0.7, 2.0, True, False, 2e-9),
+              (2.0, 4.1, False, True, 3e-9), (4.1, 2.0 * math.pi, True, True, 1e-9)]
+    seen = []
+    monkeypatch.setattr(domains, "adaptive_1d", lambda *args: seen.append(args))
+    rng = np.random.default_rng(5)
+    for h in (np.ones_like, lambda t: t, lambda t: np.sqrt(np.abs(np.sin(t)))):
+        for group in [[p] for p in pieces] + [pieces]:
+            seen.clear()
+            domains._edge_integral(h, group)
+            ((f, a, b, tol),) = seen
+            ref_f, ref_a, ref_b, ref_tol = _edge_integrand_reference(h, group)
+            for got, ref in ((a, ref_a), (b, ref_b), (tol, ref_tol)):
+                assert np.array_equal(got, ref)
+            m = len(group)
+            # every piece's ends, nodes just inside them, and random nodes
+            x = np.concatenate([np.arange(m + 1.0), np.arange(m) + 1e-13,
+                                np.arange(1, m + 1) - 1e-13, rng.uniform(0.0, m, 200)])
+            assert np.array_equal(f(x), ref_f(x))
+
+
 def test_shell_theorem_exterior():
     rng = np.random.default_rng(3)
     for d in (2, 3, 5):

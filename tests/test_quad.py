@@ -142,3 +142,36 @@ def test_same_tree_and_budget_as_depth_first(name):
             except QuadratureBudgetError:
                 continue
             assert adaptive_1d(f, 0.0, 1.0, tol, max_panels=budget) == res
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_every_input_shape_is_the_depth_first_walk(name):
+    # scalars, length-1 arrays and a scalar tol beside arrays enter the
+    # set-up differently; each gives the depth-first walk's tree, value and
+    # error, and a root accepted at once returns before the panel table
+    f = INTEGRANDS[name]
+    for lo, hi, tol in [(0.2, 0.9, 1e-6), (0.2, 0.9, 1e-11), (0.0, 0.05, 1e-3)]:
+        value, err, panels = depth_first(f, lo, hi, tol)
+        for args in [(lo, hi, tol), ([lo], [hi], [tol]), (np.array([lo]), np.array([hi]), tol),
+                     (lo, hi, np.array([tol]))]:
+            res = adaptive_1d(f, *args)
+            assert res == (value, err) and res.stats.panels == panels, args
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_many_intervals_with_one_tol_are_their_single_calls(name):
+    # more than 64 intervals under a scalar tol, then a call of several
+    # intervals that every root satisfies
+    f = INTEGRANDS[name]
+    for edges, tol in [(np.linspace(-1.0, 2.0, 71), 1e-9), (np.linspace(0.0, 0.3, 4), 1e-2)]:
+        singles = [adaptive_1d(f, lo, hi, tol) for lo, hi in zip(edges[:-1], edges[1:])]
+        for (lo, hi), single in zip(zip(edges[:-1], edges[1:]), singles):
+            assert single == depth_first(f, lo, hi, tol)[:2]
+        g, seen = counting(f)
+        res = adaptive_1d(g, edges[:-1], edges[1:], tol)
+        assert res[0] == sum(r[0] for r in singles)
+        assert res[1] == sum(r[1] for r in singles)
+        assert res.stats.panels == sum(r.stats.panels for r in singles)
+        assert res.stats.depth == max(r.stats.depth for r in singles)
+        assert seen["calls"] == res.stats.depth
+    assert res.stats.depth == 1
