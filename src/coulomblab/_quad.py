@@ -142,7 +142,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
             break
         split = ~done
         table = table.compress(split, axis=1)
-        halves = np.compress(split, halves, axis=1)
+        halves = halves.compress(split, axis=1)
         # a depth-first walk of the same tree, checking its count panel by
         # panel, finishes up to two panels per level past its last check;
         # the allowance keeps every integral it finishes within budget here

@@ -101,7 +101,7 @@ class Ball:
     R: float
 
     def __post_init__(self):
-        if self.d < 1 or self.R <= 0:
+        if self.d < 1 or not self.R > 0:
             raise ValueError("Ball: need d >= 1, R > 0")
 
     @property
@@ -134,7 +134,7 @@ class Segment1D:
     R: float
 
     def __post_init__(self):
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError("Segment1D: need R > 0")
 
     dim = 1
@@ -150,7 +150,7 @@ class Hyperellipsoid:
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(float(a) for a in self.axes))
-        if len(self.axes) < 2 or any(a <= 0 for a in self.axes):
+        if len(self.axes) < 2 or not all(a > 0 for a in self.axes):
             raise ValueError("Hyperellipsoid: need >= 2 positive axes")
 
     @property
@@ -169,7 +169,7 @@ class Ellipse2D:
     a2: float
 
     def __post_init__(self):
-        if self.a1 <= 0 or self.a2 <= 0:
+        if not (self.a1 > 0 and self.a2 > 0):
             raise ValueError("Ellipse2D: need positive semi-axes")
 
     dim = 2
@@ -186,7 +186,7 @@ class Cuboid:
     def __post_init__(self):
         b = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", b)
-        if len(b) != 3 or any(hi <= lo for lo, hi in b):
+        if len(b) != 3 or not all(hi > lo for lo, hi in b):
             raise ValueError("Cuboid: need three nondegenerate intervals")
 
     dim = 3
@@ -203,7 +203,7 @@ class Rectangle:
     def __post_init__(self):
         b = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", b)
-        if len(b) != 2 or any(hi <= lo for lo, hi in b):
+        if len(b) != 2 or not all(hi > lo for lo, hi in b):
             raise ValueError("Rectangle: need two nondegenerate intervals")
 
     dim = 2
@@ -221,7 +221,7 @@ class UniformDomain:
     N: float = 1.0
 
     def __post_init__(self):
-        if self.N <= 0:
+        if not self.N > 0:
             raise ValueError("UniformDomain: total charge N must be > 0")
 
     @property
@@ -783,6 +783,8 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     geo = dom.geometry
     rho_b = dom.rho_b
     p = _point(r, geo.dim)
+    if not all(map(math.isfinite, p.tolist())):
+        raise ValueError("potential_oracle: the point must be finite")
     if isinstance(geo, Segment1D) or (isinstance(geo, Ball) and geo.d == 1):
         res = _oracle_1d(geo, rho_b, float(p[0]), tol)
         return EvalResult(*res, res.stats)

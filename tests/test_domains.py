@@ -62,6 +62,30 @@ def test_domain_charge_invariant():
         assert abs(dom.rho_b * geo.volume - dom.N) < 1e-12 * dom.N
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Ball(2, math.nan), lambda: Segment1D(math.nan), lambda: Ellipse2D(2.0, math.nan),
+    lambda: Hyperellipsoid((1.0, math.nan, 2.0)), lambda: Rectangle(((0.0, math.nan), (0.0, 1.0))),
+    lambda: Cuboid(((0.0, 1.0), (math.nan, 1.0), (0.0, 1.0))),
+    lambda: UniformDomain(Ball(2, 1.0), math.nan),
+    lambda: hyperellipsoid_coefficients((math.nan, 1.0, 2.0)),
+])
+def test_nan_sizes_and_charge_rejected(make):
+    # a nan compares false with every bound, so each check asks for the
+    # valid case to hold
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("geo,p", [(Ball(2, 1.0), (math.nan, 0.0)),
+                                   (Ellipse2D(2.0, 1.0), (math.inf, 0.0)),
+                                   (Annulus2D(1.0, 0.5), (0.2, -math.inf)),
+                                   (Ball(3, 1.0), (0.0, math.nan, 0.0))])
+def test_oracle_rejects_non_finite_point(geo, p):
+    # a ray from an infinite point has no chords to integrate
+    with pytest.raises(ValueError):
+        potential_oracle(UniformDomain(geo, 1.0), p)
+
+
 def test_ellipse_exterior_unsupported():
     dom = UniformDomain(Ellipse2D(2, 1), 1.0)
     with pytest.raises(UnsupportedRegionError):
@@ -438,8 +462,8 @@ def test_ray_chords_keep_each_origin_apart(geo, origins):
 
 
 def _edge_integrand_reference(h, pieces):
-    # the numpy construction of the piece table and its integrand, as built
-    # before the table was assembled from Python floats
+    # the piece table and its integrand built from numpy arrays: the
+    # reference that the table of Python floats must match bit for bit
     lo, hi, lo_edge, hi_edge, tol = (np.array(c) for c in zip(*pieces))
     c = (hi - lo)[:, None] * np.array([domains._EDGE_MAPS[e] for e in zip(lo_edge, hi_edge)])
     table = np.column_stack([lo, c, 2.0 * c[:, 1], 3.0 * c[:, 2]])
