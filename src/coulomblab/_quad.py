@@ -11,10 +11,10 @@ That rule is the whole contract: one integrand call per level, 15 nodes
 per panel, the depth-first walk's tree, budget and sums.  What is left is a
 fixed number of numpy calls on small arrays: the panels being refined live
 in one table that a level splits with one ``compress`` and grows with one
-``take``.  On the 2-core x86-64 benchmark machine (Python 3.11, numpy 2.4)
-a one-interval call that its root satisfies costs ~45 us and each level
-~45 us beside its integrand call; ``scripts/quad_overhead.py`` prints the
-current figures.
+``take``.  On the 2-core x86-64 benchmark machine (Python 3.11, numpy 2.4,
+whose speed drifts by up to 2x) a one-interval call that its root
+satisfies costs 20-45 us and each further level 25-45 us beside its
+integrand call; ``scripts/quad_overhead.py`` prints the current figures.
 """
 
 from __future__ import annotations

@@ -765,9 +765,10 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     ``adaptive_1d`` call, one integrand call per level of the panel tree.
     What depends on the point alone (the chord quadratics' constant terms,
     the piece table) is set up once per point, so an integrand call is a
-    fixed ~40 numpy operations on its nodes: ~50-60 us for a disk or ellipse
-    and ~65 us for the annulus, whose two circles share one pass, on the
-    2-core x86-64 benchmark machine (``scripts/quad_overhead.py``).
+    fixed ~40 numpy operations on its nodes: 30-60 us for a disk or
+    ellipse, a little more for the annulus, whose two circles share one
+    pass, on the 2-core x86-64 benchmark machine
+    (``scripts/quad_overhead.py`` times whole points).
     The cuboid is not adaptive: its corner boxes split into Duffy pyramids,
     all evaluated in one grid pass by fixed 28- and 40-point rules; it
     ignores ``tol`` and its error estimate is |fine - coarse|.
