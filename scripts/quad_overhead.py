@@ -3,7 +3,7 @@ oracle, in microseconds, as medians of interleaved repeats.
 
 Run from the repository root:
 
-    PYTHONPATH=src python scripts/quad_overhead.py [--repeats 200]
+    PYTHONPATH=src python scripts/quad_overhead.py
 
 Each repeat times every case once (a few calls each, cases in turn), so a
 slow spell of a shared machine falls on all cases alike; each line gives a
@@ -22,7 +22,6 @@ case's median over the repeats and the quartiles.  Cases:
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import platform
@@ -34,6 +33,7 @@ import numpy as np
 from coulomblab import _quad, domains
 
 CALLS = 3   # calls per case per repeat
+REPEATS = 200
 
 
 def _unit(geo):
@@ -87,21 +87,18 @@ def cases():
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--repeats", type=int, default=200)
-    args = ap.parse_args()
     table = cases()
     for _, call in table:   # fill caches and lazy set-up
         call()
     times = [[] for _ in table]
-    for _ in range(args.repeats):
+    for _ in range(REPEATS):
         for spent, (_, call) in zip(times, table):
             t0 = time.perf_counter()
             for _ in range(CALLS):
                 call()
             spent.append((time.perf_counter() - t0) / CALLS * 1e6)
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
-          f"{os.cpu_count()} cpus, {args.repeats} repeats of {CALLS} calls")
+          f"{os.cpu_count()} cpus, {REPEATS} repeats of {CALLS} calls")
     for (name, _), spent in zip(table, times):
         q1, med, q3 = statistics.quantiles(spent, n=4)
         print(f"{name:45s} {med:9.1f} us  (quartiles {q1:.1f}-{q3:.1f})")

@@ -95,7 +95,8 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     that still needs splitting past that raises QuadratureBudgetError
     carrying the running estimate.
     """
-    xp1, w = _rule15()
+    x, w = gl_nodes(15)
+    xp1 = x + 1.0
     a, b, tol = (np.array(v, dtype=float, ndmin=1) for v in (a, b, tol))
     if not a.size == b.size == tol.size:
         a, b, tol = np.broadcast_arrays(a, b, tol)
@@ -199,9 +200,3 @@ def _check_budget(levels, table, halves, err, m, depth, max_panels):
         seq = np.lexsort(table[6:8])
         raise QuadratureBudgetError(float(value + np.sum(halves.take(seq, axis=1).T.ravel())),
                                     float(estimate / 15.0 + np.sum(err.take(seq))))
-
-
-@lru_cache(maxsize=1)
-def _rule15():
-    x, w = gl_nodes(15)
-    return x + 1.0, w

@@ -551,7 +551,9 @@ def run_command(argv) -> CommandResult:
     except tuple(_EXIT_CODES) as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, QuadratureBudgetError):
-            error.update(best_value=exc.value, est_error=exc.est_error)
+            # a non-finite estimate is written as null, to keep the JSON strict
+            error.update((key, val if math.isfinite(val) else None) for key, val in
+                         (("best_value", exc.value), ("est_error", exc.est_error)))
         code = next(c for t, c in _EXIT_CODES.items() if isinstance(exc, t))
         return CommandResult(code, {"command": args.command, "error": error,
                                     "json": as_json})

@@ -477,13 +477,16 @@ def _ray_chords(geo, origin):
     0.0) and returns a (k, 2, n) array of chords (t0, t1), 0 <= t0 <= t1,
     with k = 1 for the convex bodies and k = 2 for the annulus (before and
     after the hole).  A ray that misses gives t0 = t1.  What depends on the
-    origin alone is computed here, once per point.
+    origin alone is computed here, once per point.  Raises ValueError for an
+    origin so far from the body that its chords, or their ends' t^2 log t,
+    overflow.
     """
     o = np.asarray(origin, dtype=float)
     if isinstance(geo, (Rectangle, Cuboid)):
         # slab method, one axis at a time; a ray parallel to a slab gives
         # +-inf (nan on its face, which fmax/fmin skip)
         slabs = [(lo - ok, hi - ok) for (lo, hi), ok in zip(geo.bounds, o)]
+        _check_reach(math.hypot(*(max(-lo, hi) for lo, hi in slabs)))
 
         def slab_chords(dirs):
             t0, t1 = 0.0, math.inf
@@ -496,6 +499,7 @@ def _ray_chords(geo, origin):
     if isinstance(geo, Annulus2D):
         # the disk and its hole in one pass
         radii = np.array([[geo.R], [geo.c * geo.R]])
+        _check_reach(math.hypot(*o.tolist()) + geo.R, geo.c * geo.R)
         both = _quadric_chords(o, (radii, radii))
 
         def annulus_chords(dirs):
@@ -514,8 +518,19 @@ def _ray_chords(geo, origin):
         axes = geo.axes
     else:
         raise UnsupportedRegionError(f"no ray intersections for {type(geo).__name__}")
+    _check_reach(math.hypot(*o.tolist()) + max(axes), min(axes))
     one = _quadric_chords(o, axes)
     return lambda dirs: one(dirs).reshape(1, 2, -1)
+
+
+def _check_reach(far, a_min=math.inf):
+    """Refuse an origin whose chords overflow.  ``far`` bounds the chord ends,
+    of which the 2d oracle takes t^2 (2 log t - 1) and the d-ball's t^2; a
+    quadric also passes its smallest axis, and on unit directions
+    4 (far / a_min^2)^2 bounds each term of its chords' b^2 - a c."""
+    q = far / a_min / a_min
+    if not (math.isfinite(far * far * (2.0 * math.log(far) - 1.0)) and math.isfinite(4.0 * q * q)):
+        raise ValueError("ray chords: the point is too far from the body")
 
 
 def _quadric_chords(origin, axes):
@@ -641,7 +656,8 @@ def _oracle_1d(geo: Segment1D | Ball, rho_b: float, x: float, tol: float):
         return rho_b * np.abs(x - xp)
 
     cuts = sorted({-R, R} | ({x} if -R < x < R else set()))
-    return adaptive_1d(f, cuts[:-1], cuts[1:], tol / (len(cuts) - 1))
+    n = len(cuts) - 1
+    return adaptive_1d(f, cuts[:-1], cuts[1:], [tol / n] * n)
 
 
 def _oracle_2d(geo, rho_b: float, r, tol: float):

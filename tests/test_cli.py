@@ -293,6 +293,27 @@ def test_budget_error_exit_3(monkeypatch):
     assert "best_value" in rec["error"]
 
 
+def test_oracle_point_too_far_exit_2(capsys):
+    # its ray chords would overflow; the oracle refuses the point up front
+    code = main(["potential", "--domain", "ball:d=2,R=1,N=1", "--point=1e160,0",
+                 "--oracle", "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+    assert "too far" in rec["error"]["message"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_budget_error_with_nan_estimate_is_strict_json(capsys):
+    # the charge density overflows the integrand, so every panel's error is
+    # nan and the budget runs out with a nan estimate
+    code = main(["potential", "--domain", "ball:d=2,R=1,N=1e308", "--point=3,0",
+                 "--oracle", "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 3 and rec["error"]["type"] == "QuadratureBudgetError"
+    assert rec["error"]["best_value"] is None and rec["error"]["est_error"] is None
+
+
 def test_runtime_error_exit_3(capsys, monkeypatch):
     def negative(spec):
         raise RuntimeError("hole_energy: negative energy -0.25")

@@ -86,6 +86,20 @@ def test_oracle_rejects_non_finite_point(geo, p):
         potential_oracle(UniformDomain(geo, 1.0), p)
 
 
+@pytest.mark.parametrize("geo,p", [(Ball(2, 1.0), (1e160, 0.0)),
+                                   (Ball(2, 1.0), (1e153, 0.0)),
+                                   (Annulus2D(1.0, 0.5), (0.0, -1e160)),
+                                   (Ellipse2D(1.0, 1e-160), (0.0, 1.0)),
+                                   (Rectangle(((0.0, 1.0), (0.0, 1.0))), (1e160, 0.5)),
+                                   (Ball(3, 1.0), (0.0, 1e153, 0.0))])
+def test_oracle_rejects_point_whose_chords_overflow(geo, p):
+    # a finite point so far out (or an axis so thin) that the chord
+    # quadratic's terms or the ends' t^2 log t overflow would feed nan into
+    # every panel and exhaust the budget
+    with pytest.raises(ValueError, match="too far"):
+        potential_oracle(UniformDomain(geo, 1.0), p)
+
+
 def test_ellipse_exterior_unsupported():
     dom = UniformDomain(Ellipse2D(2, 1), 1.0)
     with pytest.raises(UnsupportedRegionError):

@@ -103,6 +103,9 @@ def test_budget_raises_with_running_estimate():
         adaptive_1d(f, 0.0, 1.0, 1e-12, max_panels=3)
     assert abs(exc.value.value - full[0]) < 0.1
     assert exc.value.est_error > 0.0
+    # the running sums, bit for bit as the depth-first-ordered sums gave them
+    assert (exc.value.value, exc.value.est_error) == (0.9454255670787983,
+                                                       0.0006575021537220671)
     # the budget is per interval: an integral that finishes within it alone
     # also finishes beside others
     budget = full.stats.panels
@@ -123,6 +126,16 @@ def test_budget_error_keeps_finished_intervals():
     with pytest.raises(QuadratureBudgetError) as exc:
         adaptive_1d(both, [0.0, 1.0], [1.0, 2.0], 1e-12, max_panels=9)
     assert abs(exc.value.value - (done + running)) < 0.1
+    # the running sums over both intervals, bit for bit as the
+    # depth-first-ordered sums gave them; then four intervals whose panels
+    # are accepted at different levels
+    assert (exc.value.value, exc.value.est_error) == (1.9552813256378394,
+                                                       8.218793210159429e-05)
+    with pytest.raises(QuadratureBudgetError) as exc:
+        adaptive_1d(lambda x: singular(x) + INTEGRANDS["kink"](x), [0.0, 0.5, 0.25, 0.1],
+                    [0.5, 1.0, 0.3, 0.9], [1e-13, 1e-12, 1e-14, 1e-13], max_panels=15)
+    assert (exc.value.value, exc.value.est_error) == (1.9240022687277603,
+                                                       8.218877173830359e-05)
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRANDS))
