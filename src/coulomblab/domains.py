@@ -793,7 +793,8 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     (``stats.tol_met`` is false when a panel was accepted at the roundoff
     floor or the depth cap short of its tolerance; the cuboid and QMC paths
     carry none); raises QuadratureBudgetError carrying the best estimate on
-    failure.
+    failure, and ValueError for a point that is not finite or so far out
+    that its ray chords would overflow.
     """
     if tol <= 0:
         raise ValueError("potential_oracle: tol must be > 0")
