@@ -21,8 +21,6 @@ from .domains import (
     UniformDomain,
     UnsupportedRegionError,
     _point,
-    background_potential,
-    interaction_energy,
     sphere_area,
 )
 from .surfaces import shell_potential
@@ -180,22 +178,19 @@ def exterior_moment(dom: UniformDomain, ell: int):
 
 
 def hole_energy(spec: HoleSpec) -> float:
-    """Electrostatic energy E of the charge-neutral system formed by the
-    unit-density hole and its oppositely charged balayage measure:
-    E = (1/2)(int_hole U - int_boundary U dmu), U the hole's potential.
-    int_hole U = int int -log|r - w| = 2 U_bb.  Callers scale by rho_b^2."""
-    unit = UniformDomain(spec.hole, spec.hole.volume)  # rho_b = 1
-    volume_term = 2.0 * interaction_energy(unit, [])
-    boundary_term = 0.0
-    for comp in balayage_measure(unit).components:
-        def f(thetas, comp=comp):
-            u = [-background_potential(unit, q) for q in comp.point(thetas)]
-            return np.array(u) * comp.density(thetas)
-
-        val, _ = adaptive_1d(f, 0.0, 2.0 * math.pi, 1e-10)
-        boundary_term += val
-
-    energy = 0.5 * (volume_term - boundary_term)
+    """Closed-form energy (1/2) int_hole h (-lap h = 2 pi in the hole, h = 0 on
+    its boundary) of the unit-density hole with its balayage measure (Forrester,
+    Log-gases and Random Matrices, 2010, ch. 14-15).  Callers scale by rho_b^2."""
+    geo = spec.hole
+    if isinstance(geo, Ellipse2D) or (isinstance(geo, Ball) and geo.d == 2):
+        a, b = (geo.R, geo.R) if isinstance(geo, Ball) else (geo.a1, geo.a2)
+        energy = math.pi ** 2 * (a * b) ** 3 / (4.0 * (a * a + b * b))
+    elif isinstance(geo, Annulus2D):
+        c2, log_c = geo.c ** 2, math.log(geo.c)
+        energy = math.pi ** 2 / 8.0 * geo.R ** 4 * (1.0 - c2) \
+            * (1.0 - c2 + (1.0 + c2) * log_c) / log_c
+    else:
+        raise UnsupportedRegionError(f"hole_energy: no closed form for {type(geo).__name__}")
     if energy < -1e-10:
         raise RuntimeError(f"hole_energy: negative energy {energy}")
     return max(energy, 0.0)

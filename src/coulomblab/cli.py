@@ -314,7 +314,7 @@ def _cmd_hole(args):
     spec = bal.HoleSpec(parse_geometry(args.domain).geometry, rho_b=args.rho_b,
                         beta=args.beta)
     if args.mode == "energy":
-        return dict(value=bal.hole_energy(spec), method="balayage energy quadrature")
+        return dict(value=bal.hole_energy(spec), method="closed form")
     if args.mode == "gap":
         rate = bal.gap_and_tail(spec, "gap")
         return dict(values={"rate": rate, "log_probability": spec.rho_b ** 2 * rate},

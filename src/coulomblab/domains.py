@@ -744,8 +744,8 @@ def _oracle_cuboid(geo: Cuboid, rho_b: float, r, tol: float):
 
 
 def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r):
-    """Quasi-random directional integration for d > 3 hyperellipsoids: the
-    mean over 8 scrambled Sobol sets of 2^13 directions (seeds 7..14)."""
+    """Quasi-random directional integration for d >= 3 hyperellipsoids, blind
+    to ``tol``: the mean over 8 scrambled Sobol sets of 2^13 directions (seeds 7..14)."""
     from scipy.special import ndtri
     from scipy.stats import qmc
 
@@ -770,8 +770,8 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
 
     Rays from the evaluation point carry the (exact) radial primitive of the
     kernel so no singular integrand ever reaches the quadrature; what remains
-    is an angular integral (adaptive in d <= 3, quasi-random directions for
-    hyperellipsoids in d > 3).  In 2d the angular integral is cut at the
+    is an angular integral (adaptive; quasi-random directions, the QMC path,
+    for hyperellipsoids in d >= 3).  In 2d the angular integral is cut at the
     exact directions where its integrand has a kink or a support edge:
     tangents to each boundary circle or ellipse that the point lies on or
     outside, and rays through rectangle corners.  At a support edge the
@@ -785,9 +785,9 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     ellipse, a little more for the annulus, whose two circles share one
     pass, on the 2-core x86-64 benchmark machine
     (``scripts/quad_overhead.py`` times whole points).
-    The cuboid is not adaptive: its corner boxes split into Duffy pyramids,
-    all evaluated in one grid pass by fixed 28- and 40-point rules; it
-    ignores ``tol`` and its error estimate is |fine - coarse|.
+    The cuboid and QMC paths ignore ``tol``.  The cuboid's corner boxes
+    split into Duffy pyramids, all evaluated in one grid pass by fixed 28-
+    and 40-point rules; its error estimate is |fine - coarse|.
     Returns value and an absolute error estimate, with the quadrature's
     ``QuadStats`` in ``stats`` on the segment, 2d and d-ball paths
     (``stats.tol_met`` is false when a panel was accepted at the roundoff

@@ -166,9 +166,7 @@ def projection_identities(case: str, **params) -> dict:
                 def f(ths):
                     return -np.log(np.abs(x - R * np.cos(ths)) + 1e-300) / math.pi
                 lim = math.acos(max(min(x / R, 1.0), -1.0))
-                v1, _ = adaptive_1d(f, 0.0, lim, 1e-8)
-                v2, _ = adaptive_1d(f, lim, math.pi, 1e-8)
-                return v1 + v2
+                return adaptive_1d(f, [0.0, lim], [lim, math.pi], 1e-8)[0]
             pts = np.linspace(-0.8 * R, 0.8 * R, 10)
             vals = np.array([potential(float(x)) for x in pts])
         elif d == 3:
@@ -222,10 +220,8 @@ def projection_identities(case: str, **params) -> dict:
                 s = a * np.sin(ths)
                 return np.log(np.abs(x - s) + 1e-300) * a * np.cos(ths) ** 2
             lim = math.asin(max(min(x / a, 1.0), -1.0))
-            v1, _ = adaptive_1d(f, -math.pi / 2.0, lim, 1e-9)
-            v2, _ = adaptive_1d(f, lim, math.pi / 2.0, 1e-9)
-            rhs = (a / math.pi) * (v1 + v2)
-            resid.append(abs(lhs - rhs))
+            val, _ = adaptive_1d(f, [-math.pi / 2.0, lim], [lim, math.pi / 2.0], 1e-9)
+            resid.append(abs(lhs - (a / math.pi) * val))
         return {"case": case, "a": a, "max_residual": float(np.max(resid))}
 
     if case == "thin-slab":

@@ -18,6 +18,9 @@ from coulomblab.domains import (
     Ball,
     Cuboid,
     Ellipse2D,
+    Hyperellipsoid,
+    Rectangle,
+    Segment1D,
     UniformDomain,
     UnsupportedRegionError,
     background_potential,
@@ -202,6 +205,26 @@ def test_small_hole_vanishes():
 def test_hole_energy_positive_on_all_geometries():
     for geo in (Ball(2, 1.0), Ellipse2D(1.5, 1.0), Annulus2D(1.0, 0.5)):
         assert hole_energy(HoleSpec(geo)) > 0.0
+
+
+def test_annulus_hole_energy_radial_route():
+    # E = (1/2) int h over the ring, h the radial solution of -lap h = 2 pi
+    # with h = 0 on both circles
+    for big_r, c in ((1.0, 0.3), (2.0, 0.5), (0.8, 0.7), (1.5, 0.9)):
+        def h_r(r):
+            return ((math.pi / 2.0) * (big_r ** 2 - r * r) - (math.pi / 2.0) * big_r ** 2
+                    * (1.0 - c * c) * np.log(r / big_r) / math.log(c)) * r
+
+        val, _ = adaptive_1d(h_r, c * big_r, big_r, 1e-15)
+        e = hole_energy(HoleSpec(Annulus2D(big_r, c)))
+        assert abs(e / (math.pi * val) - 1.0) < 1e-12, (big_r, c)
+
+
+def test_hole_energy_without_closed_form_is_unsupported():
+    for geo in (Ball(3, 1.0), Rectangle(((0.0, 1.0), (0.0, 1.0))),
+                Hyperellipsoid((2.0, 1.0)), Segment1D(1.0)):
+        with pytest.raises(UnsupportedRegionError):
+            hole_energy(HoleSpec(geo))
 
 
 def test_hole_energy_direct_quadrature_route():

@@ -314,6 +314,13 @@ def test_budget_error_with_nan_estimate_is_strict_json(capsys):
     assert rec["error"]["best_value"] is None and rec["error"]["est_error"] is None
 
 
+def test_hole_energy_without_closed_form_exit_2(capsys):
+    code = main(["hole", "--domain", "ball:d=3,R=1", "--mode", "energy", "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 2 and rec["command"] == "hole"
+    assert rec["error"]["type"] == "UnsupportedRegionError"
+
+
 def test_runtime_error_exit_3(capsys, monkeypatch):
     def negative(spec):
         raise RuntimeError("hole_energy: negative energy -0.25")
