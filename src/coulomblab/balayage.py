@@ -186,9 +186,19 @@ def hole_energy(spec: HoleSpec) -> float:
         a, b = (geo.R, geo.R) if isinstance(geo, Ball) else (geo.a1, geo.a2)
         energy = math.pi ** 2 * (a * b) ** 3 / (4.0 * (a * a + b * b))
     elif isinstance(geo, Annulus2D):
-        c2, log_c = geo.c ** 2, math.log(geo.c)
-        energy = math.pi ** 2 / 8.0 * geo.R ** 4 * (1.0 - c2) \
-            * (1.0 - c2 + (1.0 + c2) * log_c) / log_c
+        c, c2, log_c = geo.c, geo.c ** 2, math.log(geo.c)
+        if c <= 0.7:
+            ring, middle = 1.0 - c2, 1.0 - c2 + (1.0 + c2) * log_c
+        else:
+            # the middle factor cancels to O((1 - c)^3); its odd series in
+            # u = (1 - c)/(1 + c), 2 (1 + c^2) sum_k>=1 ((-1)^k - 1/(2k+1))
+            # u^(2k+1), does not, and 12 terms reach 1e-18 relative for u < 0.18
+            u = (1.0 - c) / (1.0 + c)
+            series = 0.0
+            for k in range(12, 0, -1):
+                series = series * u * u + (-1) ** k - 1.0 / (2 * k + 1)
+            ring, middle = (1.0 - c) * (1.0 + c), 2.0 * (1.0 + c2) * series * u ** 3
+        energy = math.pi ** 2 / 8.0 * geo.R ** 4 * ring * middle / log_c
     else:
         raise UnsupportedRegionError(f"hole_energy: no closed form for {type(geo).__name__}")
     if energy < -1e-10:

@@ -16,16 +16,14 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._quad import QuadratureBudgetError
-from . import balayage as bal
-from . import conformal as conf
-from . import domains as dom
-from . import fluctuations as fluct
-from . import riesz as riesz_mod
-from . import surfaces
+# Each handler imports the modules it runs, so a fresh process running one
+# command loads only those (see README, Layout).
+if TYPE_CHECKING:
+    from . import conformal as conf, domains as dom
 
 __all__ = ["CommandResult", "run_command", "main", "parse_geometry"]
 
@@ -94,6 +92,7 @@ def parse_geometry(spec: str) -> dom.UniformDomain:
     ellipse (a1, a2, N), hyperellipsoid (axes=a|b|..., N), rectangle
     (x0, x1, y0, y1, N), cuboid (x0, x1, y0, y1, z0, z1, N).  N defaults 1.
     """
+    from . import domains as dom
     name, _, body = spec.partition(":")
     kv = _parse_kv(body)
     charge = _num(kv, "N", "1")
@@ -125,6 +124,7 @@ def parse_geometry(spec: str) -> dom.UniformDomain:
 def _parse_map(spec: str) -> conf.LaurentMap:
     """Map mini-language: circle:R=1 | interval:L=1 | ellipse:a1=2,a2=1 |
     laurent:scale=1,coeffs=0|0.5"""
+    from . import conformal as conf
     if spec is None:
         raise ValueError("missing --map")
     name, _, body = spec.partition(":")
@@ -149,6 +149,7 @@ def _parse_map(spec: str) -> conf.LaurentMap:
 # inputs that depend on the branch taken; otherwise the table records them).
 
 def _cmd_potential(args):
+    from . import domains as dom
     u = parse_geometry(args.domain)
     p = _point(args.point, "--point")
     if args.oracle:
@@ -163,6 +164,7 @@ def _cmd_potential(args):
 
 
 def _cmd_energy(args):
+    from . import domains as dom
     if args.cube_self:
         return dict(inputs={"cube_self": True}, value=dom.cube_self_energy(),
                     method="closed form", provenance="unit-cube self-energy")
@@ -175,6 +177,7 @@ def _cmd_energy(args):
 
 
 def _cmd_coeffs(args):
+    from . import domains as dom
     a0, al = dom.hyperellipsoid_coefficients(_floats(args.axes, "--axes", "|"),
                                              args.N)
     return dict(values={"alpha0": a0, "alphas": list(al), "sum": float(sum(al))},
@@ -182,6 +185,7 @@ def _cmd_coeffs(args):
 
 
 def _cmd_surface(args):
+    from . import surfaces
     if args.op == "identity":
         rep = surfaces.projection_identities(args.case, d=args.d, R=args.R)
         return dict(values=rep, method="identity residual report")
@@ -202,6 +206,7 @@ def _cmd_surface(args):
 
 
 def _cmd_green(args):
+    from . import conformal as conf
     if args.geometry in ("sphere", "halfspace"):
         val = conf.green3d(args.geometry, _point(args.z, "--z"),
                            _point(args.w, "--w"), R=args.R)
@@ -216,6 +221,7 @@ def _cmd_green(args):
 
 
 def _cmd_capacity(args):
+    from . import conformal as conf
     mp = _parse_map(args.map)
     _, cap, robin = conf.green_infinity(mp, complex(mp.evaluate(3.0)))
     values = {"capacity": cap, "robin": robin}
@@ -225,6 +231,7 @@ def _cmd_capacity(args):
 
 
 def _cmd_droplet(args):
+    from . import conformal as conf
     if args.induced_alpha is not None:
         a = args.induced_alpha
         r0, r1 = conf.droplet_radii(lambda r: r * r - 2 * a * math.log(r),
@@ -241,6 +248,8 @@ def _cmd_droplet(args):
 
 
 def _cmd_fluct(args):
+    from . import conformal as conf
+    from . import fluctuations as fluct
     def pair(parse, *extra):
         return parse(args.p1, "--p1", *extra), parse(args.p2, "--p2", *extra)
 
@@ -283,6 +292,7 @@ def _cmd_fluct(args):
 
 
 def _cmd_riesz(args):
+    from . import riesz as riesz_mod
     g = riesz_mod.RieszCircle(args.s, args.N, args.R)
     if args.op == "background":
         return dict(value=riesz_mod.background_potential(g),
@@ -296,6 +306,7 @@ def _cmd_riesz(args):
 
 
 def _cmd_balayage(args):
+    from . import balayage as bal
     u = parse_geometry(args.domain)
     measure = bal.balayage_measure(u)
     components = [{"kind": c.kind, "params": list(c.params), "mass": c.mass}
@@ -311,6 +322,7 @@ def _cmd_balayage(args):
 
 
 def _cmd_hole(args):
+    from . import balayage as bal
     spec = bal.HoleSpec(parse_geometry(args.domain).geometry, rho_b=args.rho_b,
                         beta=args.beta)
     if args.mode == "energy":
@@ -326,7 +338,6 @@ def _cmd_hole(args):
 
 def _cmd_sample(args):
     from . import gas
-
     opts = {k: getattr(args, k) for k in ("ensemble", "beta", "n", "sweeps", "seed",
                                           "chains", "tau", "alpha", "c", "L",
                                           "record_every", "out")}
@@ -380,7 +391,6 @@ def _cmd_sample(args):
 
 def _cmd_check(args):
     from . import acceptance
-
     lines = []
     results = acceptance.run_suite(args.suite, report=lines.append)
     passed = all(r.passed for r in results)
@@ -549,6 +559,7 @@ def run_command(argv) -> CommandResult:
         except ValueError:
             raise FloatingPointError("non-finite value in the result") from None
     except tuple(_EXIT_CODES) as exc:
+        from ._quad import QuadratureBudgetError
         error = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, QuadratureBudgetError):
             # a non-finite estimate is written as null, to keep the JSON strict

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domains import SingularityError
+from .specfun import SingularityError
 
 __all__ = [
     "LaurentMap",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import adaptive_1d, gl_nodes
-from .specfun import EvalResult, gamma
+from .specfun import EvalResult, SingularityError, gamma
 
 __all__ = [
     "Kernel",
@@ -43,10 +43,6 @@ __all__ = [
 
 class UnsupportedRegionError(ValueError):
     """No closed form applies at the requested point; use potential_oracle."""
-
-
-class SingularityError(ValueError):
-    """Kernel evaluated at coincident points."""
 
 
 def sphere_area(d: int) -> float:

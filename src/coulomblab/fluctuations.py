@@ -16,7 +16,7 @@ import numpy as np
 
 from ._quad import gl_nodes
 from .conformal import LaurentMap, ellipse_map
-from .domains import SingularityError
+from .specfun import SingularityError
 
 __all__ = [
     "cue_kernel",

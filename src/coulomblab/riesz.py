@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import SingularityError
-from .specfun import hurwitz_zeta, log_gamma, riemann_zeta
+from .specfun import SingularityError, hurwitz_zeta, log_gamma, riemann_zeta
 
 __all__ = ["RieszCircle", "background_potential", "static_energy", "point_energy"]
 

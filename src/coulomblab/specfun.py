@@ -4,7 +4,8 @@ Gamma and log-gamma come from the standard library (``math.gamma``,
 ``math.lgamma``); this module adds the argument checks.  The Hurwitz zeta
 is an Euler-Maclaurin sum of its own, because ``scipy.special.zeta(s, a)``
 is NaN for s < 1.  All functions are pure and safe to call from any number
-of workers.
+of workers.  ``SingularityError`` lives here, beside ``EvalResult``, so the
+modules that raise it need not import ``domains``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "EvalResult",
+    "SingularityError",
     "log_gamma",
     "gamma",
     "hurwitz_zeta",
@@ -35,6 +37,10 @@ class EvalResult:
             raise ValueError("EvalResult value must be finite")
         if not (math.isfinite(self.est_error) and self.est_error >= 0.0):
             raise ValueError("EvalResult est_error must be finite and >= 0")
+
+
+class SingularityError(ValueError):
+    """Kernel evaluated at coincident points (re-exported by ``domains``)."""
 
 
 def _check_positive(name: str, x: float) -> None:

@@ -220,6 +220,20 @@ def test_annulus_hole_energy_radial_route():
         assert abs(e / (math.pi * val) - 1.0) < 1e-12, (big_r, c)
 
 
+def test_annulus_hole_energy_near_c_one():
+    # the closed form's middle factor 1 - c^2 + (1 + c^2) ln c loses about
+    # 2 log10(1/(1 - c)) digits; 60-digit mpmath of it at the same float c
+    mpmath = pytest.importorskip("mpmath")
+    for c in (0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6):
+        with mpmath.workdps(60):
+            cm = mpmath.mpf(c)
+            lc = mpmath.log(cm)
+            exact = float(mpmath.pi ** 2 / 8 * (1 - cm * cm)
+                          * (1 - cm * cm + (1 + cm * cm) * lc) / lc)
+        e = hole_energy(HoleSpec(Annulus2D(1.0, c)))
+        assert abs(e / exact - 1.0) < 1e-14, (c, e, exact)
+
+
 def test_hole_energy_without_closed_form_is_unsupported():
     for geo in (Ball(3, 1.0), Rectangle(((0.0, 1.0), (0.0, 1.0))),
                 Hyperellipsoid((2.0, 1.0)), Segment1D(1.0)):

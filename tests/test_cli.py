@@ -334,34 +334,59 @@ def test_runtime_error_exit_3(capsys, monkeypatch):
                             "message": "hole_energy: negative energy -0.25"}
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported inside the functions that use it, so a fresh CLI
-    # process does not pay for it
+def _run_fresh(code):
+    """The stdout of `code` run in a fresh interpreter on this package."""
     src = os.path.dirname(os.path.dirname(coulomblab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c", "import coulomblab.cli, sys; "
-         "print(any(m.startswith('scipy') for m in sys.modules))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported inside the functions that use it, so a fresh CLI
+    # process does not pay for it
+    out = _run_fresh("import coulomblab.cli, sys; "
+                     "print(any(m.startswith('scipy') for m in sys.modules))")
     assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("module, absent", [
     ("coulomblab", ("coulomblab.",)),
-    ("coulomblab.cli", ("coulomblab.gas", "coulomblab.acceptance")),
+    ("coulomblab.cli", tuple(f"coulomblab.{m.name}" for m in
+                             pkgutil.iter_modules(coulomblab.__path__) if m.name != "cli")),
 ])
 def test_import_loads_only_what_it_uses(module, absent):
-    # the package loads no submodule, and the CLI imports gas and acceptance
-    # only inside the sample and check commands
-    src = os.path.dirname(os.path.dirname(coulomblab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c", f"import {module}, sys; "
-         f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))"],
-        env=env, capture_output=True, text=True, check=True).stdout
+    # the package loads no submodule, and the CLI none but itself: each
+    # command imports the modules it runs
+    out = _run_fresh(f"import {module}, sys; "
+                     f"print(sorted(m for m in sys.modules if m.startswith({absent!r})))")
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], ["cli"]),
+    (["potential", "--help"], ["cli"]),
+    (["green", "--geometry", "disk", "--z", "2,0.5", "--w", "1.5,1"],
+     ["cli", "conformal", "specfun"]),
+    (["riesz", "--s", "0.5", "--N", "8"], ["cli", "riesz", "specfun"]),
+    (["fluct", "--op", "cov"], ["_quad", "cli", "conformal", "fluctuations", "specfun"]),
+    (["potential", "--domain", "ball:d=3,R=1", "--point", "0.1,0.2,0"],
+     ["_quad", "cli", "domains", "specfun"]),
+], ids=["help", "potential-help", "green", "riesz", "fluct", "potential"])
+def test_command_loads_only_its_modules(argv, loaded):
+    out = _run_fresh("import contextlib, io, sys\nfrom coulomblab import cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    assert cli.main({argv!r}) == 0\n"
+                     "print(sorted(m[11:] for m in sys.modules if m.startswith('coulomblab.')))")
+    assert out.strip() == str(loaded)
+
+
+def test_singularity_error_is_one_class():
+    # conformal, fluctuations and riesz raise it without importing domains
+    from coulomblab import domains, specfun
+    assert domains.SingularityError is specfun.SingularityError
+    assert "SingularityError" in domains.__all__
 
 
 @pytest.mark.parametrize("name", sorted(
