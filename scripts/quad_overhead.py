@@ -1,5 +1,6 @@
-"""Print the fixed per-call costs of the quadrature layer and the 2d ray
-oracle, in microseconds, as medians of interleaved repeats.
+"""Print the fixed per-call costs of the quadrature layer and the ray
+oracles, in microseconds (the projection identity in milliseconds), as
+medians of interleaved repeats.
 
 Run from the repository root:
 
@@ -17,7 +18,9 @@ case's median over the repeats and the quartiles.  Cases:
   cut intervals of a point outside the unit disk, with the adaptive call
   stubbed out;
 - one ``potential_oracle`` point at tol 1e-9 per 2d class of the ``oracle``
-  benchmark workload, the 3-ball and the segment.
+  benchmark workload, the 3-ball and the segment;
+- ``surfaces.projection_identities("constant-potential", d=3)``: ten points
+  of the disk, each a sweep of batched weighted rays.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import time
 
 import numpy as np
 
-from coulomblab import _quad, domains
+from coulomblab import _quad, domains, surfaces
 
 CALLS = 3   # calls per case per repeat
 REPEATS = 200
@@ -47,13 +50,13 @@ def _edge_setup():
     cuts = [(0.0, False), *domains._kink_angles(geo, origin), (2.0 * math.pi, False)]
     pieces = [(lo, hi, lo_edge, hi_edge, 1e-9)
               for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:])]
-    stub = _quad.QuadResult(0.0, 0.0, None)
+    stub = _quad.QuadResult(0.0, 0.0, None, None)
     real = domains.adaptive_1d
 
     def run():
         domains.adaptive_1d = lambda *args: stub
         try:
-            domains._edge_integral(np.cos, pieces)
+            domains._edge_integral(lambda t, k: np.cos(t), pieces)
         finally:
             domains.adaptive_1d = real
     return run
@@ -83,6 +86,8 @@ def cases():
         dom = _unit(geo)
         out.append((f"potential_oracle, {name}",
                     lambda dom=dom, p=p: domains.potential_oracle(dom, p, 1e-9)))
+    out.append(("projection_identities, constant-potential d=3 [ms]",
+                lambda: surfaces.projection_identities("constant-potential", d=3)))
     return out
 
 
@@ -100,8 +105,9 @@ def main():
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} cpus, {REPEATS} repeats of {CALLS} calls")
     for (name, _), spent in zip(table, times):
-        q1, med, q3 = statistics.quantiles(spent, n=4)
-        print(f"{name:45s} {med:9.1f} us  (quartiles {q1:.1f}-{q3:.1f})")
+        unit, scale = ("ms", 1e-3) if name.endswith("[ms]") else ("us", 1.0)
+        q1, med, q3 = (q * scale for q in statistics.quantiles(spent, n=4))
+        print(f"{name.removesuffix(' [ms]'):45s} {med:9.1f} {unit}  (quartiles {q1:.1f}-{q3:.1f})")
 
 
 if __name__ == "__main__":

@@ -56,11 +56,13 @@ class QuadStats:
 
 
 class QuadResult(tuple):
-    """``(value, est_error)`` with the call's ``QuadStats`` in ``.stats``."""
+    """``(value, est_error)`` with the call's ``QuadStats`` in ``.stats`` and
+    each interval's value, in interval order, in ``.parts``."""
 
-    def __new__(cls, value, est_error, stats):
+    def __new__(cls, value, est_error, stats, parts):
         self = super().__new__(cls, (value, est_error))
         self.stats = stats
+        self.parts = parts
         return self
 
 
@@ -90,7 +92,8 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     depth-first walk of the same tree, bit for bit.
 
     Returns a ``QuadResult``: the pair ``(value, est_error)`` summed over the
-    intervals in order, with a ``QuadStats`` in ``.stats``.  Each interval
+    intervals in order, with a ``QuadStats`` in ``.stats`` and the intervals'
+    values, each that of its own call, in the array ``.parts``.  Each interval
     may evaluate ``max_panels`` panels plus two per level of depth; a level
     that still needs splitting past that raises QuadratureBudgetError
     carrying the running estimate.
@@ -135,7 +138,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
         if table is None:
             if n_done == n:     # every root accepted: sum them in interval order
                 stats = QuadStats(used, 1, at_cap, at_floor, at_cap == 0 and at_floor == 0)
-                return QuadResult(sum(fine.tolist()), sum((err / 15.0).tolist()), stats)
+                return QuadResult(sum(fine.tolist()), sum((err / 15.0).tolist()), stats, fine)
             table = np.array([a, mid, a, a, mid, b, np.zeros(m), np.arange(m), tol, span,
                               floor, a])
         levels.append((table, fine, err, done))
@@ -170,7 +173,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     k = k.take(seq).astype(np.intp)
     parts = np.bincount(k, weights=fine.compress(done).take(seq), minlength=m)
     errs = np.bincount(k, weights=err.compress(done).take(seq) / 15.0, minlength=m)
-    return QuadResult(sum(parts.tolist()), sum(errs.tolist()), stats)
+    return QuadResult(sum(parts.tolist()), sum(errs.tolist()), stats, parts)
 
 
 # The panels being refined, one column each: lo, mid, q1, q3, mid, hi, its

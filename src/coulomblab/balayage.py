@@ -61,7 +61,7 @@ class BalayageComponent:
         point, the shell theorem at a point of R^d for a d-sphere shell."""
         if self.kind == "shell":
             d, radius = self.params
-            return shell_potential(d, radius, self.mass, _point(r, d))
+            return shell_potential(d, radius, self.mass, r)
         p = _point(r, 2)
         if self.kind == "circle":
             (radius,) = self.params

@@ -606,15 +606,16 @@ _EDGE_MAPS = {(False, False): (1.0, 0.0, 0.0), (True, False): (0.0, 1.0, 0.0),
 
 def _edge_integral(h, pieces):
     """Sum of the integrals of h over the pieces (lo, hi, lo_edge, hi_edge,
-    tol), in one adaptive_1d call.
+    tol), in one adaptive_1d call; its ``.parts`` are the pieces' values.
 
     Piece k lies on [k, k + 1] of the quadrature variable x; with s = x - k
     it is mapped by theta = lo + (hi - lo) u(s), where u substitutes at the
     ends that are support edges: u = s^2 at the lower end, s (2 - s) at the
     upper, s^2 (3 - 2 s) at both, and u = s at neither.  Where h grows like
-    the square root of the distance to an edge, the vanishing u' leaves an
-    integrand smooth in s (Davis & Rabinowitz, Methods of Numerical
-    Integration, 2nd ed., 1984).
+    the square root of the distance to an edge, or falls like its inverse,
+    the vanishing u' leaves an integrand smooth in s (Davis & Rabinowitz,
+    Methods of Numerical Integration, 2nd ed., 1984).  ``h`` takes the
+    nodes and the index of each one's piece.
     """
     # per piece: its start k and the Horner coefficients, highest last, of
     # theta = lo + s (a1 + s (a2 + s a3)) and of dtheta/ds = a1 + s (b2 + s b3),
@@ -623,19 +624,20 @@ def _edge_integral(h, pieces):
     for k, (lo, hi, lo_edge, hi_edge, tol) in enumerate(pieces):
         a1, a2, a3 = ((hi - lo) * c for c in _EDGE_MAPS[lo_edge, hi_edge])
         rows.append((k, lo, a1, a1, 2.0 * a2, a2, 3.0 * a3, a3, 0.0, tol))
-    # the last piece again, for the node x = k + 1 at its upper end
-    table = np.array(list(zip(*rows, rows[-1])))
+    table = np.array(list(zip(*rows)))
+    last = len(rows) - 1
 
     def f(x):
         # a node that rounds onto k + 1 (panels below ~1e-13 wide) is read
-        # at s = 0 of the next piece, with a weight below roundoff
-        c = table[:9].take(x.astype(np.intp), axis=1)
+        # at s = 0 of the next piece, or at s = 1 of the last, with a weight
+        # below roundoff
+        k = np.minimum(x.astype(np.intp), last)
+        c = table[:9].take(k, axis=1)
         s = x - c[0]
         theta, dtheta = c[1:3] + s * (c[3:5] + s * (c[5:7] + s * c[7:9]))
-        return dtheta * h(theta)
+        return dtheta * h(theta, k)
 
-    start = table[0, :-1]
-    return adaptive_1d(f, start, start + 1.0, table[9, :-1])
+    return adaptive_1d(f, table[0], table[0] + 1.0, table[9])
 
 
 def _log_primitive(t):
@@ -656,45 +658,44 @@ def _oracle_1d(geo: Segment1D | Ball, rho_b: float, x: float, tol: float):
     return adaptive_1d(f, cuts[:-1], cuts[1:], [tol / n] * n)
 
 
-def _oracle_2d(geo, rho_b: float, r, tol: float):
-    origin = np.asarray(r, dtype=float)
+def _ray_integral(geo, origin, radial, tol):
+    """Integral over the directions from ``origin`` of ``radial(dirs,
+    chords)``, the n ray integrals of n directions (their components, as
+    ``_ray_chords`` takes them) and their chords, in one ``_edge_integral``.
+    A planar origin sweeps the full circle, cut at ``_kink_angles`` (across a
+    cut the panel error estimate is blind).  An axis point (x, 0, ..., 0),
+    x >= 0, of a d-ball sweeps the polar angle gamma with weight
+    sin(gamma)^(d - 2), outside the ball over gamma > pi - asin(R/x) with the
+    support edge at that end; the caller multiplies by the azimuths' area.
+    """
     chords = _ray_chords(geo, origin)
+    d = len(origin)
+    if d == 2:
+        def h(thetas, _):
+            dirs = (np.cos(thetas), np.sin(thetas))
+            return radial(dirs, chords(dirs))
 
-    def h(thetas):
+        cuts = [(0.0, False), *_kink_angles(geo, origin), (2.0 * math.pi, False)]
+        return _edge_integral(h, [(lo, hi, lo_edge, hi_edge, tol * (hi - lo) / (2.0 * math.pi))
+                                  for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:])
+                                  if hi - lo >= 1e-14])
+
+    def h(gammas, _):
+        dirs = (np.cos(gammas), np.sin(gammas), *[0.0] * (d - 2))
+        return radial(dirs, chords(dirs)) * np.sin(gammas) ** (d - 2)
+
+    x, R = float(origin[0]), geo.R
+    lo = math.pi - math.asin(min(R / x, 1.0)) if x > R else 0.0
+    return _edge_integral(h, [(lo, math.pi, x > R, False, tol)])
+
+
+def _oracle_2d(geo, rho_b: float, r, tol: float):
+    def radial(dirs, chords):
         # one primitive call on every chord end: p[k] holds chord k's (t0, t1)
-        p = _log_primitive(chords((np.cos(thetas), np.sin(thetas))))
+        p = _log_primitive(chords)
         return rho_b * sum(p[:, 1] - p[:, 0])
 
-    # the integrand is smooth between the cuts; integrating across one
-    # blind-sides the panel error estimate
-    cuts = [(0.0, False), *_kink_angles(geo, origin), (2.0 * math.pi, False)]
-    return _edge_integral(h, [(lo, hi, lo_edge, hi_edge, tol * (hi - lo) / (2.0 * math.pi))
-                              for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:])
-                              if hi - lo >= 1e-14])
-
-
-def _oracle_ball_radial(geo: Ball, rho_b: float, r, tol: float):
-    """Axisymmetric reduction: exact radial integral, 1d polar quadrature.
-
-    For exterior points the integrand is supported on the cone of directions
-    gamma > pi - asin(R/|r|); that interval is integrated alone, with the
-    square-root support edge at its lower end removed by _edge_integral.
-    """
-    d, R = geo.d, geo.R
-    rr = float(np.linalg.norm(r))
-    c_dm1 = sphere_area(d - 1)
-    origin = np.zeros(d)
-    origin[0] = rr
-    chords = _ray_chords(geo, origin)
-
-    def h(gammas):
-        dirs = (np.cos(gammas), np.sin(gammas), *[0.0] * (d - 2))
-        ((t0, t1),) = chords(dirs)
-        return (t1 * t1 - t0 * t0) / 2.0 * np.sin(gammas) ** (d - 2)
-
-    lo = math.pi - math.asin(min(R / rr, 1.0)) if rr > R else 0.0
-    res = _edge_integral(h, [(lo, math.pi, rr > R, False, tol)])
-    return -rho_b * c_dm1 * res[0], c_dm1 * res[1], res.stats
+    return _ray_integral(geo, np.asarray(r, dtype=float), radial, tol)
 
 
 def _cuboid_newton_integral(bounds, y, n: int) -> float:
@@ -766,9 +767,10 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
 
     Rays from the evaluation point carry the (exact) radial primitive of the
     kernel so no singular integrand ever reaches the quadrature; what remains
-    is an angular integral (adaptive; quasi-random directions, the QMC path,
-    for hyperellipsoids in d >= 3).  In 2d the angular integral is cut at the
-    exact directions where its integrand has a kink or a support edge:
+    is an angular integral: quasi-random directions, the QMC path, for
+    hyperellipsoids in d >= 3, else the adaptive sweep of ``_ray_integral``
+    that the projection identities of ``surfaces`` share.  In 2d it is cut
+    at the exact directions where its integrand has a kink or a support edge:
     tangents to each boundary circle or ellipse that the point lies on or
     outside, and rays through rectangle corners.  At a support edge the
     integrand opens like a square root, which a quadratic change of variable
@@ -777,10 +779,8 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     ``adaptive_1d`` call, one integrand call per level of the panel tree.
     What depends on the point alone (the chord quadratics' constant terms,
     the piece table) is set up once per point, so an integrand call is a
-    fixed ~40 numpy operations on its nodes: 30-60 us for a disk or
-    ellipse, a little more for the annulus, whose two circles share one
-    pass, on the 2-core x86-64 benchmark machine
-    (``scripts/quad_overhead.py`` times whole points).
+    fixed ~40 numpy operations on its nodes (``scripts/quad_overhead.py``
+    times whole points).  A 2d ``Hyperellipsoid`` is an ``Ellipse2D``.
     The cuboid and QMC paths ignore ``tol``.  The cuboid's corner boxes
     split into Duffy pyramids, all evaluated in one grid pass by fixed 28-
     and 40-point rules; its error estimate is |fine - coarse|.
@@ -799,23 +799,27 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     p = _point(r, geo.dim)
     if not all(map(math.isfinite, p.tolist())):
         raise ValueError("potential_oracle: the point must be finite")
+    if isinstance(geo, Hyperellipsoid) and geo.dim == 2:
+        geo = Ellipse2D(*geo.axes)
     if isinstance(geo, Segment1D) or (isinstance(geo, Ball) and geo.d == 1):
         res = _oracle_1d(geo, rho_b, float(p[0]), tol)
         return EvalResult(*res, res.stats)
-    if isinstance(geo, (Annulus2D, Ellipse2D, Rectangle)) or \
-            (isinstance(geo, Ball) and geo.d == 2):
+    if geo.dim == 2:
         res = _oracle_2d(geo, rho_b, p, tol)
         return EvalResult(*res, res.stats)
     if isinstance(geo, Ball):
-        val, err, stats = _oracle_ball_radial(geo, rho_b, p, tol)
-        return EvalResult(val, abs(err) * rho_b + 1e-16, stats)
+        # the point moved onto the first axis; each chord's integral of the
+        # kernel t^(2-d) times the Jacobian t^(d-1)
+        origin = np.zeros(geo.d)
+        origin[0] = np.linalg.norm(p)
+        c_dm1 = sphere_area(geo.d - 1)
+        res = _ray_integral(geo, origin, lambda dirs, c: (c[0, 1] ** 2 - c[0, 0] ** 2) / 2.0, tol)
+        return EvalResult(-rho_b * c_dm1 * res[0], abs(c_dm1 * res[1]) * rho_b + 1e-16,
+                          res.stats)
     if isinstance(geo, Cuboid):
         val, err = _oracle_cuboid(geo, rho_b, p, tol)
         return EvalResult(val, err)
     if isinstance(geo, Hyperellipsoid):
-        if geo.dim == 2:
-            res = _oracle_2d(Ellipse2D(*geo.axes), rho_b, p, tol)
-            return EvalResult(*res, res.stats)
         val, err = _oracle_ellipsoid_qmc(geo, rho_b, p)
         return EvalResult(val, err)
     raise UnsupportedRegionError(f"no oracle for geometry {type(geo).__name__}")

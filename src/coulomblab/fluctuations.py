@@ -157,18 +157,11 @@ def surface_correlation(geometry, beta: float, p1, p2) -> float:
     angles; "halfplane2d" takes real coordinates along the wall; ("ellipse",
     a1, a2) takes the exterior-map parameter angles; "halfspace3d" takes 2d
     points on the wall; a LaurentMap takes boundary points as complex numbers
-    (conjectural exterior-kernel form, marked in the CLI output).
+    (conjectural exterior-kernel form, marked in the CLI output).  The last
+    three share -1/(2 beta pi^2 |1 - u v*|^2 |xi'(u)| |xi'(v)|) in the map's
+    preimages u, v on the unit circle, where |1 - u v*| = |u - v|.
     """
     _check_beta("surface_correlation", beta)
-    if isinstance(geometry, LaurentMap):
-        z, w = complex(p1), complex(p2)
-        if abs(z - w) < 1e-14:
-            raise SingularityError("surface_correlation: coincident points")
-        u, v = geometry.invert(z), geometry.invert(w)
-        du = 1.0 / abs(complex(geometry.derivative(u)))
-        dv = 1.0 / abs(complex(geometry.derivative(v)))
-        denom = abs(1.0 - u * v.conjugate()) ** 2
-        return -(1.0 / beta) * (du * dv) / (2.0 * math.pi ** 2 * denom)
     if geometry == "halfplane2d":
         sep = abs(float(p1) - float(p2))
         if sep < 1e-14:
@@ -183,21 +176,26 @@ def surface_correlation(geometry, beta: float, p1, p2) -> float:
         if sep2 < 1e-28:
             raise SingularityError("surface_correlation: coincident points")
         return -1.0 / (8.0 * beta * math.pi ** 2 * sep2 ** 1.5)
-    if geometry == "disk" or (isinstance(geometry, tuple) and geometry[0] == "disk"):
-        radius = geometry[1] if isinstance(geometry, tuple) else 1.0
-        th1, th2 = float(p1), float(p2)
-        chord = 2.0 * radius * math.sin(0.5 * (th1 - th2))
-        if abs(chord) < 1e-14:
-            raise SingularityError("surface_correlation: coincident points")
-        return -1.0 / (2.0 * beta * math.pi ** 2 * chord ** 2)
-    if isinstance(geometry, tuple) and geometry[0] == "ellipse":
-        _, a1, a2 = geometry
-        mp = ellipse_map(a1, a2)
-        e1, e2 = float(p1), float(p2)
-        gap = abs(cmath.exp(1j * e1) - cmath.exp(1j * e2)) ** 2
-        if gap < 1e-28:
-            raise SingularityError("surface_correlation: coincident points")
-        h1 = abs(complex(mp.derivative(cmath.exp(1j * e1))))
-        h2 = abs(complex(mp.derivative(cmath.exp(1j * e2))))
-        return -1.0 / (2.0 * beta * math.pi ** 2 * gap * h1 * h2)
-    raise ValueError(f"surface_correlation: unknown geometry {geometry!r}")
+    if isinstance(geometry, LaurentMap):
+        mp = geometry
+        u, v = mp.invert(complex(p1)), mp.invert(complex(p2))
+        uv = u * v.conjugate()
+    else:
+        kind = geometry[0] if isinstance(geometry, tuple) else geometry
+        if kind == "disk":      # the circle map of radius R: |xi'| = R
+            mp = None
+            radius = geometry[1] if isinstance(geometry, tuple) else 1.0
+        elif kind == "ellipse":
+            _, a1, a2 = geometry
+            mp = ellipse_map(a1, a2)
+        else:
+            raise ValueError(f"surface_correlation: unknown geometry {geometry!r}")
+        t1, t2 = float(p1), float(p2)
+        u, v = cmath.exp(1j * t1), cmath.exp(1j * t2)
+        # u v* from the angle difference: close points keep their digits
+        uv = cmath.exp(1j * (t1 - t2))
+    if abs(u - v) < 1e-14:
+        raise SingularityError("surface_correlation: coincident points")
+    h1, h2 = (radius, radius) if mp is None else \
+        (abs(complex(mp.derivative(x))) for x in (u, v))
+    return -1.0 / (2.0 * beta * math.pi ** 2 * abs(1.0 - uv) ** 2 * h1 * h2)

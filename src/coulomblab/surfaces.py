@@ -12,9 +12,12 @@ from ._quad import adaptive_1d
 from .domains import (
     Ball,
     Ellipse2D,
+    Hyperellipsoid,
+    _edge_integral,
     _lambda_integral,
     _lambda_star,
-    _ray_chords,
+    _point,
+    _ray_integral,
     coulomb_radial,
     sphere_area,
 )
@@ -39,16 +42,16 @@ def shell_potential(d: int, R: float, Q: float, r) -> float:
     constant inside, point-charge outside (Newton's shell theorem)."""
     if d < 2:
         raise ValueError("shell_potential: d >= 2")
-    rr = float(np.linalg.norm(np.atleast_1d(np.asarray(r, dtype=float))))
+    rr = float(np.linalg.norm(_point(r, d)))
     return Q * coulomb_radial(d, max(rr, R))
 
 
 def ellipsoid_surface_density(axes, Q: float, r) -> float:
     """Equilibrium surface density on the hyperellipsoid shell:
     sigma = Q / (c_d a_1...a_d) * (sum x_j^2/a_j^4)^(-1/2)."""
-    axes = tuple(float(a) for a in axes)
+    axes = Hyperellipsoid(axes).axes
     d = len(axes)
-    x = np.asarray(r, dtype=float)
+    x = _point(r, d)
     on_surface = sum((xi / a) ** 2 for xi, a in zip(x, axes))
     if abs(on_surface - 1.0) > 1e-10:
         raise OffSurfaceError(f"point not on the surface (residual {on_surface - 1.0:.2e})")
@@ -62,11 +65,11 @@ def ellipsoid_surface_potential(axes, Q: float, r) -> float:
     (Q/2)(d-2) int_{lam*}^inf dlam / sqrt(S_0): constant inside (lam* = 0),
     decaying to the point-charge potential far away.
     """
-    axes = tuple(float(a) for a in axes)
+    axes = Hyperellipsoid(axes).axes
     d = len(axes)
     if d <= 2:
         raise ValueError("ellipsoid_surface_potential: valid for d > 2")
-    x = np.asarray(r, dtype=float)
+    x = _point(r, d)
     lam0 = _lambda_star(axes, x)
     val, _ = _lambda_integral(axes, lambda lam: np.ones_like(lam), lam0)
     return 0.5 * Q * (d - 2) * val
@@ -95,41 +98,34 @@ def projection_density(d: int, R: float, r) -> float:
 
 def _weighted_ray_integral(geo, point, weight, kernel, tol):
     """Integral over the convex body geo of weight(r') k(|point - r'|) by
-    rays from the interior point; each ray's exit length L comes from
-    ``_ray_chords`` and the rim is handled by the s = L - v^2 substitution.
-
-    ``weight`` maps an (m, d) array of points to their weights; ``kernel``
-    must already include the polar Jacobian s^(d-1) (so the d = 3 Coulomb
-    kernel 1/s enters a planar body as the constant 1).  A planar point
-    sweeps the full circle of directions; a point (x, 0, 0) of a 3-ball
-    sweeps the polar angle about its axis, the azimuth contributing 2 pi.
+    rays from the interior point (planar, or (x, 0, ..., 0), x >= 0, in a
+    d-ball), their directions swept by ``domains._ray_integral``.  The rays
+    of one angular level run to their exits L in one ``_edge_integral``
+    call, the rim an upper support edge: the weights below open or blow up
+    there like a square root.  ``weight`` maps a (d, m) array of points to
+    their weights; ``kernel`` must already include the polar Jacobian
+    s^(d-1) (so the d = 3 Coulomb kernel 1/s enters a planar body as 1).
     """
     p = np.asarray(point, dtype=float)
     d = len(p)
-    chords = _ray_chords(geo, p)
 
-    def angular(thetas):
-        dirs = np.zeros((len(thetas), d))
-        dirs[:, 0], dirs[:, 1] = np.cos(thetas), np.sin(thetas)
-        ((_, exits),) = chords(dirs.T)
-        out = np.empty_like(thetas)
-        for i, (e, L) in enumerate(zip(dirs, exits)):
-            def radial(vs):
-                s = L - vs * vs
-                return weight(p + s[:, None] * e) * kernel(s) * 2.0 * vs
+    def radial(dirs, chords):
+        e = np.array(np.broadcast_arrays(*dirs))
 
-            out[i], _ = adaptive_1d(radial, 0.0, math.sqrt(L), tol)
-        return out if d == 2 else out * np.sin(thetas)
+        def h(s, k):
+            return weight(p[:, None] + s * e.take(k, axis=1)) * kernel(s)
 
-    total, _ = adaptive_1d(angular, 0.0, 2.0 * math.pi if d == 2 else math.pi,
-                           tol * 10)
-    return total if d == 2 else 2.0 * math.pi * total
+        return _edge_integral(h, [(0.0, L, False, True, tol)
+                                  for L in chords[0, 1].tolist()]).parts
+
+    total, _ = _ray_integral(geo, p, radial, tol * 10)
+    return total if d == 2 else sphere_area(d - 1) * total
 
 
 def _ball_weight(R, power):
     """w(r') = (1 - |r'|^2/R^2)^power on the R-ball."""
     def w(q):
-        return np.maximum(1.0 - np.sum(q * q, axis=1) / (R * R), 0.0) ** power
+        return np.maximum(1.0 - np.sum(q * q, axis=0) / (R * R), 0.0) ** power
     return w
 
 
@@ -187,21 +183,18 @@ def projection_identities(case: str, **params) -> dict:
     if case == "riesz-quadratic":
         d = params.get("d", 3)
         R = params.get("R", 1.0)
+        # the kernel times the Jacobian s^(d-1): Psi_0 = -log|r - r'| on the
+        # 3-ball, Psi_{-1} = -|r - r'| on the 2-ball
         if d == 3:
-            dists = [0.0, 0.15, 0.3, 0.45, 0.6, 0.72]
-            vals = np.array([
-                _weighted_ray_integral(
-                    Ball(3, R), [x, 0.0, 0.0], _ball_weight(R, -0.5),
-                    lambda s: -np.log(np.maximum(s, 1e-300)) * s * s, 1e-9)
-                for x in dists])
+            kernel, tol = (lambda s: -np.log(np.maximum(s, 1e-300)) * s * s), 1e-9
         elif d == 2:
-            # kernel Psi_{-1} = -|r - r'| on the 2-ball (times the Jacobian s)
-            dists = [0.0, 0.15, 0.3, 0.45, 0.6, 0.72]
-            vals = np.array([
-                _weighted_ray_integral(Ball(2, R), [x, 0.0], _ball_weight(R, -0.5),
-                                       lambda s: -s * s, 1e-8) for x in dists])
+            kernel, tol = (lambda s: -s * s), 1e-8
         else:
             raise ValueError("riesz-quadratic: d in {2, 3}")
+        dists = [0.0, 0.15, 0.3, 0.45, 0.6, 0.72]
+        vals = np.array([_weighted_ray_integral(Ball(d, R), [x] + [0.0] * (d - 1),
+                                                _ball_weight(R, -0.5), kernel, tol)
+                         for x in dists])
         x2 = np.array([x * x for x in dists])
         design = np.vstack([np.ones_like(x2), x2]).T
         coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
@@ -233,7 +226,7 @@ def projection_identities(case: str, **params) -> dict:
         pts = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.4, 0.3), (-0.5, 0.2)]
 
         def weight(q):
-            return np.maximum(1.0 - (q[:, 0] / a1) ** 2 - (q[:, 1] / a2) ** 2, 0.0) ** 0.5
+            return np.maximum(1.0 - (q[0] / a1) ** 2 - (q[1] / a2) ** 2, 0.0) ** 0.5
 
         resid = []
         for (x, y) in pts:

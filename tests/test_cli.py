@@ -650,6 +650,21 @@ def test_out_of_range_input_exit_2(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["surface", "--op", "density", "--axes", "2|1|1", "--point", "2,0,0,5"],
+    ["surface", "--op", "density", "--axes=-2|1|1", "--point=2,0,0"],
+    ["surface", "--op", "density", "--axes", "2", "--point", "2"],
+    ["surface", "--op", "potential", "--axes", "2|1|0", "--point", "0.5,0.2,0"],
+    ["surface", "--op", "potential", "--axes", "2|1|1", "--point", "0.5,0.2"],
+    ["surface", "--op", "shell", "--d", "3", "--point", "0.5,0.2"],
+])
+def test_surface_axes_and_point_checked_exit_2(argv):
+    # axes as a hyperellipsoid's (two or more, all positive) and a point of
+    # their dimension, as potential checks them
+    code, rec = record_of(argv)
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("argv", [
     ["potential", "--domain", "ball:d=2,R=1", "--point", "0,0", "--oracle",
      "--tol", "nan"],
     ["potential", "--domain", "ball:d=2,R=1", "--point", "inf,0"],

@@ -487,7 +487,7 @@ def _edge_integrand_reference(h, pieces):
         k = np.minimum(x.astype(np.intp), last)
         base, a1, a2, a3, b2, b3 = table[k].T
         s = x - k
-        return (a1 + s * (b2 + s * b3)) * h(base + s * (a1 + s * (a2 + s * a3)))
+        return (a1 + s * (b2 + s * b3)) * h(base + s * (a1 + s * (a2 + s * a3)), k)
 
     start = np.arange(len(pieces), dtype=float)
     return f, start, start + 1.0, tol
@@ -500,7 +500,9 @@ def test_edge_integral_table_matches_numpy_construction(monkeypatch):
     seen = []
     monkeypatch.setattr(domains, "adaptive_1d", lambda *args: seen.append(args))
     rng = np.random.default_rng(5)
-    for h in (np.ones_like, lambda t: t, lambda t: np.sqrt(np.abs(np.sin(t)))):
+    # h takes the nodes and their pieces' indices
+    for h in (lambda t, k: np.ones_like(t), lambda t, k: t,
+              lambda t, k: np.sqrt(np.abs(np.sin(t))), lambda t, k: t * (k + 1)):
         for group in [[p] for p in pieces] + [pieces]:
             seen.clear()
             domains._edge_integral(h, group)

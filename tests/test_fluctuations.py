@@ -220,6 +220,20 @@ def test_linear_response_identity():
             assert abs(cov - rhs) < 1e-8
 
 
+def test_close_points_keep_their_digits():
+    # against the chord 2 sin(d/2) = |e^{i t1} - e^{i t2}|: a kernel built from
+    # the two rounded unit vectors loses ~1e-16/d of its relative accuracy
+    mp = ellipse_map(2.0, 1.0)
+    for d in (1e-4, 1e-6, 1e-8):
+        t1, t2 = 0.7 + d, 0.7
+        chord2 = (2.0 * math.sin(0.5 * (t1 - t2))) ** 2
+        disk = surface_correlation(("disk", 1.5), 2.0, t1, t2)
+        assert abs(disk * (4.0 * math.pi ** 2 * chord2 * 1.5 * 1.5) + 1.0) < 1e-14, d
+        h1, h2 = (abs(complex(mp.derivative(cmath.exp(1j * t)))) for t in (t1, t2))
+        ellipse = surface_correlation(("ellipse", 2.0, 1.0), 2.0, t1, t2)
+        assert abs(ellipse * (4.0 * math.pi ** 2 * chord2 * h1 * h2) + 1.0) < 1e-14, d
+
+
 def test_ellipse_reduces_to_disk():
     # circular ellipse: the curvilinear formula must match the disk value
     th1, th2 = 0.4, 1.9

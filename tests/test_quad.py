@@ -64,6 +64,7 @@ def test_array_call_is_sum_of_single_calls(name):
     # values are summed in interval order
     assert res[0] == sum(r[0] for r in singles)
     assert res[1] == sum(r[1] for r in singles)
+    assert res.parts.tolist() == [r[0] for r in singles]
     assert res.stats.panels == sum(r.stats.panels for r in singles)
     assert res.stats.depth == max(r.stats.depth for r in singles)
     assert res.stats.at_floor == sum(r.stats.at_floor for r in singles)
@@ -184,6 +185,7 @@ def test_many_intervals_with_one_tol_are_their_single_calls(name):
         res = adaptive_1d(g, edges[:-1], edges[1:], tol)
         assert res[0] == sum(r[0] for r in singles)
         assert res[1] == sum(r[1] for r in singles)
+        assert res.parts.tolist() == [r[0] for r in singles]
         assert res.stats.panels == sum(r.stats.panels for r in singles)
         assert res.stats.depth == max(r.stats.depth for r in singles)
         assert seen["calls"] == res.stats.depth

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from coulomblab._quad import adaptive_1d
-from coulomblab.domains import SingularityError, sphere_area
+from coulomblab.domains import Ball, Ellipse2D, SingularityError, _ray_chords, sphere_area
 from coulomblab.specfun import gamma
 from coulomblab.surfaces import (
     OffSurfaceError,
+    _ball_weight,
+    _weighted_ray_integral,
     ellipsoid_surface_density,
     ellipsoid_surface_potential,
     projection_density,
@@ -88,6 +90,23 @@ def test_density_integrates_to_total_charge():
 def test_off_surface_error():
     with pytest.raises(OffSurfaceError):
         ellipsoid_surface_density((1, 1, 2), 1.0, [0.5, 0.0, 0.0])
+
+
+def test_malformed_axes_and_points_raise():
+    # a point of another dimension is not cut to the axes' length, and a
+    # single or non-positive axis is no hyperellipsoid
+    for bad in ([2.0, 0.0, 0.0, 5.0], [2.0, 0.0]):
+        with pytest.raises(ValueError, match="dimension 3"):
+            ellipsoid_surface_density((2, 1, 1), 1.0, bad)
+        with pytest.raises(ValueError, match="dimension 3"):
+            ellipsoid_surface_potential((2, 1, 1), 1.0, bad)
+        with pytest.raises(ValueError, match="dimension 3"):
+            shell_potential(3, 1.0, 1.0, bad)
+    for axes, p in (((-2, 1, 1), [2.0, 0.0, 0.0]), ((2,), [2.0]), ((2, 0, 1), [2.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="positive axes"):
+            ellipsoid_surface_density(axes, 1.0, p)
+        with pytest.raises(ValueError, match="positive axes"):
+            ellipsoid_surface_potential(axes, 1.0, p)
 
 
 def test_d2_density_matches_conformal_route():
@@ -221,6 +240,53 @@ def test_semicircle_identity():
 def test_thin_slab_identity():
     rep = projection_identities("thin-slab", a1=1.5, a2=1.0)
     assert rep["max_residual"] < 1e-8
+
+
+def _per_ray_reference(geo, point, weight, kernel, tol):
+    # the ray integral as one adaptive_1d call per ray, inside one over the
+    # directions, with the rim taken by the substitution s = L - v^2
+    p = np.asarray(point, dtype=float)
+    d = len(p)
+    chords = _ray_chords(geo, p)
+
+    def angular(thetas):
+        dirs = np.zeros((len(thetas), d))
+        dirs[:, 0], dirs[:, 1] = np.cos(thetas), np.sin(thetas)
+        ((_, exits),) = chords(dirs.T)
+        out = np.empty_like(thetas)
+        for i, (e, L) in enumerate(zip(dirs, exits)):
+            def radial(vs):
+                s = L - vs * vs
+                return weight((p + s[:, None] * e).T) * kernel(s) * 2.0 * vs
+
+            out[i], _ = adaptive_1d(radial, 0.0, math.sqrt(L), tol)
+        return out if d == 2 else out * np.sin(thetas)
+
+    total, _ = adaptive_1d(angular, 0.0, 2.0 * math.pi if d == 2 else math.pi, tol * 10)
+    return total if d == 2 else 2.0 * math.pi * total
+
+
+def test_batched_rays_match_the_per_ray_reference():
+    # every point, weight, kernel and tolerance that projection_identities
+    # integrates by rays
+    def ellipse_weight(q):
+        return np.maximum(1.0 - (q[0] / 1.5) ** 2 - (q[1] / 1.0) ** 2, 0.0) ** 0.5
+
+    dists = [0.0, 0.15, 0.3, 0.45, 0.6, 0.72]
+    disk = [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3), (0.4, 0.1), (-0.3, 0.2),
+            (0.5, 0.0), (0.1, -0.5), (-0.6, -0.1), (0.3, 0.3), (0.65, 0.0)]
+    cases = [(Ball(2, 1.0), disk, _ball_weight(1.0, -0.5), np.ones_like, 1e-8),
+             (Ball(3, 1.0), [(x, 0.0, 0.0) for x in dists], _ball_weight(1.0, -0.5),
+              lambda s: -np.log(np.maximum(s, 1e-300)) * s * s, 1e-9),
+             (Ball(2, 1.0), [(x, 0.0) for x in dists], _ball_weight(1.0, -0.5),
+              lambda s: -s * s, 1e-8),
+             (Ellipse2D(1.5, 1.0), [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.4, 0.3), (-0.5, 0.2)],
+              ellipse_weight, np.ones_like, 1e-9)]
+    for geo, points, weight, kernel, tol in cases:
+        for p in points:
+            got = _weighted_ray_integral(geo, p, weight, kernel, tol)
+            ref = _per_ray_reference(geo, p, weight, kernel, tol)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (geo, p, got, ref)
 
 
 def test_unknown_case():
