@@ -357,6 +357,42 @@ def test_oracle_values_pinned(key, p, value):
     assert abs(val - value) <= 1e-13 * abs(value), (val, value)
 
 
+def _cut_free_points(geo, rng, n):
+    # points whose ray sweep has no kink or support edge: the disk's and the
+    # ellipse's interiors and the annulus' hole, out to 0.97 of the boundary
+    scale = {Ball: lambda g: (g.R, g.R), Ellipse2D: lambda g: (g.a1, g.a2),
+             Annulus2D: lambda g: (g.c * g.R, g.c * g.R)}[type(geo)](geo)
+    th = rng.uniform(0.0, 2.0 * math.pi, n)
+    frac = rng.uniform(0.0, 0.97, n)
+    return np.stack([frac * scale[0] * np.cos(th), frac * scale[1] * np.sin(th)], axis=1)
+
+
+@pytest.mark.parametrize("geo", [Ball(2, 1.0), Ellipse2D(2.0, 1.0), Annulus2D(1.0, 0.5)],
+                         ids=["disk", "ellipse", "annulus-hole"])
+def test_oracle_cut_free_sweep_meets_tolerance(geo):
+    # every point of a seeded sweep is within the requested tolerance of the
+    # closed form, and says it met it
+    dom = UniformDomain(geo, 1.0)
+    for p in _cut_free_points(geo, np.random.default_rng(1), 300):
+        res = potential_oracle(dom, p, 1e-9)
+        assert res.stats.tol_met
+        assert abs(res.value - background_potential(dom, p)) <= 1e-9, p
+
+
+@pytest.mark.parametrize("axes", [(2.0, 1.0), (1.5, 1.2)])
+def test_ellipse_balayage_potential_matches_oracle(axes):
+    # the boundary measure reproduces the body's potential outside it; the
+    # measure's angular sweep and the ray oracle share no code
+    dom = UniformDomain(Ellipse2D(*axes), 1.0)
+    measure = balayage_measure(dom)
+    rng = np.random.default_rng(3)
+    th = rng.uniform(0.0, 2.0 * math.pi, 40)
+    frac = rng.uniform(1.05, 3.0, 40)
+    for p in np.stack([frac * axes[0] * np.cos(th), frac * axes[1] * np.sin(th)], axis=1):
+        ref = -potential_oracle(dom, p, 1e-12).value
+        assert abs(measure.potential(p) - ref) <= 1e-13, p
+
+
 def test_oracle_stats_flag_unmet_tolerance():
     # tol 1e-30 is below roundoff: panels are accepted at the floor, and the
     # record says so
