@@ -19,6 +19,8 @@ case's median over the repeats and the quartiles.  Cases:
   stubbed out;
 - one ``potential_oracle`` point at tol 1e-9 per 2d class of the ``oracle``
   benchmark workload, the 3-ball and the segment;
+- ``BalayageMeasure.potential`` of the ellipse 2x1 at one exterior point,
+  the angular sweep of its boundary measure;
 - ``surfaces.projection_identities("constant-potential", d=3)``: ten points
   of the disk, each a sweep of batched weighted rays.
 """
@@ -33,7 +35,7 @@ import time
 
 import numpy as np
 
-from coulomblab import _quad, domains, surfaces
+from coulomblab import _quad, balayage, domains, surfaces
 
 CALLS = 3   # calls per case per repeat
 REPEATS = 200
@@ -86,6 +88,9 @@ def cases():
         dom = _unit(geo)
         out.append((f"potential_oracle, {name}",
                     lambda dom=dom, p=p: domains.potential_oracle(dom, p, 1e-9)))
+    measure = balayage.balayage_measure(_unit(domains.Ellipse2D(2.0, 1.0)))
+    out.append(("BalayageMeasure.potential, ellipse 2x1",
+                lambda: measure.potential((2.5, 0.9))))
     out.append(("projection_identities, constant-potential d=3 [ms]",
                 lambda: surfaces.projection_identities("constant-potential", d=3)))
     return out

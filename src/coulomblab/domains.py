@@ -658,15 +658,22 @@ def _oracle_1d(geo: Segment1D | Ball, rho_b: float, x: float, tol: float):
     return adaptive_1d(f, cuts[:-1], cuts[1:], [tol / n] * n)
 
 
-def _ray_integral(geo, origin, radial, tol):
+def _ray_integral(geo, origin, radial, tol, pieces=1):
     """Integral over the directions from ``origin`` of ``radial(dirs,
     chords)``, the n ray integrals of n directions (their components, as
     ``_ray_chords`` takes them) and their chords, in one ``_edge_integral``.
     A planar origin sweeps the full circle, cut at ``_kink_angles`` (across a
-    cut the panel error estimate is blind).  An axis point (x, 0, ..., 0),
-    x >= 0, of a d-ball sweeps the polar angle gamma with weight
-    sin(gamma)^(d - 2), outside the ball over gamma > pi - asin(R/x) with the
-    support edge at that end; the caller multiplies by the azimuths' area.
+    cut the panel error estimate is blind); a sweep with no such cut is
+    split into ``pieces`` equal arcs.  ``_oracle_2d`` passes 4: its
+    directions are cheap, so a point costs per level of the panel tree, and
+    from quarter-turn roots most interior and hole points finish at the
+    root level, where one whole turn needs 2-5 levels.  ``surfaces`` keeps
+    1: each of its directions carries a radial quadrature, so its cost is per
+    direction, and quarter turns evaluate more of them.  An axis point
+    (x, 0, ..., 0), x >= 0, of a d-ball sweeps the polar angle gamma with
+    weight sin(gamma)^(d - 2), outside the ball over gamma > pi - asin(R/x)
+    with the support edge at that end; the caller multiplies by the azimuths'
+    area.
     """
     chords = _ray_chords(geo, origin)
     d = len(origin)
@@ -675,7 +682,9 @@ def _ray_integral(geo, origin, radial, tol):
             dirs = (np.cos(thetas), np.sin(thetas))
             return radial(dirs, chords(dirs))
 
-        cuts = [(0.0, False), *_kink_angles(geo, origin), (2.0 * math.pi, False)]
+        kinks = _kink_angles(geo, origin) or [(2.0 * math.pi * k / pieces, False)
+                                              for k in range(1, pieces)]
+        cuts = [(0.0, False), *kinks, (2.0 * math.pi, False)]
         return _edge_integral(h, [(lo, hi, lo_edge, hi_edge, tol * (hi - lo) / (2.0 * math.pi))
                                   for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:])
                                   if hi - lo >= 1e-14])
@@ -695,7 +704,7 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
         p = _log_primitive(chords)
         return rho_b * sum(p[:, 1] - p[:, 0])
 
-    return _ray_integral(geo, np.asarray(r, dtype=float), radial, tol)
+    return _ray_integral(geo, np.asarray(r, dtype=float), radial, tol, pieces=4)
 
 
 def _cuboid_newton_integral(bounds, y, n: int) -> float:
@@ -774,9 +783,12 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     tangents to each boundary circle or ellipse that the point lies on or
     outside, and rays through rectangle corners.  At a support edge the
     integrand opens like a square root, which a quadratic change of variable
-    at that end of the interval removes (as at the d-ball's cone edge).  All
+    at that end of the interval removes (as at the d-ball's cone edge).  A
+    point with no such direction (inside the disk or the ellipse, in the
+    annulus' hole) sweeps four quarter turns instead of one whole turn.  All
     the intervals of one point are integrated in one breadth-first
-    ``adaptive_1d`` call, one integrand call per level of the panel tree.
+    ``adaptive_1d`` call, one integrand call per level of the panel tree;
+    from quarter-turn roots most cut-free points finish at the root level.
     What depends on the point alone (the chord quadratics' constant terms,
     the piece table) is set up once per point, so an integrand call is a
     fixed ~40 numpy operations on its nodes (``scripts/quad_overhead.py``

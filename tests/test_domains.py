@@ -379,6 +379,25 @@ def test_oracle_cut_free_sweep_meets_tolerance(geo):
         assert abs(res.value - background_potential(dom, p)) <= 1e-9, p
 
 
+@pytest.mark.parametrize("geo,p", [(Ball(2, 1.0), (0.3, 0.2)),
+                                   (Annulus2D(1.0, 0.5), (0.2, 0.1)),
+                                   (Ellipse2D(2.0, 1.0), (1.7, 0.2))],
+                         ids=["disk", "annulus-hole", "ellipse"])
+def test_oracle_cut_free_point_finishes_at_root(geo, p):
+    # a sweep with no cut starts from four quarter turns, and each of these
+    # points' root panels meets its share of the tolerance
+    stats = potential_oracle(UniformDomain(geo, 1.0), p, 1e-9).stats
+    assert (stats.depth, stats.panels, stats.tol_met) == (1, 12, True)
+
+
+def test_oracle_point_misjudged_by_a_whole_turn_root():
+    # one whole-turn root panel agreed with its halves to 5e-11 here while
+    # the value was 2.7e-9 off the closed form, and was accepted at tol 1e-9
+    dom = UniformDomain(Ball(2, 1.0), 1.0)
+    p = (-0.7083670450366945, -0.09828363554990775)
+    assert abs(potential_oracle(dom, p, 1e-9).value - background_potential(dom, p)) <= 1e-9
+
+
 @pytest.mark.parametrize("axes", [(2.0, 1.0), (1.5, 1.2)])
 def test_ellipse_balayage_potential_matches_oracle(axes):
     # the boundary measure reproduces the body's potential outside it; the
