@@ -391,8 +391,8 @@ def test_oracle_cut_free_point_finishes_at_root(geo, p):
 
 
 def test_oracle_point_misjudged_by_a_whole_turn_root():
-    # one whole-turn root panel agreed with its halves to 5e-11 here while
-    # the value was 2.7e-9 off the closed form, and was accepted at tol 1e-9
+    # here a whole-turn root panel agrees with its halves to 5e-11 while it
+    # is 2.7e-9 off the closed form, so a sweep from it misses tol 1e-9
     dom = UniformDomain(Ball(2, 1.0), 1.0)
     p = (-0.7083670450366945, -0.09828363554990775)
     assert abs(potential_oracle(dom, p, 1e-9).value - background_potential(dom, p)) <= 1e-9
