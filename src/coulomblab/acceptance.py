@@ -85,10 +85,9 @@ def criterion_2():
             axes = tuple(rng.uniform(0.5, 2.5, size=d))
             n_charge = float(rng.uniform(0.5, 3.0))
             u = dom.UniformDomain(dom.Hyperellipsoid(axes), n_charge)
-            k = dom.Kernel.coulomb(d)
             _, al = dom.hyperellipsoid_coefficients(axes, n_charge)
             worst_sum = max(worst_sum,
-                            abs(sum(al) - u.rho_b * k.c_d * k.chi_d / 2.0))
+                            abs(sum(al) - u.rho_b * dom.poisson_constant(d) / 2.0))
             c = 1.7
             _, al_s = dom.hyperellipsoid_coefficients(
                 tuple(c * a for a in axes), n_charge * c ** d)

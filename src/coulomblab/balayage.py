@@ -17,9 +17,9 @@ from ._quad import adaptive_1d
 from .domains import (
     Annulus2D,
     Ball,
-    Ellipse2D,
     UniformDomain,
     UnsupportedRegionError,
+    _ellipse_axes,
     _point,
     sphere_area,
 )
@@ -39,27 +39,41 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BalayageComponent:
-    """One boundary piece: a circle (radius) or an ellipse (a1, a2) carrying
-    the angular density dmu/dtheta, or a sphere shell (d, radius) carrying
-    its uniform surface density; and its total mass."""
+    """One boundary piece and its total mass: a circle (radius) or an ellipse
+    (a1, a2) carrying the angular density (mass / 2 pi)(1 - kappa cos 2 theta),
+    kappa = (a1^2 - a2^2) / (a1^2 + a2^2) (0 on a circle), or a sphere shell
+    (d, radius) carrying a uniform surface density."""
 
     kind: str
     params: tuple
-    density: object  # theta -> dmu/dtheta
     mass: float
+
+    def _axes(self):
+        if self.kind not in ("circle", "ellipse"):
+            raise ValueError(f"unknown component kind {self.kind!r}")
+        return self.params if self.kind == "ellipse" else self.params * 2
+
+    def density(self, theta):
+        """dmu/dtheta at angle(s) theta; a shell's surface density."""
+        if self.kind == "shell":
+            d, radius = self.params
+            return self.mass / (radius ** (d - 1) * sphere_area(d))
+        # the printed density integrates to Q a1 a2 over theta; rescaled so
+        # the total mass is Q, then validated by exterior-potential matching
+        a1, a2 = self._axes()
+        kappa = (a1 ** 2 - a2 ** 2) / (a1 ** 2 + a2 ** 2)
+        return self.mass / (2.0 * math.pi) * (1.0 - kappa * np.cos(2.0 * theta))
 
     def point(self, theta):
         """Points at angle(s) theta, shape theta.shape + (2,); a circle is (R, R)."""
-        if self.kind not in ("circle", "ellipse"):
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        a1, a2 = self.params if self.kind == "ellipse" else self.params * 2
+        a1, a2 = self._axes()
         theta = np.asarray(theta, dtype=float)
         return np.stack([a1 * np.cos(theta), a2 * np.sin(theta)], axis=-1)
 
     def potential(self, r) -> float:
         """Coulomb potential of this component: the -log kernel at a planar
-        point, the shell theorem at a point of R^d for a d-sphere shell (and
-        for a circle of uniform density).  The planar sweep over theta runs
+        point, the shell theorem at a point of R^d for a d-sphere shell and
+        at a planar point for a circle.  The ellipse's sweep over theta runs
         as four quarter turns at tol 2.5e-11 each (1e-10 in all) in one
         ``adaptive_1d`` call: from quarter-turn roots it needs fewer levels
         than one whole turn, and each level costs an integrand call."""
@@ -69,10 +83,7 @@ class BalayageComponent:
         p = _point(r, 2)
         if self.kind == "circle":
             (radius,) = self.params
-            dens = self.density(0.0)
-            uniform = abs(dens * 2.0 * math.pi - self.mass) < 1e-12 * max(1.0, self.mass)
-            if uniform:
-                return shell_potential(2, radius, self.mass, p)
+            return shell_potential(2, radius, self.mass, p)
 
         def f(thetas):
             q = self.point(thetas)
@@ -107,7 +118,7 @@ class HoleSpec:
     beta: float = 2.0
 
     def __post_init__(self):
-        if self.rho_b <= 0 or self.beta <= 0:
+        if not (self.rho_b > 0 and self.beta > 0):
             raise ValueError("HoleSpec: rho_b and beta must be > 0")
 
 
@@ -120,37 +131,21 @@ def annulus_weights(c: float):
 
 def balayage_measure(dom: UniformDomain) -> BalayageMeasure:
     """Balayage measure of the uniformly charged body (total charge Q = N),
-    supported on the boundary and matching the exterior potential."""
+    supported on the boundary and matching the exterior potential.  A planar
+    ellipse is read by its semi-axes: equal ones make a circle."""
     geo, q_total = dom.geometry, dom.N
-    if isinstance(geo, Ball) and geo.d == 2:
-        dens = q_total / (2.0 * math.pi)
-        comp = BalayageComponent("circle", (geo.R,), lambda th: dens, q_total)
+    axes = _ellipse_axes(geo)
+    if axes:
+        comp = BalayageComponent("ellipse", axes, q_total) if axes[0] != axes[1] \
+            else BalayageComponent("circle", axes[:1], q_total)
         return BalayageMeasure((comp,), q_total)
-    if isinstance(geo, Ball):
-        sigma = q_total / (geo.R ** (geo.d - 1) * sphere_area(geo.d))
-        comp = BalayageComponent("shell", (geo.d, geo.R), lambda th: sigma, q_total)
-        return BalayageMeasure((comp,), q_total)
+    if isinstance(geo, Ball) and geo.d > 1:  # the 1-ball, a segment, has none
+        return BalayageMeasure((BalayageComponent("shell", (geo.d, geo.R), q_total),), q_total)
     if isinstance(geo, Annulus2D):
         alpha_w, beta_w = annulus_weights(geo.c)
-        out_mass = q_total * alpha_w
-        in_mass = q_total * beta_w
-        comps = (
-            BalayageComponent("circle", (geo.R,),
-                              lambda th, m=out_mass: m / (2.0 * math.pi), out_mass),
-            BalayageComponent("circle", (geo.c * geo.R,),
-                              lambda th, m=in_mass: m / (2.0 * math.pi), in_mass),
-        )
+        comps = (BalayageComponent("circle", (geo.R,), q_total * alpha_w),
+                 BalayageComponent("circle", (geo.c * geo.R,), q_total * beta_w))
         return BalayageMeasure(comps, q_total)
-    if isinstance(geo, Ellipse2D):
-        a1, a2 = geo.a1, geo.a2
-        kappa2 = (a1 ** 2 - a2 ** 2) / (a1 ** 2 + a2 ** 2)
-        # the printed density integrates to Q a1 a2 over theta; rescaled so
-        # the total mass is Q, then validated by exterior-potential matching
-        def dens(th, q=q_total, k=kappa2):
-            return q / (2.0 * math.pi) * (1.0 - k * np.cos(2.0 * th))
-
-        comp = BalayageComponent("ellipse", (a1, a2), dens, q_total)
-        return BalayageMeasure((comp,), q_total)
     raise UnsupportedRegionError(
         f"balayage_measure: unsupported geometry {type(geo).__name__}")
 
@@ -161,25 +156,23 @@ def exterior_moment(dom: UniformDomain, ell: int):
 
     For the ellipse, m_l = 2 pi a1 a2 C(l, l/2) x^(l/2) / (l + 2) with
     x = (a1^2 - a2^2)/4 at even l, i.e. area * Catalan(l/2) * x^(l/2), and 0
-    at odd l.  It is taken through logs, so a large l overflows to inf."""
+    at odd l; the disk (x = 0) and the annulus have m_l = 0 for l > 0.  It is
+    taken through logs, so a large l overflows to inf."""
     if ell < 0:
         raise ValueError("exterior_moment: l >= 0")
     geo = dom.geometry
-    if isinstance(geo, (Ball, Annulus2D)):
-        if not (isinstance(geo, Annulus2D) or geo.d == 2):
-            raise UnsupportedRegionError("exterior_moment: planar bodies only")
-        return geo.volume if ell == 0 else 0.0
-    if isinstance(geo, Ellipse2D):
-        k, odd = divmod(ell, 2)
-        x = (geo.a1 ** 2 - geo.a2 ** 2) / 4.0
-        if odd or not (x and ell):  # l = 0, odd l, or a circle (x = 0)
-            return 0.0 if ell else geo.volume
-        log_m = math.log(geo.volume) + math.lgamma(ell + 1) - math.lgamma(k + 1) \
-            - math.lgamma(k + 2) + k * math.log(abs(x))
-        with np.errstate(over="ignore"):
-            return math.copysign(1.0, x) ** k * float(np.exp(log_m))
-    raise UnsupportedRegionError(
-        f"exterior_moment: unsupported geometry {type(geo).__name__}")
+    axes = _ellipse_axes(geo)
+    if axes is None and not isinstance(geo, Annulus2D):
+        raise UnsupportedRegionError(
+            f"exterior_moment: unsupported geometry {type(geo).__name__}")
+    k, odd = divmod(ell, 2)
+    x = (axes[0] ** 2 - axes[1] ** 2) / 4.0 if axes else 0.0
+    if odd or not (x and ell):  # l = 0, odd l, a circle (x = 0) or the annulus
+        return 0.0 if ell else geo.volume
+    log_m = math.log(geo.volume) + math.lgamma(ell + 1) - math.lgamma(k + 1) \
+        - math.lgamma(k + 2) + k * math.log(abs(x))
+    with np.errstate(over="ignore"):
+        return math.copysign(1.0, x) ** k * float(np.exp(log_m))
 
 
 def hole_energy(spec: HoleSpec) -> float:
@@ -187,8 +180,9 @@ def hole_energy(spec: HoleSpec) -> float:
     its boundary) of the unit-density hole with its balayage measure (Forrester,
     Log-gases and Random Matrices, 2010, ch. 14-15).  Callers scale by rho_b^2."""
     geo = spec.hole
-    if isinstance(geo, Ellipse2D) or (isinstance(geo, Ball) and geo.d == 2):
-        a, b = (geo.R, geo.R) if isinstance(geo, Ball) else (geo.a1, geo.a2)
+    axes = _ellipse_axes(geo)
+    if axes:
+        a, b = axes
         energy = math.pi ** 2 * (a * b) ** 3 / (4.0 * (a * a + b * b))
     elif isinstance(geo, Annulus2D):
         c, c2, log_c = geo.c, geo.c ** 2, math.log(geo.c)

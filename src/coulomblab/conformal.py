@@ -79,7 +79,7 @@ class LaurentMap:
     coefficients: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise MapConstructionError("LaurentMap: scale must be > 0")
         object.__setattr__(self, "coefficients",
                            tuple(complex(c) for c in self.coefficients))

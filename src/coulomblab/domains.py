@@ -19,7 +19,7 @@ from ._quad import adaptive_1d, gl_nodes
 from .specfun import EvalResult, SingularityError, gamma
 
 __all__ = [
-    "Kernel",
+    "poisson_constant",
     "Ball",
     "Annulus2D",
     "Segment1D",
@@ -50,32 +50,10 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Pair interaction in dimension d with Riesz exponent s.
-
-    s = d - 2 is the Coulomb case; c_d and chi_d are the constants of the
-    rescaled Poisson equation.
-    """
-
-    d: int
-    s: float
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("Kernel: d >= 1 required")
-
-    @classmethod
-    def coulomb(cls, d: int) -> "Kernel":
-        return cls(d, d - 2.0)
-
-    @property
-    def c_d(self) -> float:
-        return sphere_area(self.d)
-
-    @property
-    def chi_d(self) -> float:
-        return float(self.d - 2) if self.d > 2 else 1.0
+def poisson_constant(d: int) -> float:
+    """c_d chi_d, with -lap Phi_d = c_d chi_d delta for the Coulomb kernel
+    Phi_d of ``coulomb_radial``: chi_d = d - 2 above the plane, else 1."""
+    return sphere_area(d) * (float(d - 2) if d > 2 else 1.0)
 
 
 def coulomb_radial(d: int, u: float) -> float:
@@ -103,6 +81,10 @@ class Ball:
     @property
     def dim(self):
         return self.d
+
+    @property
+    def axes(self):
+        return (float(self.R),) * self.d
 
     @property
     def volume(self):
@@ -171,6 +153,10 @@ class Ellipse2D:
     dim = 2
 
     @property
+    def axes(self):
+        return (float(self.a1), float(self.a2))
+
+    @property
     def volume(self):
         return math.pi * self.a1 * self.a2
 
@@ -227,6 +213,13 @@ class UniformDomain:
     @property
     def rho_b(self) -> float:
         return self.N / self.geometry.volume
+
+
+def _ellipse_axes(geo):
+    """The semi-axes (a1, a2) of a planar ellipse, read by shape: a disk, an
+    ``Ellipse2D`` or a two-axis ``Hyperellipsoid``; None for any other body."""
+    axes = getattr(geo, "axes", ())
+    return axes if len(axes) == 2 else None
 
 
 def _point(r, dim):
@@ -330,13 +323,15 @@ def ellipsoid_coefficients_carlson(axes, N: float = 1.0):
 
 # --------------------------------------------------------- closed-form fields
 
-def _ball_potential(geo: Ball, N: float, r) -> float:
-    d, R = geo.d, geo.R
+def _ball_potential(geo: Ball | Segment1D, N: float, r) -> float:
+    d, R = geo.dim, geo.R
     rho_b = N / geo.volume
-    rr = float(np.linalg.norm(r))
+    with np.errstate(over="ignore"):
+        rr = float(np.linalg.norm(r))
+    if rr == math.inf:  # the squares overflowed; hypot scales them
+        rr = math.hypot(*r.tolist())
     if rr <= R:
-        k = Kernel.coulomb(d)
-        return rho_b * (k.c_d * k.chi_d / (2.0 * d)) * (rr * rr - R * R) \
+        return rho_b * (poisson_constant(d) / (2.0 * d)) * (rr * rr - R * R) \
             - N * coulomb_radial(d, R)
     return -N * coulomb_radial(d, rr)
 
@@ -354,14 +349,6 @@ def _annulus_potential(geo: Annulus2D, N: float, r) -> float:
     return -N * (0.5 - math.log(R) + c * c * math.log(c) / (1.0 - c * c))
 
 
-def _segment_potential(geo: Segment1D, N: float, x: float) -> float:
-    R = geo.R
-    rho_b = N / (2.0 * R)
-    if abs(x) <= R:
-        return rho_b * (x * x - R * R) + N * R
-    return N * abs(x)
-
-
 def _ellipse_coefficients(a1: float, a2: float, N: float):
     """(alpha_0, alpha_1, alpha_2) of the ellipse's interior potential
     alpha_0 + alpha_1 x^2 + alpha_2 y^2, total charge -N."""
@@ -371,8 +358,7 @@ def _ellipse_coefficients(a1: float, a2: float, N: float):
     return a0, pref * (1.0 - kappa), pref * (1.0 + kappa)
 
 
-def _ellipse_potential(geo: Ellipse2D, N: float, r) -> float:
-    a1, a2 = geo.a1, geo.a2
+def _ellipse_potential(a1: float, a2: float, N: float, r) -> float:
     x, y = float(r[0]), float(r[1])
     if (x / a1) ** 2 + (y / a2) ** 2 > 1.0 + 1e-12:
         raise UnsupportedRegionError(
@@ -383,8 +369,6 @@ def _ellipse_potential(geo: Ellipse2D, N: float, r) -> float:
 
 def _hyperellipsoid_potential(geo: Hyperellipsoid, N: float, r) -> float:
     d = geo.dim
-    if d == 2:
-        return _ellipse_potential(Ellipse2D(*geo.axes), N, r)
     lam0 = _lambda_star(geo.axes, r)
     x = np.asarray(r, dtype=float)
 
@@ -447,14 +431,12 @@ def background_potential(dom: UniformDomain, r) -> float:
     """Potential at r of the uniform background of total charge -N."""
     geo = dom.geometry
     p = _point(r, geo.dim)
-    if isinstance(geo, Ball):
+    if isinstance(geo, (Ball, Segment1D)):
         return _ball_potential(geo, dom.N, p)
     if isinstance(geo, Annulus2D):
         return _annulus_potential(geo, dom.N, p)
-    if isinstance(geo, Segment1D):
-        return _segment_potential(geo, dom.N, float(p[0]))
-    if isinstance(geo, Ellipse2D):
-        return _ellipse_potential(geo, dom.N, p)
+    if _ellipse_axes(geo):
+        return _ellipse_potential(*geo.axes, dom.N, p)
     if isinstance(geo, Hyperellipsoid):
         return _hyperellipsoid_potential(geo, dom.N, p)
     if isinstance(geo, Cuboid):
@@ -506,13 +488,8 @@ def _ray_chords(geo, origin):
             r[1] = r[1, ::-1]
             return r
         return annulus_chords
-    if isinstance(geo, Ball):
-        axes = (float(geo.R),) * geo.d
-    elif isinstance(geo, Ellipse2D):
-        axes = (float(geo.a1), float(geo.a2))
-    elif isinstance(geo, Hyperellipsoid):
-        axes = geo.axes
-    else:
+    axes = getattr(geo, "axes", None)
+    if axes is None:
         raise UnsupportedRegionError(f"no ray intersections for {type(geo).__name__}")
     _check_reach(math.hypot(*o.tolist()) + max(axes), min(axes))
     one = _quadric_chords(o, axes)
@@ -590,10 +567,8 @@ def _kink_angles(geo, origin):
     elif isinstance(geo, Annulus2D):
         angles = _conic_tangents(origin, geo.R, geo.R) \
             + _conic_tangents(origin, geo.c * geo.R, geo.c * geo.R)
-    elif isinstance(geo, Ball):
-        angles = _conic_tangents(origin, geo.R, geo.R)
     else:
-        angles = _conic_tangents(origin, geo.a1, geo.a2)
+        angles = _conic_tangents(origin, *_ellipse_axes(geo))
     is_edge = not isinstance(geo, Rectangle)
     return sorted((a % (2.0 * math.pi), is_edge) for a in angles)
 
@@ -792,7 +767,9 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     What depends on the point alone (the chord quadratics' constant terms,
     the piece table) is set up once per point, so an integrand call is a
     fixed ~40 numpy operations on its nodes (``scripts/quad_overhead.py``
-    times whole points).  A 2d ``Hyperellipsoid`` is an ``Ellipse2D``.
+    times whole points).  A body is read by its shape: a two-axis
+    ``Hyperellipsoid`` runs the ellipse's sweep and ``Ball(1, R)`` the
+    segment's.
     The cuboid and QMC paths ignore ``tol``.  The cuboid's corner boxes
     split into Duffy pyramids, all evaluated in one grid pass by fixed 28-
     and 40-point rules; its error estimate is |fine - coarse|.
@@ -804,16 +781,14 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     failure, and ValueError for a point that is not finite or so far out
     that its ray chords would overflow.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("potential_oracle: tol must be > 0")
     geo = dom.geometry
     rho_b = dom.rho_b
     p = _point(r, geo.dim)
     if not all(map(math.isfinite, p.tolist())):
         raise ValueError("potential_oracle: the point must be finite")
-    if isinstance(geo, Hyperellipsoid) and geo.dim == 2:
-        geo = Ellipse2D(*geo.axes)
-    if isinstance(geo, Segment1D) or (isinstance(geo, Ball) and geo.d == 1):
+    if geo.dim == 1:
         res = _oracle_1d(geo, rho_b, float(p[0]), tol)
         return EvalResult(*res, res.stats)
     if geo.dim == 2:
@@ -842,10 +817,11 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
 def _background_self_energy(dom: UniformDomain) -> float:
     """Closed-form U_bb for the geometries with printed energy formulas."""
     geo, N = dom.geometry, dom.N
-    if isinstance(geo, Ellipse2D) or (isinstance(geo, Ball) and geo.d == 2):
-        cap = geo.R if isinstance(geo, Ball) else (geo.a1 + geo.a2) / 2.0
-        return N * N / 8.0 - (N * N / 2.0) * math.log(cap)
-    if isinstance(geo, Segment1D):
+    axes = _ellipse_axes(geo)
+    if axes:
+        # an ellipse's capacity is (a1 + a2) / 2, R on the disk
+        return N * N / 8.0 - (N * N / 2.0) * math.log((axes[0] + axes[1]) / 2.0)
+    if geo.dim == 1:
         return -N * N * geo.R / 3.0
     if isinstance(geo, Annulus2D):
         R, c = geo.R, geo.c
@@ -869,10 +845,8 @@ def interaction_energy(dom: UniformDomain, points) -> float:
     for p in points:
         arr = np.atleast_1d(np.asarray(p, dtype=float))
         rr = float(np.linalg.norm(arr))
-        if isinstance(geo, Ball) and rr > geo.R + 1e-12:
-            raise UnsupportedRegionError("point outside the disk")
-        if isinstance(geo, Segment1D) and rr > geo.R + 1e-12:
-            raise UnsupportedRegionError("point outside the segment")
+        if isinstance(geo, (Ball, Segment1D)) and rr > geo.R + 1e-12:
+            raise UnsupportedRegionError("point outside the ball")
         if isinstance(geo, Annulus2D) and not (
                 geo.c * geo.R - 1e-12 <= rr <= geo.R + 1e-12):
             raise UnsupportedRegionError("point outside the annulus ring")

@@ -67,15 +67,15 @@ class GasModel:
     contour_map: LaurentMap = None
 
     def __post_init__(self):
-        if self.beta <= 0 or self.N < 1:
+        if not self.beta > 0 or self.N < 1:
             raise ValueError("GasModel: beta > 0 and N >= 1 required")
         if self.ensemble not in ("ginibre", "elliptic", "induced", "contour", "sinh"):
             raise ValueError(f"GasModel: unknown ensemble {self.ensemble!r}")
         if self.ensemble == "elliptic" and not (0.0 <= self.tau < 1.0):
             raise ValueError("GasModel: tau in [0, 1) required")
-        if self.ensemble == "induced" and self.alpha <= 0.0:
+        if self.ensemble == "induced" and not self.alpha > 0.0:
             raise ValueError("GasModel: alpha > 0 required")
-        if self.ensemble == "sinh" and (self.c <= 0 or self.L <= 0):
+        if self.ensemble == "sinh" and not (self.c > 0 and self.L > 0):
             raise ValueError("GasModel: c > 0 and L > 0 required")
         if self.ensemble == "contour" and self.contour_map is None:
             raise ValueError("GasModel: contour ensemble needs contour_map")

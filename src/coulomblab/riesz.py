@@ -27,7 +27,7 @@ class RieszCircle:
             raise ValueError(f"RieszCircle: s must lie in (-2, 1), got {self.s}")
         if self.N < 1:
             raise ValueError("RieszCircle: N >= 1 required")
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError("RieszCircle: R > 0 required")
 
     @property

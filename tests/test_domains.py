@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from coulomblab import _quad, domains
-from coulomblab.balayage import balayage_measure
+from coulomblab.balayage import HoleSpec, balayage_measure
+from coulomblab.conformal import LaurentMap
 from coulomblab.domains import (
     Annulus2D,
     Ball,
     Cuboid,
     Ellipse2D,
     Hyperellipsoid,
-    Kernel,
     Rectangle,
     Segment1D,
     UniformDomain,
@@ -22,8 +22,11 @@ from coulomblab.domains import (
     ellipsoid_coefficients_carlson,
     hyperellipsoid_coefficients,
     interaction_energy,
+    poisson_constant,
     potential_oracle,
 )
+from coulomblab.gas import GasModel
+from coulomblab.riesz import RieszCircle
 
 
 def reldiff(a, b):
@@ -33,10 +36,11 @@ def reldiff(a, b):
 # ------------------------------------------------------------------- kernels
 
 def test_kernel_constants():
-    assert abs(Kernel.coulomb(2).c_d - 2 * math.pi) < 1e-14
-    assert abs(Kernel.coulomb(3).c_d - 4 * math.pi) < 1e-13
-    assert Kernel.coulomb(3).chi_d == 1.0 * 1  # d - 2
-    assert Kernel.coulomb(1).chi_d == 1.0
+    # c_d chi_d: c_2 = 2 pi, c_3 = 4 pi with chi_3 = d - 2 = 1, c_1 = 2 with chi_1 = 1
+    assert abs(poisson_constant(2) - 2 * math.pi) < 1e-14
+    assert abs(poisson_constant(3) - 4 * math.pi) < 1e-13
+    assert poisson_constant(1) == 2.0
+    assert abs(poisson_constant(4) - 2.0 * 2 * math.pi ** 2) < 1e-13  # chi_4 = 2
 
 
 # -------------------------------------------------------- closed-form values
@@ -53,6 +57,13 @@ def test_ball2_boundary_continuity():
     target = dom.N * math.log(2.0)
     assert abs(inner - target) < 1e-9
     assert abs(outer - target) < 1e-9
+
+
+def test_ball_far_point_squares_overflow():
+    # |r|^2 overflows beyond ~1.3e154; the 1-ball keeps N |x| and the disk N log|r|
+    assert background_potential(UniformDomain(Segment1D(1.0), 2.0), [-1e200]) == 2e200
+    disk = background_potential(UniformDomain(Ball(2, 1.0), 2.0), [1e200, 1e200])
+    assert abs(disk - 2.0 * math.log(math.sqrt(2.0) * 1e200)) < 1e-12 * disk
 
 
 def test_domain_charge_invariant():
@@ -72,6 +83,19 @@ def test_domain_charge_invariant():
 def test_nan_sizes_and_charge_rejected(make):
     # a nan compares false with every bound, so each check asks for the
     # valid case to hold
+    with pytest.raises(ValueError):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HoleSpec(Ball(2, 1.0), beta=math.nan), lambda: HoleSpec(Ball(2, 1.0), rho_b=math.nan),
+    lambda: GasModel(math.nan, 4, "ginibre"), lambda: GasModel(2.0, 4, "induced", alpha=math.nan),
+    lambda: GasModel(2.0, 4, "sinh", c=math.nan), lambda: GasModel(2.0, 4, "sinh", L=math.nan),
+    lambda: RieszCircle(0.5, 4, math.nan), lambda: LaurentMap(math.nan, (0.0,)),
+    lambda: potential_oracle(UniformDomain(Ball(2, 1.0), 1.0), (0.3, 0.1), tol=math.nan),
+])
+def test_nan_positive_parameters_rejected(make):
+    # each value must be > 0; the check asks for that, so nan fails it
     with pytest.raises(ValueError):
         make()
 
@@ -614,8 +638,7 @@ def test_poisson_laplacian_interior_and_exterior():
     h = 2e-3
     for geo, d in cases:
         dom = UniformDomain(geo, 1.0)
-        k = Kernel.coulomb(d)
-        target = k.c_d * k.chi_d * dom.rho_b
+        target = poisson_constant(d) * dom.rho_b
         for _ in range(4):
             p = sample_point(geo, "inside", rng) * 0.5 if isinstance(geo, (Ball, Ellipse2D, Hyperellipsoid)) else (
                 np.array([rng.uniform(0.3, 0.7) for _ in range(d)]))
@@ -679,9 +702,8 @@ def test_sum_rule_and_scale_invariance():
             axes = tuple(rng.uniform(0.5, 2.5, size=d))
             n_charge = float(rng.uniform(0.5, 3.0))
             dom = UniformDomain(Hyperellipsoid(axes), n_charge)
-            k = Kernel.coulomb(d)
             a0, al = hyperellipsoid_coefficients(axes, n_charge)
-            assert abs(sum(al) - dom.rho_b * k.c_d * k.chi_d / 2.0) < 1e-10
+            assert abs(sum(al) - dom.rho_b * poisson_constant(d) / 2.0) < 1e-10
             # dilation at fixed background density leaves the alphas alone
             c = 1.7
             _, al_scaled = hyperellipsoid_coefficients(
