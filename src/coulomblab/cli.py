@@ -102,9 +102,9 @@ def parse_geometry(spec: str) -> dom.UniformDomain:
     elif name == "annulus":
         geo = dom.Annulus2D(_num(kv, "R", "1"), _num(kv, "c"))
     elif name == "segment":
-        geo = dom.Segment1D(_num(kv, "R", "1"))
+        geo = dom.Ball(1, _num(kv, "R", "1"))
     elif name == "ellipse":
-        geo = dom.Ellipse2D(_num(kv, "a1"), _num(kv, "a2"))
+        geo = dom.Hyperellipsoid((_num(kv, "a1"), _num(kv, "a2")))
     elif name == "hyperellipsoid":
         geo = dom.Hyperellipsoid(_floats(kv.pop("axes"), "axes", "|"))
     elif name == "rectangle":
@@ -432,7 +432,8 @@ _COMMANDS = {
              choices=["shell", "density", "potential", "projection", "identity"]),
         _opt("--d", type=int, default=3), _opt("--R", type=float, default=1.0),
         _opt("--Q", type=float, default=1.0), _opt("--axes"), _opt("--point"),
-        _opt("--case", default="constant-potential")]),
+        _opt("--case", default="constant-potential",
+             choices=["constant-potential", "riesz-quadratic"])]),
     "green": (_cmd_green, "two-point Green functions", [
         _opt("--geometry", required=True,
              help="disk | halfplane | sphere | halfspace | a map spec"),

@@ -240,26 +240,28 @@ def quadratic_droplet(alpha: float, area: float) -> LaurentMap:
     return LaurentMap(a1, (0.0, -2.0 * alpha * a1))
 
 
-def droplet_radii(q, qprime, bracket=(0.0, 8.0)):
+def droplet_radii(q, qprime):
     """Support radii (r0, r1) of the radially symmetric droplet.
 
-    r0 solves r q'(r) = 0 and r1 solves r q'(r) = 2, located by bisection.
-    q must be strictly subharmonic on the bracket: r q'(r) is checked for
+    r0 solves r q'(r) = 0 and r1 solves r q'(r) = 2, located by bisection
+    on (0, hi], where hi = 8 is doubled until r q'(hi) >= 2, at most 16
+    times.  q must be strictly subharmonic there: r q'(r) is checked for
     monotone increase on a grid of 256 samples.
     """
-    lo, hi = bracket
-    if not (0.0 <= lo < hi):
-        raise ValueError("droplet_radii: invalid bracket")
-
     def h(r):
         return r * qprime(r)
 
+    hi = 8.0
+    for _ in range(16):
+        if h(hi) >= 2.0:
+            break
+        hi *= 2.0
     eps = max(1e-12, 1e-9 * hi)
-    grid = np.linspace(lo + eps, hi, 256)
+    grid = np.linspace(eps, hi, 256)
     vals = np.array([h(float(r)) for r in grid])
     if np.any(np.diff(vals) <= 0):
         raise ValueError("droplet_radii: r q'(r) is not strictly increasing "
-                         "(q not strictly subharmonic on the bracket)")
+                         f"(q not strictly subharmonic on (0, {hi}])")
 
     def bisect(target, glo, ghi):
         flo = h(glo) - target
@@ -276,10 +278,10 @@ def droplet_radii(q, qprime, bracket=(0.0, 8.0)):
         return 0.5 * (glo + ghi)
 
     if vals[0] >= 0.0:
-        r0 = lo  # r q'(r) >= 0 down to the origin: solid droplet
+        r0 = 0.0  # r q'(r) >= 0 down to the origin: solid droplet
     else:
         r0 = bisect(0.0, float(grid[0]), hi)
     if vals[-1] < 2.0:
-        raise ValueError("droplet_radii: r q'(r) never reaches 2 on the bracket")
+        raise ValueError(f"droplet_radii: r q'(r) never reaches 2 on (0, {hi}]")
     r1 = bisect(2.0, float(grid[0]), hi)
     return r0, r1

@@ -88,7 +88,7 @@ class Ball:
 
     @property
     def volume(self):
-        return math.pi ** (self.d / 2.0) * self.R ** self.d / gamma(self.d / 2.0 + 1.0)
+        return sphere_area(self.d) * self.R ** self.d / self.d
 
 
 @dataclass(frozen=True)
@@ -105,21 +105,6 @@ class Annulus2D:
     @property
     def volume(self):
         return math.pi * self.R ** 2 * (1.0 - self.c ** 2)
-
-
-@dataclass(frozen=True)
-class Segment1D:
-    R: float
-
-    def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError("Segment1D: need R > 0")
-
-    dim = 1
-
-    @property
-    def volume(self):
-        return 2.0 * self.R
 
 
 @dataclass(frozen=True)
@@ -141,24 +126,14 @@ class Hyperellipsoid:
         return math.pi ** (d / 2.0) * math.prod(self.axes) / gamma(d / 2.0 + 1.0)
 
 
-@dataclass(frozen=True)
-class Ellipse2D:
-    a1: float
-    a2: float
+def Segment1D(R: float) -> Ball:
+    """The segment [-R, R]: the 1-ball."""
+    return Ball(1, R)
 
-    def __post_init__(self):
-        if not (self.a1 > 0 and self.a2 > 0):
-            raise ValueError("Ellipse2D: need positive semi-axes")
 
-    dim = 2
-
-    @property
-    def axes(self):
-        return (float(self.a1), float(self.a2))
-
-    @property
-    def volume(self):
-        return math.pi * self.a1 * self.a2
+def Ellipse2D(a1: float, a2: float) -> Hyperellipsoid:
+    """The ellipse with semi-axes a1, a2: the two-axis hyperellipsoid."""
+    return Hyperellipsoid((a1, a2))
 
 
 @dataclass(frozen=True)
@@ -216,8 +191,8 @@ class UniformDomain:
 
 
 def _ellipse_axes(geo):
-    """The semi-axes (a1, a2) of a planar ellipse, read by shape: a disk, an
-    ``Ellipse2D`` or a two-axis ``Hyperellipsoid``; None for any other body."""
+    """The semi-axes (a1, a2) of a planar ellipse, read by shape: a disk or a
+    two-axis ``Hyperellipsoid``; None for any other body."""
     axes = getattr(geo, "axes", ())
     return axes if len(axes) == 2 else None
 
@@ -323,7 +298,7 @@ def ellipsoid_coefficients_carlson(axes, N: float = 1.0):
 
 # --------------------------------------------------------- closed-form fields
 
-def _ball_potential(geo: Ball | Segment1D, N: float, r) -> float:
+def _ball_potential(geo: Ball, N: float, r) -> float:
     d, R = geo.dim, geo.R
     rho_b = N / geo.volume
     with np.errstate(over="ignore"):
@@ -431,7 +406,7 @@ def background_potential(dom: UniformDomain, r) -> float:
     """Potential at r of the uniform background of total charge -N."""
     geo = dom.geometry
     p = _point(r, geo.dim)
-    if isinstance(geo, (Ball, Segment1D)):
+    if isinstance(geo, Ball):
         return _ball_potential(geo, dom.N, p)
     if isinstance(geo, Annulus2D):
         return _annulus_potential(geo, dom.N, p)
@@ -622,7 +597,7 @@ def _log_primitive(t):
     return tt * tt * (2.0 * np.log(tt) - 1.0) / 4.0
 
 
-def _oracle_1d(geo: Segment1D | Ball, rho_b: float, x: float, tol: float):
+def _oracle_1d(geo: Ball, rho_b: float, x: float, tol: float):
     R = geo.R
 
     def f(xp):
@@ -767,9 +742,9 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     What depends on the point alone (the chord quadratics' constant terms,
     the piece table) is set up once per point, so an integrand call is a
     fixed ~40 numpy operations on its nodes (``scripts/quad_overhead.py``
-    times whole points).  A body is read by its shape: a two-axis
-    ``Hyperellipsoid`` runs the ellipse's sweep and ``Ball(1, R)`` the
-    segment's.
+    times whole points).  A body is read by its dimension: the ellipse, a
+    two-axis ``Hyperellipsoid``, runs the planar sweep and the segment,
+    ``Ball(1, R)``, the 1d quadrature.
     The cuboid and QMC paths ignore ``tol``.  The cuboid's corner boxes
     split into Duffy pyramids, all evaluated in one grid pass by fixed 28-
     and 40-point rules; its error estimate is |fine - coarse|.
@@ -845,7 +820,7 @@ def interaction_energy(dom: UniformDomain, points) -> float:
     for p in points:
         arr = np.atleast_1d(np.asarray(p, dtype=float))
         rr = float(np.linalg.norm(arr))
-        if isinstance(geo, (Ball, Segment1D)) and rr > geo.R + 1e-12:
+        if isinstance(geo, Ball) and rr > geo.R + 1e-12:
             raise UnsupportedRegionError("point outside the ball")
         if isinstance(geo, Annulus2D) and not (
                 geo.c * geo.R - 1e-12 <= rr <= geo.R + 1e-12):

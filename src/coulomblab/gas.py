@@ -21,8 +21,7 @@ from .conformal import LaurentMap, green_infinity
 from .domains import (
     Annulus2D,
     Ball,
-    Ellipse2D,
-    Segment1D,
+    Hyperellipsoid,
     UniformDomain,
     background_potential,
     interaction_energy,
@@ -150,21 +149,18 @@ class ChainState:
 
     positions: np.ndarray
     step_scale: float
-    rng_seed: int
-    sweep_count: int
-    acceptance_rate: float
     total_energy: float
     samples: np.ndarray  # (n_retained, N)
-    accept_count: int = 0
-    proposal_count: int = 0
+    accept_count: int
+    proposal_count: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.positions.view(float))):
             raise ValueError("ChainState: non-finite positions")
-        if self.proposal_count:
-            rate = self.accept_count / self.proposal_count
-            if abs(rate - self.acceptance_rate) > 1e-12:
-                raise ValueError("ChainState: acceptance tallies inconsistent")
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accept_count / self.proposal_count
 
 
 def _sweep_generator(seed: int, chain: int, sweep: int,
@@ -426,17 +422,13 @@ def _lockstep(model, sweeps, seed, chains, record_every) -> list:
                 samples[:, kept] = pos
                 kept += 1
 
-    proposals = sweeps * n
     return [ChainState(
         positions=pos[k],
         step_scale=float(step[k]),
-        rng_seed=seed,
-        sweep_count=sweeps,
-        acceptance_rate=int(accepts[k]) / proposals,
         total_energy=float(total_u[k]),
         samples=samples[k],
         accept_count=int(accepts[k]),
-        proposal_count=proposals,
+        proposal_count=sweeps * n,
     ) for k in range(nc)]
 
 
@@ -551,13 +543,13 @@ def _electrostatic_constant(model: GasModel, n: int) -> float:
     if model.ensemble == "ginibre":
         geo = Ball(2, rn)
     elif model.ensemble == "elliptic":
-        geo = Ellipse2D(rn * (1.0 + model.tau), rn * (1.0 - model.tau))
+        geo = Hyperellipsoid((rn * (1.0 + model.tau), rn * (1.0 - model.tau)))
     elif model.ensemble == "induced":
         geo = Annulus2D(math.sqrt((1.0 + model.alpha) * n),
                         math.sqrt(model.alpha / (1.0 + model.alpha)))
         z0 = geo.R
     elif model.ensemble == "sinh":
-        geo = Segment1D(math.pi * n / (model.c * model.L))
+        geo = Ball(1, math.pi * n / (model.c * model.L))
     else:
         raise ValueError(f"no electrostatic constant for {model.ensemble!r}")
     dom = UniformDomain(geo, float(n))

@@ -11,7 +11,6 @@ import numpy as np
 from ._quad import adaptive_1d
 from .domains import (
     Ball,
-    Ellipse2D,
     Hyperellipsoid,
     _edge_integral,
     _lambda_integral,
@@ -40,8 +39,8 @@ class OffSurfaceError(ValueError):
 def shell_potential(d: int, R: float, Q: float, r) -> float:
     """Potential of total charge Q spread uniformly on the sphere |x| = R:
     constant inside, point-charge outside (Newton's shell theorem)."""
-    if d < 2:
-        raise ValueError("shell_potential: d >= 2")
+    if d < 2 or not R > 0:
+        raise ValueError("shell_potential: need d >= 2, R > 0")
     rr = float(np.linalg.norm(_point(r, d)))
     return Q * coulomb_radial(d, max(rr, R))
 
@@ -156,6 +155,8 @@ def projection_identities(case: str, **params) -> dict:
     if case == "constant-potential":
         d = params.get("d", 3)
         R = params.get("R", 1.0)
+        if not R > 0:
+            raise ValueError("constant-potential: need R > 0")
         if d == 2:
             # arcsine measure on [-R, R] against -log|x - y|
             def potential(x):
@@ -232,8 +233,8 @@ def projection_identities(case: str, **params) -> dict:
         for (x, y) in pts:
             lhs = a0 + al[0] * x * x + al[1] * y * y
             # the 1/s kernel times the polar Jacobian s is 1
-            rhs = pref * _weighted_ray_integral(Ellipse2D(a1, a2), [x, y], weight,
-                                                np.ones_like, 1e-9)
+            rhs = pref * _weighted_ray_integral(Hyperellipsoid((a1, a2)), [x, y],
+                                                weight, np.ones_like, 1e-9)
             resid.append(abs(lhs - rhs))
         return {"case": case, "a1": a1, "a2": a2,
                 "max_residual": float(np.max(resid))}

@@ -17,7 +17,7 @@ import coulomblab
 from coulomblab import _quad
 from coulomblab._quad import QuadratureBudgetError
 from coulomblab.cli import main, parse_geometry, run_command
-from coulomblab.domains import (Ball, Cuboid, Ellipse2D, UniformDomain,
+from coulomblab.domains import (Ball, Cuboid, Hyperellipsoid, UniformDomain,
                                 background_potential, potential_oracle)
 
 
@@ -54,7 +54,8 @@ def test_geometry_parser():
     assert isinstance(dom.geometry, Ball)
     assert dom.geometry.R == 2.0 and dom.N == 4.0
     dom2 = parse_geometry("ellipse:a1=2,a2=1")
-    assert isinstance(dom2.geometry, Ellipse2D)
+    assert dom2.geometry == Hyperellipsoid((2.0, 1.0))
+    assert parse_geometry("segment:R=2.5").geometry == Ball(1, 2.5)
     dom3 = parse_geometry("cuboid:x0=0,x1=1,y0=0,y1=1,z0=0,z1=1")
     assert isinstance(dom3.geometry, Cuboid)
     with pytest.raises(ValueError):
@@ -656,12 +657,24 @@ def test_out_of_range_input_exit_2(argv):
     ["surface", "--op", "potential", "--axes", "2|1|0", "--point", "0.5,0.2,0"],
     ["surface", "--op", "potential", "--axes", "2|1|1", "--point", "0.5,0.2"],
     ["surface", "--op", "shell", "--d", "3", "--point", "0.5,0.2"],
+    ["surface", "--op", "shell", "--d", "3", "--R", "0", "--point", "0.5,0,0"],
+    ["surface", "--op", "shell", "--d", "3", "--R", "-1", "--point", "0.5,0,0"],
+    ["surface", "--op", "identity", "--case", "constant-potential", "--d", "2", "--R", "-1"],
+    ["surface", "--op", "identity", "--case", "constant-potential", "--d", "2", "--R", "0"],
 ])
 def test_surface_axes_and_point_checked_exit_2(argv):
     # axes as a hyperellipsoid's (two or more, all positive) and a point of
-    # their dimension, as potential checks them
+    # their dimension, as potential checks them, and a shell's or an
+    # arcsine measure's radius R > 0
     code, rec = record_of(argv)
-    assert code == 2 and rec["error"]["type"] == "ValueError"
+    assert code == 2 and rec["error"]["type"] == "ValueError", rec
+
+
+@pytest.mark.parametrize("case", ["semicircle", "thin-slab"])
+def test_surface_identity_case_not_reading_d_and_R_refused(case):
+    # these cases ignore --d and --R, which the record would list as inputs
+    code, rec = record_of(["surface", "--op", "identity", "--case", case, "--R", "2"])
+    assert code == 2 and rec["error"]["type"] == "ArgumentError"
 
 
 @pytest.mark.parametrize("argv", [

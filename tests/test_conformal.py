@@ -339,8 +339,18 @@ def test_droplet_radii_errors():
     # concave q: r q'(r) decreasing
     with pytest.raises(ValueError):
         droplet_radii(lambda r: -r * r, lambda r: -2 * r)
-    with pytest.raises(ValueError):
-        droplet_radii(lambda r: r * r, lambda r: 2 * r, bracket=(0.0, 0.5))
+    # bounded r q'(r) = 2 r^2 / (1 + r^2)
+    with pytest.raises(ValueError, match="never reaches 2"):
+        droplet_radii(lambda r: math.log1p(r * r), lambda r: 2 * r / (1 + r * r))
+
+
+@pytest.mark.parametrize("alpha", [64.0, 100.0, 1e6])
+def test_induced_droplet_radii_beyond_eight(alpha):
+    # r1 = sqrt(1 + alpha) > 8: the bisection interval grows to reach it
+    r0, r1 = droplet_radii(lambda r: r * r - 2 * alpha * math.log(r),
+                           lambda r: 2 * r - 2 * alpha / r)
+    assert abs(r0 - math.sqrt(alpha)) <= 1e-12 * math.sqrt(alpha)
+    assert abs(r1 - math.sqrt(1 + alpha)) <= 1e-12 * math.sqrt(1 + alpha)
 
 
 @given(st.floats(min_value=-0.45, max_value=0.0),

@@ -66,6 +66,14 @@ def test_ball_far_point_squares_overflow():
     assert abs(disk - 2.0 * math.log(math.sqrt(2.0) * 1e200)) < 1e-12 * disk
 
 
+def test_segment_and_ellipse_are_the_general_classes():
+    # one class per shape: the segment is the 1-ball, the ellipse the
+    # two-axis hyperellipsoid
+    assert Segment1D(2.5) == Ball(1, 2.5)
+    assert Ellipse2D(2, 1) == Hyperellipsoid((2.0, 1.0))
+    assert Ball(1, 2.5).volume == 5.0
+
+
 def test_domain_charge_invariant():
     for geo in (Ball(3, 1.2), Annulus2D(1.0, 0.5), Ellipse2D(2, 1),
                 Cuboid(((0, 1), (0, 2), (0, 0.5))), Segment1D(2.0)):
@@ -188,19 +196,19 @@ def test_cuboid_integral_matches_per_corner_reference():
 # ------------------------------------------------------- oracle cross-checks
 
 GEOMS = [
-    (Ball(2, 1.0), "inside"),
-    (Ball(3, 1.0), "inside"),
-    (Ball(5, 1.0), "inside"),
-    (Ellipse2D(2.0, 1.0), "inside"),
-    (Annulus2D(1.0, 0.5), "ring"),
-    (Segment1D(1.0), "inside"),
-    (Rectangle(((0.0, 1.0), (0.0, 1.0))), "inside"),
-    (Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))), "inside"),
+    pytest.param(Ball(2, 1.0), "inside", id="Ball-inside0"),
+    pytest.param(Ball(3, 1.0), "inside", id="Ball-inside1"),
+    pytest.param(Ball(5, 1.0), "inside", id="Ball-inside2"),
+    pytest.param(Ellipse2D(2.0, 1.0), "inside", id="Ellipse2D-inside"),
+    pytest.param(Annulus2D(1.0, 0.5), "ring", id="Annulus2D-ring"),
+    pytest.param(Segment1D(1.0), "inside", id="Segment1D-inside"),
+    pytest.param(Rectangle(((0.0, 1.0), (0.0, 1.0))), "inside", id="Rectangle-inside"),
+    pytest.param(Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))), "inside", id="Cuboid-inside"),
 ]
 
 
 def sample_point(geo, where, rng):
-    if isinstance(geo, Segment1D):
+    if geo.dim == 1:
         return np.array([rng.uniform(-0.95, 0.95) * geo.R])
     if isinstance(geo, Ball):
         v = rng.standard_normal(geo.d)
@@ -210,10 +218,10 @@ def sample_point(geo, where, rng):
         th = rng.uniform(0, 2 * math.pi)
         rad = rng.uniform(geo.c * geo.R * 1.02, geo.R * 0.98)
         return rad * np.array([math.cos(th), math.sin(th)])
-    if isinstance(geo, Ellipse2D):
-        th = rng.uniform(0, 2 * math.pi)
+    if isinstance(geo, Hyperellipsoid) and geo.dim == 2:
+        (a1, a2), th = geo.axes, rng.uniform(0, 2 * math.pi)
         u = rng.uniform(0.05, 0.95)
-        return np.array([geo.a1 * u * math.cos(th), geo.a2 * u * math.sin(th)])
+        return np.array([a1 * u * math.cos(th), a2 * u * math.sin(th)])
     if isinstance(geo, Hyperellipsoid):
         v = rng.standard_normal(geo.dim)
         v /= np.linalg.norm(v)
@@ -222,7 +230,7 @@ def sample_point(geo, where, rng):
     return np.array([rng.uniform(lo + 0.02, hi - 0.02) for lo, hi in bounds])
 
 
-@pytest.mark.parametrize("geo,where", GEOMS, ids=lambda g: type(g).__name__ if not isinstance(g, str) else g)
+@pytest.mark.parametrize("geo,where", GEOMS)
 def test_closed_form_matches_oracle(geo, where):
     rng = np.random.default_rng(11)
     dom = UniformDomain(geo, 1.0)
@@ -384,8 +392,7 @@ def test_oracle_values_pinned(key, p, value):
 def _cut_free_points(geo, rng, n):
     # points whose ray sweep has no kink or support edge: the disk's and the
     # ellipse's interiors and the annulus' hole, out to 0.97 of the boundary
-    scale = {Ball: lambda g: (g.R, g.R), Ellipse2D: lambda g: (g.a1, g.a2),
-             Annulus2D: lambda g: (g.c * g.R, g.c * g.R)}[type(geo)](geo)
+    scale = (geo.c * geo.R,) * 2 if isinstance(geo, Annulus2D) else geo.axes
     th = rng.uniform(0.0, 2.0 * math.pi, n)
     frac = rng.uniform(0.0, 0.97, n)
     return np.stack([frac * scale[0] * np.cos(th), frac * scale[1] * np.sin(th)], axis=1)
@@ -486,9 +493,7 @@ def _ray_chords_reference(geo, origin, dirs):
         miss = h1 <= h0
         h0, h1 = np.where(miss, t1, h0), np.where(miss, t1, h1)
         return [(t0, h0), (h1, t1)]
-    axes = {Ball: lambda g: (g.R,) * g.d, Ellipse2D: lambda g: (g.a1, g.a2),
-            Hyperellipsoid: lambda g: g.axes}[type(geo)](geo)
-    return [_quadric_chord_reference(o, dirs, axes)]
+    return [_quadric_chord_reference(o, dirs, geo.axes)]
 
 
 RAY_BODIES = [
@@ -640,7 +645,7 @@ def test_poisson_laplacian_interior_and_exterior():
         dom = UniformDomain(geo, 1.0)
         target = poisson_constant(d) * dom.rho_b
         for _ in range(4):
-            p = sample_point(geo, "inside", rng) * 0.5 if isinstance(geo, (Ball, Ellipse2D, Hyperellipsoid)) else (
+            p = sample_point(geo, "inside", rng) * 0.5 if isinstance(geo, (Ball, Hyperellipsoid)) else (
                 np.array([rng.uniform(0.3, 0.7) for _ in range(d)]))
             lap = 0.0
             v0 = background_potential(dom, p)

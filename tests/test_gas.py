@@ -9,7 +9,6 @@ from coulomblab import gas
 from coulomblab._quad import adaptive_1d
 from coulomblab.conformal import circle_map, ellipse_map
 from coulomblab.gas import (
-    ChainState,
     GasModel,
     acceptance_probability,
     empirical_density,
@@ -285,13 +284,6 @@ def test_overflow_guard():
     with pytest.raises((OverflowError, ValueError)):
         # particle exactly at the origin makes the log-weight non-finite
         acceptance_probability(model, np.array([1.0 + 0j, 2.0 + 0j]), 0, 0.0 + 0.0j)
-
-
-def test_chain_state_tally_validation():
-    with pytest.raises(ValueError):
-        ChainState(np.array([1.0 + 0j]), 1.0, 0, 1, 0.9, 0.0,
-                   np.zeros((1, 1), dtype=complex), accept_count=1,
-                   proposal_count=10)
 
 
 # ---------------------------------------------------------- density/support

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coulomblab._quad import adaptive_1d
-from coulomblab.domains import Ball, Ellipse2D, SingularityError, _ray_chords, sphere_area
+from coulomblab.domains import (Ball, Ellipse2D, SingularityError, _ray_chords, coulomb_radial,
+                                sphere_area)
 from coulomblab.specfun import gamma
 from coulomblab.surfaces import (
     OffSurfaceError,
@@ -65,6 +66,17 @@ def test_shell_potential_continuity():
 def test_shell_potential_d1_rejected():
     with pytest.raises(ValueError):
         shell_potential(1, 1.0, 1.0, [0.0])
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+def test_nonpositive_radius_rejected(R):
+    # a shell of radius R <= 0 is not a point charge, and the
+    # constant-potential identity's arcsine measure needs R > 0
+    with pytest.raises(ValueError, match="R > 0"):
+        shell_potential(3, R, 1.0, [0.5, 0.0, 0.0])
+    for d in (2, 3):
+        with pytest.raises(ValueError, match="R > 0"):
+            projection_identities("constant-potential", d=d, R=R)
 
 
 # ----------------------------------------------------------- surface density
@@ -156,10 +168,13 @@ def test_surface_potential_against_surface_quadrature():
 
 
 def test_shell_of_zero_radius_read_at_its_centre_raises():
-    # a point charge read at its own position: the kernel's zero separation
+    # a shell needs R > 0; the point charge it would shrink to is the
+    # kernel, which refuses zero separation
     for d in (2, 3):
-        with pytest.raises(SingularityError):
+        with pytest.raises(ValueError, match="R > 0"):
             shell_potential(d, 0.0, 1.0, np.zeros(d))
+        with pytest.raises(SingularityError):
+            coulomb_radial(d, 0.0)
 
 
 # --------------------------------------------------------------- projections
