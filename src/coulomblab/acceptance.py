@@ -53,17 +53,18 @@ def criterion_1():
             oracle = dom.potential_oracle(u, p, 1e-9)
             d = _reldiff(closed, oracle.value)
             if d > worst:
-                worst, worst_geo = d, type(geo).__name__
+                worst, worst_geo = d, repr(geo)
     return worst <= 1e-6, f"max rel diff {worst:.2e} ({worst_geo})"
 
 
 def _sample_point(geo, rng):
+    radius = dom._ball_radius(geo)
     if geo.dim == 1:
-        return np.array([rng.uniform(-0.95, 0.95) * geo.R])
-    if isinstance(geo, dom.Ball):
-        v = rng.standard_normal(geo.d)
+        return np.array([rng.uniform(-0.95, 0.95) * radius])
+    if radius is not None:
+        v = rng.standard_normal(geo.dim)
         v /= np.linalg.norm(v)
-        return v * geo.R * rng.uniform(0.05, 0.95)
+        return v * radius * rng.uniform(0.05, 0.95)
     if isinstance(geo, dom.Annulus2D):
         th = rng.uniform(0, 2 * math.pi)
         rad = rng.uniform(geo.c * geo.R * 1.02, geo.R * 0.98)
@@ -211,12 +212,12 @@ def criterion_8():
     for geo in cases:
         u = dom.UniformDomain(geo, 1.0)
         measure = bal.balayage_measure(u)
-        scale = getattr(geo, "R", None) or geo.axes[0]
+        scale = geo.R if isinstance(geo, dom.Annulus2D) else geo.axes[0]
         for _ in range(20):
             th = rng.uniform(0, 2 * math.pi)
             rad = scale * rng.uniform(1.1, 3.0)
             p = np.array([rad * math.cos(th), rad * math.sin(th)])
-            if hasattr(geo, "R"):
+            if isinstance(geo, dom.Annulus2D) or dom._ball_radius(geo):
                 body = -dom.background_potential(u, p)
             else:  # an ellipse's closed form is interior-only
                 body = -dom.potential_oracle(u, p, 1e-9).value

@@ -16,9 +16,9 @@ import numpy as np
 from ._quad import adaptive_1d
 from .domains import (
     Annulus2D,
-    Ball,
     UniformDomain,
     UnsupportedRegionError,
+    _ball_radius,
     _ellipse_axes,
     _point,
     sphere_area,
@@ -139,8 +139,9 @@ def balayage_measure(dom: UniformDomain) -> BalayageMeasure:
         comp = BalayageComponent("ellipse", axes, q_total) if axes[0] != axes[1] \
             else BalayageComponent("circle", axes[:1], q_total)
         return BalayageMeasure((comp,), q_total)
-    if isinstance(geo, Ball) and geo.d > 1:  # the 1-ball, a segment, has none
-        return BalayageMeasure((BalayageComponent("shell", (geo.d, geo.R), q_total),), q_total)
+    radius = _ball_radius(geo)
+    if radius is not None and geo.dim > 1:  # the 1-ball, a segment, has none
+        return BalayageMeasure((BalayageComponent("shell", (geo.dim, radius), q_total),), q_total)
     if isinstance(geo, Annulus2D):
         alpha_w, beta_w = annulus_weights(geo.c)
         comps = (BalayageComponent("circle", (geo.R,), q_total * alpha_w),

@@ -107,13 +107,9 @@ def parse_geometry(spec: str) -> dom.UniformDomain:
         geo = dom.Hyperellipsoid((_num(kv, "a1"), _num(kv, "a2")))
     elif name == "hyperellipsoid":
         geo = dom.Hyperellipsoid(_floats(kv.pop("axes"), "axes", "|"))
-    elif name == "rectangle":
-        geo = dom.Rectangle(((_num(kv, "x0", "0"), _num(kv, "x1", "1")),
-                             (_num(kv, "y0", "0"), _num(kv, "y1", "1"))))
-    elif name == "cuboid":
-        geo = dom.Cuboid(((_num(kv, "x0", "0"), _num(kv, "x1", "1")),
-                          (_num(kv, "y0", "0"), _num(kv, "y1", "1")),
-                          (_num(kv, "z0", "0"), _num(kv, "z1", "1"))))
+    elif name in ("rectangle", "cuboid"):
+        geo = dom.Box(tuple((_num(kv, f"{k}0", "0"), _num(kv, f"{k}1", "1"))
+                            for k in ("xy" if name == "rectangle" else "xyz")))
     else:
         raise ValueError(f"unsupported geometry {name!r}")
     if kv:
@@ -234,8 +230,7 @@ def _cmd_droplet(args):
     from . import conformal as conf
     if args.induced_alpha is not None:
         a = args.induced_alpha
-        r0, r1 = conf.droplet_radii(lambda r: r * r - 2 * a * math.log(r),
-                                    lambda r: 2 * r - 2 * a / r)
+        r0, r1 = conf.droplet_radii(lambda r: 2 * r - 2 * a / r)
         return dict(inputs={"induced_alpha": a}, values={"r0": r0, "r1": r1},
                     method="bisection of r q'(r)")
     if args.alpha is None:

@@ -240,8 +240,9 @@ def quadratic_droplet(alpha: float, area: float) -> LaurentMap:
     return LaurentMap(a1, (0.0, -2.0 * alpha * a1))
 
 
-def droplet_radii(q, qprime):
-    """Support radii (r0, r1) of the radially symmetric droplet.
+def droplet_radii(qprime):
+    """Support radii (r0, r1) of the radially symmetric droplet of a
+    one-body potential q, from its derivative qprime = q'.
 
     r0 solves r q'(r) = 0 and r1 solves r q'(r) = 2, located by bisection
     on (0, hi], where hi = 8 is doubled until r q'(hi) >= 2, at most 16

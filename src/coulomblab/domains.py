@@ -20,13 +20,14 @@ from .specfun import EvalResult, SingularityError, gamma
 
 __all__ = [
     "poisson_constant",
-    "Ball",
-    "Annulus2D",
-    "Segment1D",
     "Hyperellipsoid",
+    "Annulus2D",
+    "Box",
+    "Ball",
+    "Segment1D",
     "Ellipse2D",
-    "Cuboid",
     "Rectangle",
+    "Cuboid",
     "UniformDomain",
     "UnsupportedRegionError",
     "SingularityError",
@@ -70,28 +71,6 @@ def coulomb_radial(d: int, u: float) -> float:
 # ----------------------------------------------------------------- geometries
 
 @dataclass(frozen=True)
-class Ball:
-    d: int
-    R: float
-
-    def __post_init__(self):
-        if self.d < 1 or not self.R > 0:
-            raise ValueError("Ball: need d >= 1, R > 0")
-
-    @property
-    def dim(self):
-        return self.d
-
-    @property
-    def axes(self):
-        return (float(self.R),) * self.d
-
-    @property
-    def volume(self):
-        return sphere_area(self.d) * self.R ** self.d / self.d
-
-
-@dataclass(frozen=True)
 class Annulus2D:
     R: float
     c: float
@@ -113,8 +92,8 @@ class Hyperellipsoid:
 
     def __post_init__(self):
         object.__setattr__(self, "axes", tuple(float(a) for a in self.axes))
-        if len(self.axes) < 2 or not all(a > 0 for a in self.axes):
-            raise ValueError("Hyperellipsoid: need >= 2 positive axes")
+        if not (self.axes and all(a > 0 for a in self.axes)):
+            raise ValueError("Hyperellipsoid: need one or more positive axes")
 
     @property
     def dim(self):
@@ -122,11 +101,15 @@ class Hyperellipsoid:
 
     @property
     def volume(self):
-        d = self.dim
-        return math.pi ** (d / 2.0) * math.prod(self.axes) / gamma(d / 2.0 + 1.0)
+        return sphere_area(self.dim) * math.prod(self.axes) / self.dim
 
 
-def Segment1D(R: float) -> Ball:
+def Ball(d: int, R: float) -> Hyperellipsoid:
+    """The d-ball of radius R: the hyperellipsoid with d equal axes."""
+    return Hyperellipsoid((R,) * d)
+
+
+def Segment1D(R: float) -> Hyperellipsoid:
     """The segment [-R, R]: the 1-ball."""
     return Ball(1, R)
 
@@ -137,37 +120,34 @@ def Ellipse2D(a1: float, a2: float) -> Hyperellipsoid:
 
 
 @dataclass(frozen=True)
-class Cuboid:
-    bounds: tuple  # ((a1,b1),(a2,b2),(a3,b3))
+class Box:
+    bounds: tuple  # ((a1, b1), (a2, b2)) or ((a1, b1), (a2, b2), (a3, b3))
 
     def __post_init__(self):
         b = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", b)
-        if len(b) != 3 or not all(hi > lo for lo, hi in b):
-            raise ValueError("Cuboid: need three nondegenerate intervals")
+        if len(b) not in (2, 3) or not all(hi > lo for lo, hi in b):
+            raise ValueError("Box: need two or three nondegenerate intervals")
 
-    dim = 3
+    @property
+    def dim(self):
+        return len(self.bounds)
 
     @property
     def volume(self):
         return math.prod(hi - lo for lo, hi in self.bounds)
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    bounds: tuple  # ((a1,b1),(a2,b2))
+def Rectangle(bounds) -> Box:
+    """The rectangle ((a1, b1), (a2, b2)): the two-interval box."""
+    x, y = bounds
+    return Box((x, y))
 
-    def __post_init__(self):
-        b = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        object.__setattr__(self, "bounds", b)
-        if len(b) != 2 or not all(hi > lo for lo, hi in b):
-            raise ValueError("Rectangle: need two nondegenerate intervals")
 
-    dim = 2
-
-    @property
-    def volume(self):
-        return math.prod(hi - lo for lo, hi in self.bounds)
+def Cuboid(bounds) -> Box:
+    """The cuboid ((a1, b1), (a2, b2), (a3, b3)): the three-interval box."""
+    x, y, z = bounds
+    return Box((x, y, z))
 
 
 @dataclass(frozen=True)
@@ -195,6 +175,13 @@ def _ellipse_axes(geo):
     two-axis ``Hyperellipsoid``; None for any other body."""
     axes = getattr(geo, "axes", ())
     return axes if len(axes) == 2 else None
+
+
+def _ball_radius(geo):
+    """The radius of a d-ball, read by shape: the common semi-axis of a
+    ``Hyperellipsoid`` whose axes are all equal; None for any other body."""
+    axes = getattr(geo, "axes", ())
+    return axes[0] if axes and axes.count(axes[0]) == len(axes) else None
 
 
 def _point(r, dim):
@@ -270,6 +257,8 @@ def hyperellipsoid_coefficients(axes, N: float = 1.0):
     axes = tuple(float(a) for a in axes)
     UniformDomain(Hyperellipsoid(axes), N)  # checks the axes and the charge
     d = len(axes)
+    if d == 1:  # the segment's potential is no quadratic form
+        raise ValueError("hyperellipsoid_coefficients: need >= 2 axes")
     if d == 2:
         a0, c1, c2 = _ellipse_coefficients(*axes, N)
         return a0, [c1, c2]
@@ -298,8 +287,8 @@ def ellipsoid_coefficients_carlson(axes, N: float = 1.0):
 
 # --------------------------------------------------------- closed-form fields
 
-def _ball_potential(geo: Ball, N: float, r) -> float:
-    d, R = geo.dim, geo.R
+def _ball_potential(geo: Hyperellipsoid, N: float, r) -> float:
+    d, R = geo.dim, _ball_radius(geo)
     rho_b = N / geo.volume
     with np.errstate(over="ignore"):
         rr = float(np.linalg.norm(r))
@@ -406,7 +395,7 @@ def background_potential(dom: UniformDomain, r) -> float:
     """Potential at r of the uniform background of total charge -N."""
     geo = dom.geometry
     p = _point(r, geo.dim)
-    if isinstance(geo, Ball):
+    if _ball_radius(geo) is not None:
         return _ball_potential(geo, dom.N, p)
     if isinstance(geo, Annulus2D):
         return _annulus_potential(geo, dom.N, p)
@@ -414,10 +403,9 @@ def background_potential(dom: UniformDomain, r) -> float:
         return _ellipse_potential(*geo.axes, dom.N, p)
     if isinstance(geo, Hyperellipsoid):
         return _hyperellipsoid_potential(geo, dom.N, p)
-    if isinstance(geo, Cuboid):
-        return -dom.rho_b * macmillan_cuboid_potential(geo.bounds, p)
-    if isinstance(geo, Rectangle):
-        return -dom.rho_b * rectangle_log_potential(geo.bounds, p)
+    if isinstance(geo, Box):
+        unit = macmillan_cuboid_potential if geo.dim == 3 else rectangle_log_potential
+        return -dom.rho_b * unit(geo.bounds, p)
     raise UnsupportedRegionError(f"unsupported geometry {type(geo).__name__}")
 
 
@@ -435,7 +423,7 @@ def _ray_chords(geo, origin):
     overflow.
     """
     o = np.asarray(origin, dtype=float)
-    if isinstance(geo, (Rectangle, Cuboid)):
+    if isinstance(geo, Box):
         # slab method, one axis at a time; a ray parallel to a slab gives
         # +-inf (nan on its face, which fmax/fmin skip)
         slabs = [(lo - ok, hi - ok) for (lo, hi), ok in zip(geo.bounds, o)]
@@ -534,7 +522,7 @@ def _kink_angles(geo, origin):
     where a chord opens like a square root, are the tangents to each circle or
     ellipse boundary that the point lies on or outside (for the annulus also
     its inner circle); kinks are the rays through rectangle corners."""
-    if isinstance(geo, Rectangle):
+    if isinstance(geo, Box):
         (a1, b1), (a2, b2) = geo.bounds
         angles = [math.atan2(y - origin[1], x - origin[0])
                   for x in (a1, b1) for y in (a2, b2)
@@ -544,7 +532,7 @@ def _kink_angles(geo, origin):
             + _conic_tangents(origin, geo.c * geo.R, geo.c * geo.R)
     else:
         angles = _conic_tangents(origin, *_ellipse_axes(geo))
-    is_edge = not isinstance(geo, Rectangle)
+    is_edge = not isinstance(geo, Box)
     return sorted((a % (2.0 * math.pi), is_edge) for a in angles)
 
 
@@ -597,8 +585,8 @@ def _log_primitive(t):
     return tt * tt * (2.0 * np.log(tt) - 1.0) / 4.0
 
 
-def _oracle_1d(geo: Ball, rho_b: float, x: float, tol: float):
-    R = geo.R
+def _oracle_1d(geo: Hyperellipsoid, rho_b: float, x: float, tol: float):
+    R = _ball_radius(geo)
 
     def f(xp):
         return rho_b * np.abs(x - xp)
@@ -643,7 +631,7 @@ def _ray_integral(geo, origin, radial, tol, pieces=1):
         dirs = (np.cos(gammas), np.sin(gammas), *[0.0] * (d - 2))
         return radial(dirs, chords(dirs)) * np.sin(gammas) ** (d - 2)
 
-    x, R = float(origin[0]), geo.R
+    x, R = float(origin[0]), _ball_radius(geo)
     lo = math.pi - math.asin(min(R / x, 1.0)) if x > R else 0.0
     return _edge_integral(h, [(lo, math.pi, x > R, False, tol)])
 
@@ -692,7 +680,7 @@ def _cuboid_newton_integral(bounds, y, n: int) -> float:
     return total
 
 
-def _oracle_cuboid(geo: Cuboid, rho_b: float, r, tol: float):
+def _oracle_cuboid(geo: Box, rho_b: float, r, tol: float):
     y = np.asarray(r, dtype=float)
     coarse = _cuboid_newton_integral(geo.bounds, y, 28)
     fine = _cuboid_newton_integral(geo.bounds, y, 40)
@@ -727,11 +715,11 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     Rays from the evaluation point carry the (exact) radial primitive of the
     kernel so no singular integrand ever reaches the quadrature; what remains
     is an angular integral: quasi-random directions, the QMC path, for
-    hyperellipsoids in d >= 3, else the adaptive sweep of ``_ray_integral``
-    that the projection identities of ``surfaces`` share.  In 2d it is cut
-    at the exact directions where its integrand has a kink or a support edge:
-    tangents to each boundary circle or ellipse that the point lies on or
-    outside, and rays through rectangle corners.  At a support edge the
+    hyperellipsoids in d >= 3 whose axes differ, else the adaptive sweep of
+    ``_ray_integral`` that the projection identities of ``surfaces`` share.
+    In 2d it is cut at the exact directions where its integrand has a kink
+    or a support edge: tangents to each boundary circle or ellipse that the
+    point lies on or outside, and rays through rectangle corners.  At a support edge the
     integrand opens like a square root, which a quadratic change of variable
     at that end of the interval removes (as at the d-ball's cone edge).  A
     point with no such direction (inside the disk or the ellipse, in the
@@ -742,9 +730,9 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     What depends on the point alone (the chord quadratics' constant terms,
     the piece table) is set up once per point, so an integrand call is a
     fixed ~40 numpy operations on its nodes (``scripts/quad_overhead.py``
-    times whole points).  A body is read by its dimension: the ellipse, a
-    two-axis ``Hyperellipsoid``, runs the planar sweep and the segment,
-    ``Ball(1, R)``, the 1d quadrature.
+    times whole points).  A body is read by its shape: each planar body runs
+    the planar sweep, the segment ``Ball(1, R)`` the 1d quadrature, and a
+    ``Hyperellipsoid`` with d >= 3 equal axes the d-ball's.
     The cuboid and QMC paths ignore ``tol``.  The cuboid's corner boxes
     split into Duffy pyramids, all evaluated in one grid pass by fixed 28-
     and 40-point rules; its error estimate is |fine - coarse|.
@@ -769,16 +757,16 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     if geo.dim == 2:
         res = _oracle_2d(geo, rho_b, p, tol)
         return EvalResult(*res, res.stats)
-    if isinstance(geo, Ball):
+    if _ball_radius(geo) is not None:
         # the point moved onto the first axis; each chord's integral of the
         # kernel t^(2-d) times the Jacobian t^(d-1)
-        origin = np.zeros(geo.d)
+        origin = np.zeros(geo.dim)
         origin[0] = np.linalg.norm(p)
-        c_dm1 = sphere_area(geo.d - 1)
+        c_dm1 = sphere_area(geo.dim - 1)
         res = _ray_integral(geo, origin, lambda dirs, c: (c[0, 1] ** 2 - c[0, 0] ** 2) / 2.0, tol)
         return EvalResult(-rho_b * c_dm1 * res[0], abs(c_dm1 * res[1]) * rho_b + 1e-16,
                           res.stats)
-    if isinstance(geo, Cuboid):
+    if isinstance(geo, Box):
         val, err = _oracle_cuboid(geo, rho_b, p, tol)
         return EvalResult(val, err)
     if isinstance(geo, Hyperellipsoid):
@@ -797,7 +785,7 @@ def _background_self_energy(dom: UniformDomain) -> float:
         # an ellipse's capacity is (a1 + a2) / 2, R on the disk
         return N * N / 8.0 - (N * N / 2.0) * math.log((axes[0] + axes[1]) / 2.0)
     if geo.dim == 1:
-        return -N * N * geo.R / 3.0
+        return -N * N * _ball_radius(geo) / 3.0
     if isinstance(geo, Annulus2D):
         R, c = geo.R, geo.c
         one = 1.0 - c * c
@@ -815,12 +803,13 @@ def interaction_energy(dom: UniformDomain, points) -> float:
     (inside the body; within the annulus ring for Annulus2D).
     """
     geo = dom.geometry
+    radius = _ball_radius(geo)
     u_bb = _background_self_energy(dom)
     total = u_bb
     for p in points:
         arr = np.atleast_1d(np.asarray(p, dtype=float))
         rr = float(np.linalg.norm(arr))
-        if isinstance(geo, Ball) and rr > geo.R + 1e-12:
+        if radius is not None and rr > radius + 1e-12:
             raise UnsupportedRegionError("point outside the ball")
         if isinstance(geo, Annulus2D) and not (
                 geo.c * geo.R - 1e-12 <= rr <= geo.R + 1e-12):

@@ -578,10 +578,9 @@ def free_energy_prediction(model: GasModel) -> AsymptoticPrediction:
     else:
         keys = ["N2logN", "N2"]
     # exact extraction: beta * K(N) lies in the span of the fitted terms
-    ns = (16, 32, 64, 128)[: len(keys) + 2]
     rows = []
     rhs = []
-    for n in ns[: len(keys)]:
+    for n in (16, 32):
         rows.append([AsymptoticPrediction._TERMS[k](n) for k in keys])
         target = model.beta * _electrostatic_constant(model, n)
         if model.ensemble == "sinh":

@@ -45,10 +45,18 @@ def shell_potential(d: int, R: float, Q: float, r) -> float:
     return Q * coulomb_radial(d, max(rr, R))
 
 
+def _shell_axes(axes):
+    """The axes of a hyperellipsoid shell, d >= 2; a segment has no shell."""
+    axes = Hyperellipsoid(axes).axes
+    if len(axes) < 2:
+        raise ValueError("ellipsoid shell: need two or more positive axes")
+    return axes
+
+
 def ellipsoid_surface_density(axes, Q: float, r) -> float:
     """Equilibrium surface density on the hyperellipsoid shell:
     sigma = Q / (c_d a_1...a_d) * (sum x_j^2/a_j^4)^(-1/2)."""
-    axes = Hyperellipsoid(axes).axes
+    axes = _shell_axes(axes)
     d = len(axes)
     x = _point(r, d)
     on_surface = sum((xi / a) ** 2 for xi, a in zip(x, axes))
@@ -64,7 +72,7 @@ def ellipsoid_surface_potential(axes, Q: float, r) -> float:
     (Q/2)(d-2) int_{lam*}^inf dlam / sqrt(S_0): constant inside (lam* = 0),
     decaying to the point-charge potential far away.
     """
-    axes = Hyperellipsoid(axes).axes
+    axes = _shell_axes(axes)
     d = len(axes)
     if d <= 2:
         raise ValueError("ellipsoid_surface_potential: valid for d > 2")

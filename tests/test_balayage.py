@@ -16,6 +16,7 @@ from coulomblab.balayage import (
 from coulomblab.domains import (
     Annulus2D,
     Ball,
+    Box,
     Cuboid,
     Ellipse2D,
     Hyperellipsoid,
@@ -23,6 +24,7 @@ from coulomblab.domains import (
     Segment1D,
     UniformDomain,
     UnsupportedRegionError,
+    _ball_radius,
     background_potential,
     interaction_energy,
     potential_oracle,
@@ -32,7 +34,7 @@ from coulomblab.domains import (
 def body_exterior_potential(dom, p):
     """Potential of the positively charged uniform body (+N)."""
     geo = dom.geometry
-    if hasattr(geo, "R"):
+    if isinstance(geo, Annulus2D) or _ball_radius(geo) is not None:
         return -background_potential(dom, p)
     return -potential_oracle(dom, p, 1e-9).value  # the ellipse's closed form is interior-only
 
@@ -99,7 +101,7 @@ def test_exterior_potential_matching():
     for geo in cases:
         dom = UniformDomain(geo, 1.0)
         m = balayage_measure(dom)
-        scale = getattr(geo, "R", None) or geo.axes[0]
+        scale = geo.R if isinstance(geo, Annulus2D) else geo.axes[0]
         for _ in range(6):
             th = rng.uniform(0, 2 * math.pi)
             rad = scale * rng.uniform(1.15, 3.0)
@@ -329,6 +331,15 @@ def _outcome(fn):
     pytest.param(Segment1D(1.0), Ball(1, 1.0),
                  [(0.0,), (0.3,), (-0.9,), (1.0,), (2.5,), (1e200,)], id="segment"),
     pytest.param(Segment1D(2.5), Ball(1, 2.5), [(1.1,), (-3.0,)], id="segment-2.5"),
+    pytest.param(Ball(2, 1.3), Hyperellipsoid((1.3, 1.3)),
+                 [(0.0, 0.0), (0.5, -0.4), (1.3, 0.0), (2.0, 0.3), (-1.5, 1.1)], id="disk"),
+    pytest.param(Ball(3, 1.7), Hyperellipsoid((1.7,) * 3),
+                 [(0.0, 0.0, 0.0), (0.3, 0.5, -0.2), (2.5, 0.3, 0.1), (3.0, 0.5, 0.1)],
+                 id="ball3"),
+    pytest.param(Rectangle(((0, 1), (0, 2))), Box(((0.0, 1.0), (0.0, 2.0))),
+                 [(0.3, 0.4), (1.6, -0.3), (0.5, 2.5)], id="rectangle"),
+    pytest.param(Cuboid(((0, 1), (0, 2), (0, 0.5))), Box(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))),
+                 [(0.3, 1.1, 0.2), (1.5, 0.2, -0.4)], id="cuboid"),
 ])
 # interaction_energy's norm of the 1e200 point overflows before it refuses it
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -17,7 +17,7 @@ import coulomblab
 from coulomblab import _quad
 from coulomblab._quad import QuadratureBudgetError
 from coulomblab.cli import main, parse_geometry, run_command
-from coulomblab.domains import (Ball, Cuboid, Hyperellipsoid, UniformDomain,
+from coulomblab.domains import (Ball, Cuboid, Hyperellipsoid, Rectangle, UniformDomain,
                                 background_potential, potential_oracle)
 
 
@@ -51,13 +51,14 @@ def test_bad_arguments_exit_2():
 
 def test_geometry_parser():
     dom = parse_geometry("ball:d=3,R=2,N=4")
-    assert isinstance(dom.geometry, Ball)
-    assert dom.geometry.R == 2.0 and dom.N == 4.0
+    assert dom.geometry == Ball(3, 2.0) and dom.N == 4.0
+    assert parse_geometry("hyperellipsoid:axes=2|2|2").geometry == Ball(3, 2.0)
     dom2 = parse_geometry("ellipse:a1=2,a2=1")
     assert dom2.geometry == Hyperellipsoid((2.0, 1.0))
     assert parse_geometry("segment:R=2.5").geometry == Ball(1, 2.5)
     dom3 = parse_geometry("cuboid:x0=0,x1=1,y0=0,y1=1,z0=0,z1=1")
-    assert isinstance(dom3.geometry, Cuboid)
+    assert dom3.geometry == Cuboid(((0, 1), (0, 1), (0, 1)))
+    assert parse_geometry("rectangle:x1=2,y0=-1").geometry == Rectangle(((0, 2), (-1, 1)))
     with pytest.raises(ValueError):
         parse_geometry("ball:d=3,bogus=1")
 
@@ -143,9 +144,11 @@ def test_coeffs_sum_rule():
     ["coeffs", "--axes", "1|-1|1"],
     ["coeffs", "--axes", "1|1|1", "--N", "-2"],
     ["coeffs", "--axes", "1|-1"],
+    ["coeffs", "--axes", "2"],
 ])
 def test_coeffs_bad_axes_or_charge_exit_2(argv, capsys):
-    # every dimension checks its axes and charge, as the d = 2 path did
+    # every dimension checks its axes and charge, as the d = 2 path did; a
+    # single axis, the segment, has no quadratic form
     code = main(argv + ["--json"])
     rec = json.loads(capsys.readouterr().out)
     assert code == 2 and rec["error"]["type"] == "ValueError"

@@ -320,17 +320,16 @@ def test_quadratic_droplet_parameter_error():
 
 
 def test_droplet_radii_examples():
-    r0, r1 = droplet_radii(lambda r: r * r, lambda r: 2 * r)
+    r0, r1 = droplet_radii(lambda r: 2 * r)
     assert r0 == 0.0
     assert abs(r1 - 1.0) < 1e-10
 
     alpha = 0.7
-    r0, r1 = droplet_radii(lambda r: r * r - 2 * alpha * math.log(r),
-                           lambda r: 2 * r - 2 * alpha / r)
+    r0, r1 = droplet_radii(lambda r: 2 * r - 2 * alpha / r)
     assert abs(r0 - math.sqrt(alpha)) < 1e-10
     assert abs(r1 - math.sqrt(1 + alpha)) < 1e-10
 
-    r0, r1 = droplet_radii(lambda r: r ** 4, lambda r: 4 * r ** 3)
+    r0, r1 = droplet_radii(lambda r: 4 * r ** 3)
     assert r0 == 0.0
     assert abs(r1 - 2.0 ** -0.25) < 1e-10
 
@@ -338,17 +337,16 @@ def test_droplet_radii_examples():
 def test_droplet_radii_errors():
     # concave q: r q'(r) decreasing
     with pytest.raises(ValueError):
-        droplet_radii(lambda r: -r * r, lambda r: -2 * r)
+        droplet_radii(lambda r: -2 * r)
     # bounded r q'(r) = 2 r^2 / (1 + r^2)
     with pytest.raises(ValueError, match="never reaches 2"):
-        droplet_radii(lambda r: math.log1p(r * r), lambda r: 2 * r / (1 + r * r))
+        droplet_radii(lambda r: 2 * r / (1 + r * r))
 
 
 @pytest.mark.parametrize("alpha", [64.0, 100.0, 1e6])
 def test_induced_droplet_radii_beyond_eight(alpha):
     # r1 = sqrt(1 + alpha) > 8: the bisection interval grows to reach it
-    r0, r1 = droplet_radii(lambda r: r * r - 2 * alpha * math.log(r),
-                           lambda r: 2 * r - 2 * alpha / r)
+    r0, r1 = droplet_radii(lambda r: 2 * r - 2 * alpha / r)
     assert abs(r0 - math.sqrt(alpha)) <= 1e-12 * math.sqrt(alpha)
     assert abs(r1 - math.sqrt(1 + alpha)) <= 1e-12 * math.sqrt(1 + alpha)
 

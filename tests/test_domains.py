@@ -9,6 +9,7 @@ from coulomblab.conformal import LaurentMap
 from coulomblab.domains import (
     Annulus2D,
     Ball,
+    Box,
     Cuboid,
     Ellipse2D,
     Hyperellipsoid,
@@ -67,11 +68,20 @@ def test_ball_far_point_squares_overflow():
 
 
 def test_segment_and_ellipse_are_the_general_classes():
-    # one class per shape: the segment is the 1-ball, the ellipse the
-    # two-axis hyperellipsoid
-    assert Segment1D(2.5) == Ball(1, 2.5)
+    # one class per shape: a ball is the equal-axis hyperellipsoid (the
+    # segment the 1-ball), the ellipse the two-axis one, and a rectangle and
+    # a cuboid are the boxes of two and three intervals
+    assert Segment1D(2.5) == Ball(1, 2.5) == Hyperellipsoid((2.5,))
+    assert Ball(2, 1.3) == Hyperellipsoid((1.3, 1.3))
+    assert Ball(3, 1.7) == Hyperellipsoid((1.7,) * 3)
     assert Ellipse2D(2, 1) == Hyperellipsoid((2.0, 1.0))
+    assert Rectangle(((0, 1), (0, 2))) == Box(((0.0, 1.0), (0.0, 2.0)))
+    assert Cuboid(((0, 1), (0, 2), (0, 0.5))) == Box(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5)))
     assert Ball(1, 2.5).volume == 5.0
+    for make in (lambda: Ball(0, 1.0), lambda: Rectangle(((0, 1),) * 3),
+                 lambda: Cuboid(((0, 1),) * 2), lambda: Box(((0, 1),))):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_domain_charge_invariant():
@@ -208,12 +218,13 @@ GEOMS = [
 
 
 def sample_point(geo, where, rng):
+    radius = domains._ball_radius(geo)
     if geo.dim == 1:
-        return np.array([rng.uniform(-0.95, 0.95) * geo.R])
-    if isinstance(geo, Ball):
-        v = rng.standard_normal(geo.d)
+        return np.array([rng.uniform(-0.95, 0.95) * radius])
+    if radius is not None:
+        v = rng.standard_normal(geo.dim)
         v /= np.linalg.norm(v)
-        return v * geo.R * rng.uniform(0.05, 0.95)
+        return v * radius * rng.uniform(0.05, 0.95)
     if isinstance(geo, Annulus2D):
         th = rng.uniform(0, 2 * math.pi)
         rad = rng.uniform(geo.c * geo.R * 1.02, geo.R * 0.98)
@@ -479,7 +490,7 @@ def _ray_chords_reference(geo, origin, dirs):
     # the (n, d)-array form: directions are the rows of dirs, and the slab
     # bounds and quadric coefficients are reduced over its second axis
     o = np.asarray(origin, dtype=float)
-    if isinstance(geo, (Rectangle, Cuboid)):
+    if isinstance(geo, Box):
         lo, hi = np.array(geo.bounds).T
         with np.errstate(divide="ignore", invalid="ignore"):
             ta, tb = (lo - o) / dirs, (hi - o) / dirs
@@ -531,7 +542,7 @@ def test_ray_chords_on_components_match_row_form(geo, origins):
         # from outside, some rays cross the hole and some miss it
         (_, h0), (h1, _) = domains._ray_chords(geo, (1.6, 0.3))(dirs.T)
         assert np.any(h1 > h0) and np.any((h1 == h0) & (h0 > 0.0))
-    if isinstance(geo, Ball) and d == 3:
+    if domains._ball_radius(geo) is not None and d == 3:
         # the d-ball oracle's planar fan: a zero component given as 0.0
         gam = rng.uniform(0.0, math.pi, 50)
         fan = np.column_stack([np.cos(gam), np.sin(gam), np.zeros(50)])
@@ -645,7 +656,7 @@ def test_poisson_laplacian_interior_and_exterior():
         dom = UniformDomain(geo, 1.0)
         target = poisson_constant(d) * dom.rho_b
         for _ in range(4):
-            p = sample_point(geo, "inside", rng) * 0.5 if isinstance(geo, (Ball, Hyperellipsoid)) else (
+            p = sample_point(geo, "inside", rng) * 0.5 if isinstance(geo, Hyperellipsoid) else (
                 np.array([rng.uniform(0.3, 0.7) for _ in range(d)]))
             lap = 0.0
             v0 = background_potential(dom, p)
@@ -785,13 +796,14 @@ def test_interaction_energy_against_quadrature_ubb():
 
     for geo in (Ball(2, 1.5), Annulus2D(1.2, 0.4)):
         dom = UniformDomain(geo, 2.0)
-        lo = geo.c * geo.R if isinstance(geo, Annulus2D) else 0.0
+        lo, hi = (geo.c * geo.R, geo.R) if isinstance(geo, Annulus2D) \
+            else (0.0, domains._ball_radius(geo))
 
         def f(rs):
             return np.array([background_potential(dom, [r, 0.0]) * 2 * math.pi * r
                              for r in rs])
 
-        integral, _ = adaptive_1d(f, lo, geo.R, 1e-11)
+        integral, _ = adaptive_1d(f, lo, hi, 1e-11)
         u_bb_quad = -0.5 * dom.rho_b * integral
         u_bb_closed = interaction_energy(dom, [])
         assert abs(u_bb_quad - u_bb_closed) < 1e-9
