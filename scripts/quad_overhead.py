@@ -1,6 +1,6 @@
-"""Print the fixed per-call costs of the quadrature layer and the ray
-oracles, in microseconds (the projection identity in milliseconds), as
-medians of interleaved repeats.
+"""Print the fixed per-call costs of the quadrature layer and the
+quadrature oracles, in microseconds (the projection identity in
+milliseconds), as medians of interleaved repeats.
 
 Run from the repository root:
 
@@ -14,9 +14,6 @@ case's median over the repeats and the quartiles.  Cases:
   accepted at the root;
 - ``adaptive_1d`` on -log|x| cos x over [0, 1] at tol 1e-12, a tree of 41
   levels with one or two panels each;
-- ``_edge_integral``'s set-up (its piece table and integrand) for the three
-  cut intervals of a point outside the unit disk, with the adaptive call
-  stubbed out;
 - one ``potential_oracle`` point at tol 1e-9 per 2d class of the ``oracle``
   benchmark workload, the 3-ball and the segment;
 - ``BalayageMeasure.potential`` of the ellipse 2x1 at one exterior point,
@@ -27,7 +24,6 @@ case's median over the repeats and the quartiles.  Cases:
 
 from __future__ import annotations
 
-import math
 import os
 import platform
 import statistics
@@ -43,25 +39,6 @@ REPEATS = 200
 
 def _unit(geo):
     return domains.UniformDomain(geo, 1.0)
-
-
-def _edge_setup():
-    """_edge_integral with the adaptive call replaced by a constant result."""
-    origin = np.array([1.5, 0.4])
-    geo = domains.Ball(2, 1.0)
-    cuts = [(0.0, False), *domains._kink_angles(geo, origin), (2.0 * math.pi, False)]
-    pieces = [(lo, hi, lo_edge, hi_edge, 1e-9)
-              for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:])]
-    stub = _quad.QuadResult(0.0, 0.0, None, None)
-    real = domains.adaptive_1d
-
-    def run():
-        domains.adaptive_1d = lambda *args: stub
-        try:
-            domains._edge_integral(lambda t, k: np.cos(t), pieces)
-        finally:
-            domains.adaptive_1d = real
-    return run
 
 
 def cases():
@@ -82,7 +59,6 @@ def cases():
         ("adaptive_1d, scalar, root accepted", lambda: _quad.adaptive_1d(lin, 0.0, 1.0, 1e-9)),
         ("adaptive_1d, 3 intervals, root accepted", lambda: _quad.adaptive_1d(lin, *three)),
         ("adaptive_1d, 41-level log endpoint", lambda: _quad.adaptive_1d(log_end, 0.0, 1.0, 1e-12)),
-        ("_edge_integral set-up, 3 pieces", _edge_setup()),
     ]
     for name, geo, p in oracle:
         dom = _unit(geo)

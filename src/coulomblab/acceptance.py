@@ -377,7 +377,8 @@ def run_suite(which: str = "full", report=None):
             continue
         t0 = time.time()
         passed, detail = fn()
-        res = CriterionResult(idx, name, passed, detail, time.time() - t0)
+        # a verdict computed with numpy is a numpy bool, which json refuses
+        res = CriterionResult(idx, name, bool(passed), detail, time.time() - t0)
         out.append(res)
         if report is not None:
             report(f"criterion {idx:02d} {'PASS' if passed else 'FAIL'} "

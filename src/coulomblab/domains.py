@@ -287,13 +287,18 @@ def ellipsoid_coefficients_carlson(axes, N: float = 1.0):
 
 # --------------------------------------------------------- closed-form fields
 
+def _radius(r) -> float:
+    """|r|, also past ~1.3e154, where the squares overflow and hypot scales
+    them."""
+    with np.errstate(over="ignore"):
+        rr = float(np.linalg.norm(r))
+    return math.hypot(*r.tolist()) if rr == math.inf else rr
+
+
 def _ball_potential(geo: Hyperellipsoid, N: float, r) -> float:
     d, R = geo.dim, _ball_radius(geo)
     rho_b = N / geo.volume
-    with np.errstate(over="ignore"):
-        rr = float(np.linalg.norm(r))
-    if rr == math.inf:  # the squares overflowed; hypot scales them
-        rr = math.hypot(*r.tolist())
+    rr = _radius(r)
     if rr <= R:
         return rho_b * (poisson_constant(d) / (2.0 * d)) * (rr * rr - R * R) \
             - N * coulomb_radial(d, R)
@@ -303,7 +308,7 @@ def _ball_potential(geo: Hyperellipsoid, N: float, r) -> float:
 def _annulus_potential(geo: Annulus2D, N: float, r) -> float:
     R, c = geo.R, geo.c
     rho_b = N / geo.volume
-    rr = float(np.linalg.norm(r))
+    rr = _radius(r)
     if rr > R:
         return N * math.log(rr)
     if rr >= c * R:
@@ -412,128 +417,47 @@ def background_potential(dom: UniformDomain, r) -> float:
 # ------------------------------------------------------------ oracle (rays)
 
 def _ray_chords(geo, origin):
-    """Chords through the body of the rays {origin + t e, t >= 0}, as a
-    function of the directions e: it takes their d components as a sequence
-    of (n,) arrays (a component that is zero on every ray may be the float
-    0.0) and returns a (k, 2, n) array of chords (t0, t1), 0 <= t0 <= t1,
-    with k = 1 for the convex bodies and k = 2 for the annulus (before and
-    after the hole).  A ray that misses gives t0 = t1.  What depends on the
-    origin alone is computed here, once per point.  Raises ValueError for an
-    origin so far from the body that its chords, or their ends' t^2 log t,
-    overflow.
+    """Chords through the solid ellipsoid sum (x_i/a_i)^2 <= 1 of ``geo``'s
+    axes of the rays {origin + t e, t >= 0}, as a function of the directions
+    e: it takes their d components as a sequence of (n,) arrays (a component
+    that is zero on every ray may be the float 0.0) and returns a (1, 2, n)
+    array of chords (t0, t1), 0 <= t0 <= t1.  A ray that misses gives t0 =
+    t1.  The quadratic's constant term depends on the origin alone and is
+    computed here, once per point; its other coefficients are summed
+    component by component, first to last.  Raises ValueError for an origin
+    so far from the body that its chords overflow.
     """
-    o = np.asarray(origin, dtype=float)
-    if isinstance(geo, Box):
-        # slab method, one axis at a time; a ray parallel to a slab gives
-        # +-inf (nan on its face, which fmax/fmin skip)
-        slabs = [(lo - ok, hi - ok) for (lo, hi), ok in zip(geo.bounds, o)]
-        _check_reach(math.hypot(*(max(-lo, hi) for lo, hi in slabs)))
-
-        def slab_chords(dirs):
-            t0, t1 = 0.0, math.inf
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for (lo, hi), e in zip(slabs, dirs):
-                    ta, tb = lo / e, hi / e
-                    t0, t1 = np.fmax(t0, np.fmin(ta, tb)), np.fmin(t1, np.fmax(ta, tb))
-            return np.where(t1 > t0, np.array([[t0, t1]]), 0.0)
-        return slab_chords
-    if isinstance(geo, Annulus2D):
-        # the disk and its hole in one pass
-        radii = np.array([[geo.R], [geo.c * geo.R]])
-        _check_reach(math.hypot(*o.tolist()) + geo.R, geo.c * geo.R)
-        both = _quadric_chords(o, (radii, radii))
-
-        def annulus_chords(dirs):
-            r = both(dirs)
-            # a ray that misses the hole gets an empty hole chord at its exit
-            # from the disk; then the chords are (t0, hole t0), (hole t1, t1)
-            r[:, 1] = np.where(r[1, 1] <= r[0, 1], r[1, 0], r[:, 1])
-            r[1] = r[1, ::-1]
-            return r
-        return annulus_chords
     axes = getattr(geo, "axes", None)
     if axes is None:
         raise UnsupportedRegionError(f"no ray intersections for {type(geo).__name__}")
-    _check_reach(math.hypot(*o.tolist()) + max(axes), min(axes))
-    one = _quadric_chords(o, axes)
-    return lambda dirs: one(dirs).reshape(1, 2, -1)
-
-
-def _check_reach(far, a_min=math.inf):
-    """Refuse an origin whose chords overflow.  ``far`` bounds the chord ends,
-    of which the 2d oracle takes t^2 (2 log t - 1) and the d-ball's t^2; a
-    quadric also passes its smallest axis, and on unit directions
-    4 (far / a_min^2)^2 bounds each term of its chords' b^2 - a c."""
-    q = far / a_min / a_min
-    if not (math.isfinite(far * far * (2.0 * math.log(far) - 1.0)) and math.isfinite(4.0 * q * q)):
-        raise ValueError("ray chords: the point is too far from the body")
-
-
-def _quadric_chords(origin, axes):
-    """Chords of the rays from ``origin`` through the solid ellipsoid
-    sum (x_i/a_i)^2 <= 1, as a function of direction components as in
-    ``_ray_chords``; it returns the (2, n) array of entries t0 and exits t1.
-    Each a_i may instead be a (k, 1) column, for k ellipsoids at once: then
-    the chords are (2, k, n).  Each quadratic's coefficients are summed
-    component by component, first to last."""
-    origin = origin.tolist()
+    o = np.asarray(origin, dtype=float).tolist()
+    _check_reach(math.hypot(*o) + max(axes), min(axes))
     ax2 = [a * a for a in axes]
-    c = np.add.reduce([(ok / a) * (ok / a) for ok, a in zip(origin, axes)]) - 1.0
-    rest = list(zip(origin[1:], axes[1:], ax2[1:]))
-    # the smaller and larger root of each quadratic, (-b -+ sq) / a
-    signs = _ROOT_SIGNS if c.ndim == 0 else _ROOT_SIGNS[:, :, None]
+    c = np.add.reduce([(ok / a) * (ok / a) for ok, a in zip(o, axes)]) - 1.0
+    rest = list(zip(o[1:], axes[1:], ax2[1:]))
 
     def chords(dirs):
-        a, b = (dirs[0] / axes[0]) ** 2, origin[0] * dirs[0] / ax2[0]
+        a, b = (dirs[0] / axes[0]) ** 2, o[0] * dirs[0] / ax2[0]
         for (ok, ak, ak2), e in zip(rest, dirs[1:]):
             a, b = a + (e / ak) ** 2, b + ok * e / ak2
         sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
-        # rounding is monotone, so the larger root stays the larger
-        return np.maximum((sq * signs - b) / a, 0.0)
+        # the smaller and larger root, (-b -+ sq) / a; rounding is monotone,
+        # so the larger root stays the larger
+        return np.maximum((sq * _ROOT_SIGNS - b) / a, 0.0).reshape(1, 2, -1)
     return chords
 
 
 _ROOT_SIGNS = np.array([[-1.0], [1.0]])
 
 
-def _conic_tangents(origin, a1, a2):
-    """Directions from a point on or outside the ellipse (x/a1)^2 + (y/a2)^2
-    = 1 to its two points of tangency (the boundary tangent for a point on
-    it); none for an interior point.
-
-    In the scaled plane (x/a1, y/a2) the ellipse is the unit circle and the
-    tangent from q at the touching angle psi = arg q +- acos(1/|q|) runs
-    along (-+sin psi, +-cos psi); scaling back keeps tangency.
-    """
-    q = (origin[0] / a1, origin[1] / a2)
-    rho = math.hypot(*q)
-    if rho < 1.0 - 1e-12:
-        return []
-    phi = math.atan2(q[1], q[0])
-    alpha = math.acos(min(1.0 / rho, 1.0))
-    return [math.atan2(sgn * a2 * math.cos(phi + sgn * alpha),
-                       -sgn * a1 * math.sin(phi + sgn * alpha))
-            for sgn in (1.0, -1.0)]
-
-
-def _kink_angles(geo, origin):
-    """Directions in [0, 2 pi) where the angular integrand of the 2d ray
-    oracle is not smooth, as sorted (angle, is_edge) pairs: support edges,
-    where a chord opens like a square root, are the tangents to each circle or
-    ellipse boundary that the point lies on or outside (for the annulus also
-    its inner circle); kinks are the rays through rectangle corners."""
-    if isinstance(geo, Box):
-        (a1, b1), (a2, b2) = geo.bounds
-        angles = [math.atan2(y - origin[1], x - origin[0])
-                  for x in (a1, b1) for y in (a2, b2)
-                  if (x, y) != (origin[0], origin[1])]
-    elif isinstance(geo, Annulus2D):
-        angles = _conic_tangents(origin, geo.R, geo.R) \
-            + _conic_tangents(origin, geo.c * geo.R, geo.c * geo.R)
-    else:
-        angles = _conic_tangents(origin, *_ellipse_axes(geo))
-    is_edge = not isinstance(geo, Box)
-    return sorted((a % (2.0 * math.pi), is_edge) for a in angles)
+def _check_reach(far, a_min=math.inf):
+    """Refuse a point too far from the body: far^2 (2 log far - 1) must be
+    finite, ``far`` bounding its distance to the body's far side, and for a
+    quadric with smallest axis ``a_min`` so must 4 (far / a_min^2)^2, which
+    bounds each term of its chords' b^2 - a c on unit directions."""
+    q = far / a_min / a_min
+    if not (math.isfinite(far * far * (2.0 * math.log(far) - 1.0)) and math.isfinite(4.0 * q * q)):
+        raise ValueError("potential_oracle: the point is too far from the body")
 
 
 # u(s) = c1 s + c2 s^2 + c3 s^3 on an interval, by which of its ends
@@ -578,13 +502,6 @@ def _edge_integral(h, pieces):
     return adaptive_1d(f, table[0], table[0] + 1.0, table[9])
 
 
-def _log_primitive(t):
-    # integral of u log u du from 0 to t; -0.0 at t = 0, which a sum of
-    # chord differences started from 0 reads as 0.0
-    tt = np.maximum(t, 1e-300)
-    return tt * tt * (2.0 * np.log(tt) - 1.0) / 4.0
-
-
 def _oracle_1d(geo: Hyperellipsoid, rho_b: float, x: float, tol: float):
     R = _ball_radius(geo)
 
@@ -596,22 +513,15 @@ def _oracle_1d(geo: Hyperellipsoid, rho_b: float, x: float, tol: float):
     return adaptive_1d(f, cuts[:-1], cuts[1:], [tol / n] * n)
 
 
-def _ray_integral(geo, origin, radial, tol, pieces=1):
+def _ray_integral(geo, origin, radial, tol):
     """Integral over the directions from ``origin`` of ``radial(dirs,
     chords)``, the n ray integrals of n directions (their components, as
     ``_ray_chords`` takes them) and their chords, in one ``_edge_integral``.
-    A planar origin sweeps the full circle, cut at ``_kink_angles`` (across a
-    cut the panel error estimate is blind); a sweep with no such cut is
-    split into ``pieces`` equal arcs.  ``_oracle_2d`` passes 4: its
-    directions are cheap, so a point costs per level of the panel tree, and
-    from quarter-turn roots most interior and hole points finish at the
-    root level, where one whole turn needs 2-5 levels.  ``surfaces`` keeps
-    1: each of its directions carries a radial quadrature, so its cost is per
-    direction, and quarter turns evaluate more of them.  An axis point
-    (x, 0, ..., 0), x >= 0, of a d-ball sweeps the polar angle gamma with
-    weight sin(gamma)^(d - 2), outside the ball over gamma > pi - asin(R/x)
-    with the support edge at that end; the caller multiplies by the azimuths'
-    area.
+    A planar origin, a point inside a disk or an ellipse, sweeps one whole
+    turn.  An axis point (x, 0, ..., 0), x >= 0, of a d-ball sweeps the
+    polar angle gamma with weight sin(gamma)^(d - 2), outside the ball over
+    gamma > pi - asin(R/x) with the support edge at that end; the caller
+    multiplies by the azimuths' area.
     """
     chords = _ray_chords(geo, origin)
     d = len(origin)
@@ -620,12 +530,7 @@ def _ray_integral(geo, origin, radial, tol, pieces=1):
             dirs = (np.cos(thetas), np.sin(thetas))
             return radial(dirs, chords(dirs))
 
-        kinks = _kink_angles(geo, origin) or [(2.0 * math.pi * k / pieces, False)
-                                              for k in range(1, pieces)]
-        cuts = [(0.0, False), *kinks, (2.0 * math.pi, False)]
-        return _edge_integral(h, [(lo, hi, lo_edge, hi_edge, tol * (hi - lo) / (2.0 * math.pi))
-                                  for (lo, lo_edge), (hi, hi_edge) in zip(cuts[:-1], cuts[1:])
-                                  if hi - lo >= 1e-14])
+        return _edge_integral(h, [(0.0, 2.0 * math.pi, False, False, tol)])
 
     def h(gammas, _):
         dirs = (np.cos(gammas), np.sin(gammas), *[0.0] * (d - 2))
@@ -636,13 +541,89 @@ def _ray_integral(geo, origin, radial, tol, pieces=1):
     return _edge_integral(h, [(lo, math.pi, x > R, False, tol)])
 
 
-def _oracle_2d(geo, rho_b: float, r, tol: float):
-    def radial(dirs, chords):
-        # one primitive call on every chord end: p[k] holds chord k's (t0, t1)
-        p = _log_primitive(chords)
-        return rho_b * sum(p[:, 1] - p[:, 0])
+# ----------------------------------------------------- oracle (boundaries)
 
-    return _ray_integral(geo, np.asarray(r, dtype=float), radial, tol, pieces=4)
+# q = |xi - u|^2 - 1 >= -1, but where x nears r its rounding can reach -1
+# (log1p gives -inf) or below (nan); there the flux factor is as small, and
+# a floor at the float above -1 changes the integral by less than roundoff
+_Q_FLOOR = -1.0 + 2.0 ** -53
+
+
+def _oracle_2d(geo, rho_b: float, r, tol: float):
+    """The planar body's potential at r from its boundary.  As div_x((x - r)
+    log(|x - r| / c)) = 2 log(|x - r| / c) + 1, Gauss's theorem gives for
+    any c > 0 (Kellogg, Foundations of Potential Theory, 1929, ch. IV)
+
+        int_V log|x - r| dA = |V| (log c - 1/2) + 1/2 oint (x - r).n log(|x - r| / c) ds,
+
+    an integrand smooth and periodic for r off the boundary, which a few
+    Gauss panels resolve (Trefethen & Weideman, SIAM Review 56, 2014).  With
+    c = max(|r - centre|, body size), xi = (x - centre) / c and u = (r -
+    centre) / c, the log is 1/2 log1p(|xi|^2 - 2 xi.u + |u|^2 - 1), so far
+    points neither cancel nor overflow; the flux factor (x - r).n ds stays
+    in real units.  An ellipse x = (a1 cos t, a2 sin t) has (x - r).n ds =
+    (a1 a2 - r1 a2 cos t - r2 a1 sin t) dt and runs four quarter turns from
+    t0 = atan2(r2 / a2, r1 / a1), substituted at both t0 ends, where the log
+    dips for a point near the boundary; the annulus adds its hole's circle
+    with sign -1.  A box edge's flux is its line's signed distance from r;
+    it is cut at the foot of the perpendicular from r (held to the edge) and
+    substituted there, and skipped when its line holds r (no flux).  The
+    pieces share ``tol`` equally in one ``_edge_integral`` call.
+    """
+    x, y = r.tolist()
+    if isinstance(geo, Box):
+        (lo1, hi1), (lo2, hi2) = bounds = geo.bounds
+        _check_reach(math.hypot(*(max(ok - lo, hi - ok) for (lo, hi), ok in zip(bounds, (x, y)))))
+        half = (0.5 * (hi1 - lo1), 0.5 * (hi2 - lo2))
+        o = (x - 0.5 * (lo1 + hi1), y - 0.5 * (lo2 + hi2))
+        c = max(math.hypot(*o), math.hypot(*half))
+        u = (o[0] / c, o[1] / c)
+        w = u[0] * u[0] + u[1] * u[1] - 1.0
+        # per piece: its edge's flux times rho_b / 4 (the 1/2 of oint and
+        # of 1/2 log1p), the log's constant and its slope in t / c
+        rows, pieces = [], []
+        for i, ((lo, hi), ok) in enumerate(zip(bounds, (x, y))):
+            j = 1 - i
+            foot = min(max(o[j], -half[j]), half[j])
+            for side, dist in ((-half[i], ok - lo), (half[i], hi - ok)):
+                if dist == 0.0:
+                    continue
+                f = side / c
+                for lo_t, hi_t in ((-half[j], foot), (foot, half[j])):
+                    if hi_t > lo_t:
+                        rows.append((0.25 * rho_b * dist, f * f - 2.0 * f * u[i] + w, 2.0 * u[j]))
+                        pieces.append((lo_t, hi_t, lo_t == foot, hi_t == foot))
+        flux, const, slope = (np.array(col) for col in zip(*rows))
+
+        def h(t, k):
+            s = t / c
+            q = const.take(k) + s * (s - slope.take(k))
+            return flux.take(k) * np.log1p(np.maximum(q, _Q_FLOOR))
+    else:
+        curves = [(geo.R, geo.R, 1.0), (geo.c * geo.R, geo.c * geo.R, -1.0)] \
+            if isinstance(geo, Annulus2D) else [(*geo.axes, 1.0)]
+        (b1, b2, _), last = curves[0], curves[-1]
+        rr = math.hypot(x, y)
+        _check_reach(rr + max(b1, b2), min(last[:2]))
+        c = max(rr, b1, b2)
+        u1, u2 = x / c, y / c
+        w = u1 * u1 + u2 * u2 - 1.0
+        a1, a2, k = (np.array(col)[:, None] for col in zip(*curves))
+        k = 0.25 * rho_b * k
+        p, px, py = k * a1 * a2, k * x * a2, k * y * a1
+        aa, bb = (a1 / c) ** 2, (a2 / c) ** 2
+        au, bu = 2.0 * a1 / c * u1, 2.0 * a2 / c * u2
+
+        def h(t, _):
+            cs, sn = np.cos(t), np.sin(t)
+            q = (aa * cs - au) * cs + (bb * sn - bu) * sn + w
+            return ((p - px * cs - py * sn) * np.log1p(np.maximum(q, _Q_FLOOR))).sum(axis=0)
+
+        t0 = math.atan2(y / b2, x / b1)
+        pieces = [(t0 + 0.5 * math.pi * n, t0 + 0.5 * math.pi * (n + 1), n == 0, n == 3)
+                  for n in range(4)]
+    res = _edge_integral(h, [(*piece, tol / len(pieces)) for piece in pieces])
+    return EvalResult(rho_b * geo.volume * (math.log(c) - 0.5) + res[0], res[1], res.stats)
 
 
 def _cuboid_newton_integral(bounds, y, n: int) -> float:
@@ -712,37 +693,24 @@ def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r):
 def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     """Direct numerical evaluation of the background-potential integral.
 
-    Rays from the evaluation point carry the (exact) radial primitive of the
-    kernel so no singular integrand ever reaches the quadrature; what remains
-    is an angular integral: quasi-random directions, the QMC path, for
-    hyperellipsoids in d >= 3 whose axes differ, else the adaptive sweep of
-    ``_ray_integral`` that the projection identities of ``surfaces`` share.
-    In 2d it is cut at the exact directions where its integrand has a kink
-    or a support edge: tangents to each boundary circle or ellipse that the
-    point lies on or outside, and rays through rectangle corners.  At a support edge the
-    integrand opens like a square root, which a quadratic change of variable
-    at that end of the interval removes (as at the d-ball's cone edge).  A
-    point with no such direction (inside the disk or the ellipse, in the
-    annulus' hole) sweeps four quarter turns instead of one whole turn.  All
-    the intervals of one point are integrated in one breadth-first
-    ``adaptive_1d`` call, one integrand call per level of the panel tree;
-    from quarter-turn roots most cut-free points finish at the root level.
-    What depends on the point alone (the chord quadratics' constant terms,
-    the piece table) is set up once per point, so an integrand call is a
-    fixed ~40 numpy operations on its nodes (``scripts/quad_overhead.py``
-    times whole points).  A body is read by its shape: each planar body runs
-    the planar sweep, the segment ``Ball(1, R)`` the 1d quadrature, and a
-    ``Hyperellipsoid`` with d >= 3 equal axes the d-ball's.
-    The cuboid and QMC paths ignore ``tol``.  The cuboid's corner boxes
-    split into Duffy pyramids, all evaluated in one grid pass by fixed 28-
-    and 40-point rules; its error estimate is |fine - coarse|.
+    A planar body runs ``_oracle_2d``: the divergence theorem turns the area
+    integral into one smooth boundary integral, whose arcs or edges go to
+    one breadth-first ``adaptive_1d`` call, far points included.  The
+    segment ``Ball(1, R)`` runs a 1d quadrature cut at the point.  A d-ball,
+    d >= 3, sweeps the rays from the point moved onto its first axis, each
+    carrying the exact radial integral of the kernel, with the cone edge of
+    an exterior point substituted away (``_ray_integral``, which the
+    projection identities of ``surfaces`` share).  A ``Hyperellipsoid`` in
+    d >= 3 with unequal axes averages quasi-random directions (QMC), and the
+    cuboid splits its corner boxes into Duffy pyramids, all evaluated in one
+    grid pass by fixed 28- and 40-point rules with error |fine - coarse|;
+    these two paths ignore ``tol`` and carry no ``QuadStats``.
     Returns value and an absolute error estimate, with the quadrature's
-    ``QuadStats`` in ``stats`` on the segment, 2d and d-ball paths
-    (``stats.tol_met`` is false when a panel was accepted at the roundoff
-    floor or the depth cap short of its tolerance; the cuboid and QMC paths
-    carry none); raises QuadratureBudgetError carrying the best estimate on
-    failure, and ValueError for a point that is not finite or so far out
-    that its ray chords would overflow.
+    ``QuadStats`` in ``stats`` on the other paths (``stats.tol_met`` is
+    false when a panel was accepted at the roundoff floor or the depth cap
+    short of its tolerance); raises QuadratureBudgetError carrying the best
+    estimate on failure, and ValueError for a point that is not finite or
+    too far from the body (some 1e152 body sizes, ``_check_reach``).
     """
     if not tol > 0:
         raise ValueError("potential_oracle: tol must be > 0")
@@ -755,8 +723,7 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
         res = _oracle_1d(geo, rho_b, float(p[0]), tol)
         return EvalResult(*res, res.stats)
     if geo.dim == 2:
-        res = _oracle_2d(geo, rho_b, p, tol)
-        return EvalResult(*res, res.stats)
+        return _oracle_2d(geo, rho_b, p, tol)
     if _ball_radius(geo) is not None:
         # the point moved onto the first axis; each chord's integral of the
         # kernel t^(2-d) times the Jacobian t^(d-1)

@@ -291,7 +291,7 @@ def test_budget_error_exit_3(monkeypatch):
     monkeypatch.setattr("coulomblab.domains.adaptive_1d",
                         functools.partial(_quad.adaptive_1d, max_panels=3))
     code, rec = record_of(["potential", "--domain", "ellipse:a1=2,a2=1,N=1",
-                           "--point", "3,0.5", "--oracle", "--tol", "1e-15"])
+                           "--point", "2.02,0.05", "--oracle", "--tol", "1e-15"])
     assert code == 3
     assert rec["error"]["type"] == "QuadratureBudgetError"
     assert "best_value" in rec["error"]
@@ -309,13 +309,22 @@ def test_oracle_point_too_far_exit_2(capsys):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_budget_error_with_nan_estimate_is_strict_json(capsys):
-    # the charge density overflows the integrand, so every panel's error is
-    # nan and the budget runs out with a nan estimate
-    code = main(["potential", "--domain", "ball:d=2,R=1,N=1e308", "--point=3,0",
+    # the charge overflows the integrand, so every panel's error is nan and
+    # the budget runs out with a nan estimate
+    code = main(["potential", "--domain", "segment:R=1,N=1.7e308", "--point=3",
                  "--oracle", "--json"])
     rec = json.loads(capsys.readouterr().out)
     assert code == 3 and rec["error"]["type"] == "QuadratureBudgetError"
     assert rec["error"]["best_value"] is None and rec["error"]["est_error"] is None
+
+
+def test_check_record_with_numpy_verdict_is_strict_json(capsys, monkeypatch):
+    # a criterion whose verdict is a numpy bool still gives a JSON boolean
+    monkeypatch.setattr("coulomblab.acceptance.CRITERIA",
+                        [(1, "numpy verdict", lambda: (np.True_, "max rel diff 0"))])
+    code = main(["check", "--suite", "quick", "--json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 0 and rec["values"]["criteria"][0]["passed"] is True
 
 
 def test_hole_energy_without_closed_form_exit_2(capsys):

@@ -61,10 +61,13 @@ def test_ball2_boundary_continuity():
 
 
 def test_ball_far_point_squares_overflow():
-    # |r|^2 overflows beyond ~1.3e154; the 1-ball keeps N |x| and the disk N log|r|
+    # |r|^2 overflows beyond ~1.3e154; the 1-ball keeps N |x|, and the disk
+    # and the annulus N log|r|
     assert background_potential(UniformDomain(Segment1D(1.0), 2.0), [-1e200]) == 2e200
     disk = background_potential(UniformDomain(Ball(2, 1.0), 2.0), [1e200, 1e200])
     assert abs(disk - 2.0 * math.log(math.sqrt(2.0) * 1e200)) < 1e-12 * disk
+    annulus = background_potential(UniformDomain(Annulus2D(1.0, 0.5), 2.0), [0.0, -1e160])
+    assert abs(annulus - 2.0 * math.log(1e160)) < 1e-12 * annulus
 
 
 def test_segment_and_ellipse_are_the_general_classes():
@@ -322,7 +325,9 @@ def test_oracle_edge_cost(geo, kind, monkeypatch):
 # potential_oracle values at tol 1e-9, recorded with the depth-first
 # adaptive_1d, to full precision: the ten points of each
 # test_oracle_edge_cost class, one point of each class of the benchmark's
-# oracle workload (seed 1) and two points of the unit square
+# oracle workload (seed 1) and two points of the unit square; the annulus
+# ring rows at (-0.376, 0.457) and (-0.547, -0.381) are the planar boundary
+# oracle's, nearer the closed form than the ray sweep's were
 PINNED_GEOMETRIES = {
     "disk": Ball(2, 1.0), "annulus": Annulus2D(1.0, 0.5),
     "ellipse": Ellipse2D(2.0, 1.0), "ball3": Ball(3, 1.0),
@@ -355,12 +360,12 @@ ORACLE_PINNED = [
     ("annulus", (-0.3261460014681601, 0.8321097489505186), -0.09670269950087304),
     ("annulus", (0.5780701303404292, -0.015250824860684088), -0.2611641602190832),
     ("annulus", (0.5252613135416905, 0.28331138072984136), -0.25716318047494513),
-    ("annulus", (-0.3759715846375857, 0.456530085698625), -0.2584059252447143),
+    ("annulus", (-0.3759715846375857, 0.456530085698625), -0.25840592524485095),
     ("annulus", (-0.6839316302772105, -0.42659408290938683), -0.16164078875773183),
     ("annulus", (0.61638374932786, 0.4805131526580895), -0.17729379101291962),
     ("annulus", (0.7329470094757797, 0.02132664297154927), -0.2048029935861556),
     ("annulus", (0.8832622266773141, -0.1363575344794621), -0.09671749794738284),
-    ("annulus", (-0.5466509907879044, -0.38072598796600576), -0.23540906539652534),
+    ("annulus", (-0.5466509907879044, -0.38072598796600576), -0.23540906539656964),
     ("ellipse", (-1.2979890769322682, -1.2903417070084469), 0.6255655586604167),
     ("ellipse", (-1.8997378879451787, 2.4234398243330526), 1.1366155407526906),
     ("ellipse", (2.6023325001982895, -0.034327770201876634), 0.893540310219592),
@@ -421,15 +426,39 @@ def test_oracle_cut_free_sweep_meets_tolerance(geo):
         assert abs(res.value - background_potential(dom, p)) <= 1e-9, p
 
 
-@pytest.mark.parametrize("geo,p", [(Ball(2, 1.0), (0.3, 0.2)),
-                                   (Annulus2D(1.0, 0.5), (0.2, 0.1)),
-                                   (Ellipse2D(2.0, 1.0), (1.7, 0.2))],
-                         ids=["disk", "annulus-hole", "ellipse"])
-def test_oracle_cut_free_point_finishes_at_root(geo, p):
-    # a sweep with no cut starts from four quarter turns, and each of these
-    # points' root panels meets its share of the tolerance
-    stats = potential_oracle(UniformDomain(geo, 1.0), p, 1e-9).stats
+@pytest.mark.parametrize("geo", [Ball(2, 1.0), Annulus2D(1.0, 0.5), Ellipse2D(2.0, 1.0)],
+                         ids=["disk", "annulus", "ellipse"])
+def test_oracle_cut_free_point_finishes_at_root(geo):
+    # a far point's boundary integrand is nearly a trigonometric polynomial
+    # of low degree, so each of the four quarter turns' root panels meets
+    # its share of the tolerance
+    stats = potential_oracle(UniformDomain(geo, 1.0), (1e8, 0.3), 1e-9).stats
     assert (stats.depth, stats.panels, stats.tol_met) == (1, 12, True)
+
+
+FAR_BODIES = {"disk": Ball(2, 1.0), "ellipse": Ellipse2D(2.0, 1.0),
+              "ellipse-1.5x1.2": Ellipse2D(1.5, 1.2), "annulus": Annulus2D(1.0, 0.5),
+              "square": Rectangle(((0.0, 1.0), (0.0, 1.0)))}
+
+
+@pytest.mark.parametrize("key", list(FAR_BODIES))
+def test_oracle_far_points_meet_tolerance(key):
+    # from 1e2 to 1e50 body sizes out, the planar oracle is within its
+    # (absolute) tolerance and says it met it
+    dom = UniformDomain(FAR_BODIES[key], 1.0)
+    for x in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12, 1e50):
+        p = (x, 0.3)
+        if key == "square" and x >= 1e4:
+            # rectangle_log_potential cancels far out; the far field's first
+            # correction, the m4 term, is below 1e-17 here
+            ref = dom.N * math.log(math.hypot(x - 0.5, 0.3 - 0.5))
+        else:
+            try:
+                ref = background_potential(dom, p)
+            except UnsupportedRegionError:  # outside an ellipse
+                ref = -balayage_measure(dom).potential(p)
+        res = potential_oracle(dom, p, 1e-9)
+        assert res.stats.tol_met and abs(res.value - ref) <= 1e-9, (p, res.value, ref)
 
 
 def test_oracle_point_misjudged_by_a_whole_turn_root():
@@ -487,34 +516,13 @@ def _quadric_chord_reference(origin, dirs, axes):
 
 
 def _ray_chords_reference(geo, origin, dirs):
-    # the (n, d)-array form: directions are the rows of dirs, and the slab
-    # bounds and quadric coefficients are reduced over its second axis
+    # the (n, d)-array form: directions are the rows of dirs, and the
+    # quadric coefficients are reduced over its second axis
     o = np.asarray(origin, dtype=float)
-    if isinstance(geo, Box):
-        lo, hi = np.array(geo.bounds).T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ta, tb = (lo - o) / dirs, (hi - o) / dirs
-        t0 = np.fmax.reduce(np.fmin(ta, tb), axis=1, initial=0.0)
-        t1 = np.fmin.reduce(np.fmax(ta, tb), axis=1, initial=math.inf)
-        hit = t1 > t0
-        return [(np.where(hit, t0, 0.0), np.where(hit, t1, 0.0))]
-    if isinstance(geo, Annulus2D):
-        t0, t1 = _quadric_chord_reference(o, dirs, (geo.R, geo.R))
-        h0, h1 = _quadric_chord_reference(o, dirs, (geo.c * geo.R, geo.c * geo.R))
-        miss = h1 <= h0
-        h0, h1 = np.where(miss, t1, h0), np.where(miss, t1, h1)
-        return [(t0, h0), (h1, t1)]
     return [_quadric_chord_reference(o, dirs, geo.axes)]
 
 
 RAY_BODIES = [
-    pytest.param(Rectangle(((0.0, 1.0), (0.0, 2.0))),
-                 [(0.3, 0.4), (0.0, 0.5), (1.0, 2.0), (1.6, -0.3)], id="rectangle"),
-    pytest.param(Cuboid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))),
-                 [(0.3, 0.4, 0.2), (0.0, 1.0, 0.5), (1.0, 2.0, 0.0), (1.5, -0.4, 0.25)],
-                 id="cuboid"),
-    pytest.param(Annulus2D(1.0, 0.5), [(0.7, 0.1), (0.1, -0.2), (1.6, 0.3), (0.0, 0.5)],
-                 id="annulus"),
     pytest.param(Ball(2, 1.0), [(0.3, -0.2), (1.0, 0.0), (-1.5, 0.4)], id="disk"),
     pytest.param(Ball(3, 1.0), [(0.2, 0.1, -0.3), (1.8, 0.0, 0.0), (0.0, 0.0, 1.0)],
                  id="ball3"),
@@ -529,8 +537,7 @@ def test_ray_chords_on_components_match_row_form(geo, origins):
     d = geo.dim
     rng = np.random.default_rng(d + len(origins))
     g = rng.standard_normal((200, d))
-    # random directions plus the axis directions, which run parallel to every
-    # slab face but one pair (0/0 on a face the origin lies on)
+    # random directions plus the axis directions
     dirs = np.vstack([g / np.linalg.norm(g, axis=1, keepdims=True), np.eye(d), -np.eye(d)])
     for origin in origins:
         got = domains._ray_chords(geo, origin)(dirs.T)
@@ -538,10 +545,6 @@ def test_ray_chords_on_components_match_row_form(geo, origins):
         assert len(got) == len(ref)
         for (g0, g1), (r0, r1) in zip(got, ref):
             assert np.array_equal(g0, r0) and np.array_equal(g1, r1), origin
-    if isinstance(geo, Annulus2D):
-        # from outside, some rays cross the hole and some miss it
-        (_, h0), (h1, _) = domains._ray_chords(geo, (1.6, 0.3))(dirs.T)
-        assert np.any(h1 > h0) and np.any((h1 == h0) & (h0 > 0.0))
     if domains._ball_radius(geo) is not None and d == 3:
         # the d-ball oracle's planar fan: a zero component given as 0.0
         gam = rng.uniform(0.0, math.pi, 50)
