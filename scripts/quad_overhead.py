@@ -15,7 +15,8 @@ case's median over the repeats and the quartiles.  Cases:
 - ``adaptive_1d`` on -log|x| cos x over [0, 1] at tol 1e-12, a tree of 41
   levels with one or two panels each;
 - one ``potential_oracle`` point at tol 1e-9 per 2d class of the ``oracle``
-  benchmark workload, the 3-ball and the segment;
+  benchmark workload, the 3-ball and the segment, and two of the unit cube
+  (inside and outside);
 - ``BalayageMeasure.potential`` of the ellipse 2x1 at one exterior point,
   the angular sweep of its boundary measure;
 - ``surfaces.projection_identities("constant-potential", d=3)``: ten points
@@ -53,6 +54,8 @@ def cases():
         ("ellipse 2x1, outside", domains.Ellipse2D(2.0, 1.0), (2.5, 0.9)),
         ("unit square, outside", domains.Rectangle(((0.0, 1.0), (0.0, 1.0))), (1.6, 0.4)),
         ("3-ball, outside", domains.Ball(3, 1.0), (1.8, 0.3, 0.0)),
+        ("unit cube, inside", domains.Cuboid(((0.0, 1.0),) * 3), (0.3, 0.6, 0.4)),
+        ("unit cube, outside", domains.Cuboid(((0.0, 1.0),) * 3), (1.6, 0.4, 0.7)),
         ("segment, inside", domains.Segment1D(1.0), (0.3,)),
     ]
     out = [

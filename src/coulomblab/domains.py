@@ -10,12 +10,13 @@ the general Riesz family.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import adaptive_1d, gl_nodes
+from ._quad import adaptive_1d
 from .specfun import EvalResult, SingularityError, gamma
 
 __all__ = [
@@ -550,9 +551,10 @@ _Q_FLOOR = -1.0 + 2.0 ** -53
 
 
 def _oracle_2d(geo, rho_b: float, r, tol: float):
-    """The planar body's potential at r from its boundary.  As div_x((x - r)
-    log(|x - r| / c)) = 2 log(|x - r| / c) + 1, Gauss's theorem gives for
-    any c > 0 (Kellogg, Foundations of Potential Theory, 1929, ch. IV)
+    """The potential at r of a planar ellipse or annulus from its boundary.
+    As div_x((x - r) log(|x - r| / c)) = 2 log(|x - r| / c) + 1, Gauss's
+    theorem gives for any c > 0 (Kellogg, Foundations of Potential Theory,
+    1929, ch. IV)
 
         int_V log|x - r| dA = |V| (log c - 1/2) + 1/2 oint (x - r).n log(|x - r| / c) ds,
 
@@ -565,107 +567,96 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
     (a1 a2 - r1 a2 cos t - r2 a1 sin t) dt and runs four quarter turns from
     t0 = atan2(r2 / a2, r1 / a1), substituted at both t0 ends, where the log
     dips for a point near the boundary; the annulus adds its hole's circle
-    with sign -1.  A box edge's flux is its line's signed distance from r;
-    it is cut at the foot of the perpendicular from r (held to the edge) and
-    substituted there, and skipped when its line holds r (no flux).  The
-    pieces share ``tol`` equally in one ``_edge_integral`` call.
+    with sign -1.  The quarter turns share ``tol`` equally in one
+    ``_edge_integral`` call.
     """
     x, y = r.tolist()
-    if isinstance(geo, Box):
-        (lo1, hi1), (lo2, hi2) = bounds = geo.bounds
-        _check_reach(math.hypot(*(max(ok - lo, hi - ok) for (lo, hi), ok in zip(bounds, (x, y)))))
-        half = (0.5 * (hi1 - lo1), 0.5 * (hi2 - lo2))
-        o = (x - 0.5 * (lo1 + hi1), y - 0.5 * (lo2 + hi2))
-        c = max(math.hypot(*o), math.hypot(*half))
-        u = (o[0] / c, o[1] / c)
-        w = u[0] * u[0] + u[1] * u[1] - 1.0
-        # per piece: its edge's flux times rho_b / 4 (the 1/2 of oint and
-        # of 1/2 log1p), the log's constant and its slope in t / c
-        rows, pieces = [], []
-        for i, ((lo, hi), ok) in enumerate(zip(bounds, (x, y))):
-            j = 1 - i
-            foot = min(max(o[j], -half[j]), half[j])
-            for side, dist in ((-half[i], ok - lo), (half[i], hi - ok)):
-                if dist == 0.0:
-                    continue
-                f = side / c
-                for lo_t, hi_t in ((-half[j], foot), (foot, half[j])):
-                    if hi_t > lo_t:
-                        rows.append((0.25 * rho_b * dist, f * f - 2.0 * f * u[i] + w, 2.0 * u[j]))
-                        pieces.append((lo_t, hi_t, lo_t == foot, hi_t == foot))
-        flux, const, slope = (np.array(col) for col in zip(*rows))
+    curves = [(geo.R, geo.R, 1.0), (geo.c * geo.R, geo.c * geo.R, -1.0)] \
+        if isinstance(geo, Annulus2D) else [(*geo.axes, 1.0)]
+    (b1, b2, _), last = curves[0], curves[-1]
+    rr = math.hypot(x, y)
+    _check_reach(rr + max(b1, b2), min(last[:2]))
+    c = max(rr, b1, b2)
+    u1, u2 = x / c, y / c
+    w = u1 * u1 + u2 * u2 - 1.0
+    a1, a2, k = (np.array(col)[:, None] for col in zip(*curves))
+    k = 0.25 * rho_b * k
+    p, px, py = k * a1 * a2, k * x * a2, k * y * a1
+    aa, bb = (a1 / c) ** 2, (a2 / c) ** 2
+    au, bu = 2.0 * a1 / c * u1, 2.0 * a2 / c * u2
 
-        def h(t, k):
-            s = t / c
-            q = const.take(k) + s * (s - slope.take(k))
-            return flux.take(k) * np.log1p(np.maximum(q, _Q_FLOOR))
-    else:
-        curves = [(geo.R, geo.R, 1.0), (geo.c * geo.R, geo.c * geo.R, -1.0)] \
-            if isinstance(geo, Annulus2D) else [(*geo.axes, 1.0)]
-        (b1, b2, _), last = curves[0], curves[-1]
-        rr = math.hypot(x, y)
-        _check_reach(rr + max(b1, b2), min(last[:2]))
-        c = max(rr, b1, b2)
-        u1, u2 = x / c, y / c
-        w = u1 * u1 + u2 * u2 - 1.0
-        a1, a2, k = (np.array(col)[:, None] for col in zip(*curves))
-        k = 0.25 * rho_b * k
-        p, px, py = k * a1 * a2, k * x * a2, k * y * a1
-        aa, bb = (a1 / c) ** 2, (a2 / c) ** 2
-        au, bu = 2.0 * a1 / c * u1, 2.0 * a2 / c * u2
+    def h(t, _):
+        cs, sn = np.cos(t), np.sin(t)
+        q = (aa * cs - au) * cs + (bb * sn - bu) * sn + w
+        return ((p - px * cs - py * sn) * np.log1p(np.maximum(q, _Q_FLOOR))).sum(axis=0)
 
-        def h(t, _):
-            cs, sn = np.cos(t), np.sin(t)
-            q = (aa * cs - au) * cs + (bb * sn - bu) * sn + w
-            return ((p - px * cs - py * sn) * np.log1p(np.maximum(q, _Q_FLOOR))).sum(axis=0)
-
-        t0 = math.atan2(y / b2, x / b1)
-        pieces = [(t0 + 0.5 * math.pi * n, t0 + 0.5 * math.pi * (n + 1), n == 0, n == 3)
-                  for n in range(4)]
-    res = _edge_integral(h, [(*piece, tol / len(pieces)) for piece in pieces])
+    t0 = math.atan2(y / b2, x / b1)
+    res = _edge_integral(h, [(t0 + 0.5 * math.pi * n, t0 + 0.5 * math.pi * (n + 1),
+                              n == 0, n == 3, 0.25 * tol) for n in range(4)])
     return EvalResult(rho_b * geo.volume * (math.log(c) - 0.5) + res[0], res[1], res.stats)
 
 
-def _cuboid_newton_integral(bounds, y, n: int) -> float:
-    """Direct integral of 1/|y - x| by signed corner decomposition.
+def _oracle_box(geo: Box, rho_b: float, r, tol: float):
+    """The potential at r of a rectangle or a cuboid from its facets.  The
+    rectangle takes ``_oracle_2d``'s identity, an edge's flux (x - r).n
+    being h, the signed distance of r from its line: y_i - lo_i or hi_i -
+    y_i.  The cuboid applies Gauss's theorem twice, div_x((x - r) / |x - r|)
+    = 2 / |x - r| in space, and in a face at height h from r the field (x -
+    p) / (sqrt(h^2 + |x - p|^2) + |h|) about r's foot p has divergence 1 /
+    sqrt(h^2 + |x - p|^2), so (Kellogg, 1929, ch. IV)
 
-    Each corner box [0, L1] x [0, L2] x [0, L3] of y with no zero side splits
-    into three Duffy pyramids with apex at y (Duffy, SIAM J. Numer. Anal. 19,
-    1982); pyramid (a, b, c) contributes a b c / 2 times the n x n
-    Gauss-Legendre sum of 1 / sqrt(a^2 + (b v)^2 + (c w)^2) over the unit
-    square.  All pyramids are evaluated on the grid in one pass and summed
-    per box, then per corner.
+        int_V dV / |x - r| = 1/2 sum_F h sum_(E in F) e int_E dt / (sqrt(h^2 + e^2 + t^2) + |h|),
+
+    e the signed distance of p from edge E's line and t the position along
+    E from the foot of the perpendicular: bounded, with no cancellation.
+    Each facet chain, an edge or a face and then one of its edges, is cut at
+    the foot of the perpendicular from r (held to the edge), substituted
+    there, and skipped when its plane holds r (no flux).  The pieces share
+    ``tol`` equally in one ``_edge_integral`` call.
     """
-    signs, sides = [], []
-    for i0 in range(2):
-        for i1 in range(2):
-            for i2 in range(2):
-                sgn = (-1) ** (i0 + i1 + i2)  # minus for each lower bound
-                v = [bounds[k][1 - ik] - y[k] for k, ik in enumerate((i0, i1, i2))]
-                s = math.prod(math.copysign(1.0, vi) if vi != 0.0 else 0.0 for vi in v)
-                if s == 0.0:
-                    continue
-                L1, L2, L3 = abs(v[0]), abs(v[1]), abs(v[2])
-                signs.append(sgn * s)
-                sides += [(L1, L2, L3), (L2, L3, L1), (L3, L1, L2)]
-    x, w = gl_nodes(n)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    a, b, c = np.array(sides).T[:, :, None, None]
-    grid = np.sum(np.outer(wt, wt) / np.sqrt(a * a + (b * t[:, None]) ** 2 + (c * t) ** 2),
-                  axis=(1, 2))
-    pyramids = ((a * b * c * 0.5).ravel() * grid).reshape(-1, 3).tolist()
-    total = 0.0
-    for sign, (p0, p1, p2) in zip(signs, pyramids):
-        total += sign * (p0 + p1 + p2)
-    return total
+    bounds, y = geo.bounds, r.tolist()
+    dists = [(ok - lo, hi - ok) for (lo, hi), ok in zip(bounds, y)]
+    _check_reach(math.hypot(*(max(pair) for pair in dists)))
+    half = [0.5 * (hi - lo) for lo, hi in bounds]
+    o = [ok - 0.5 * (lo + hi) for (lo, hi), ok in zip(bounds, y)]
+    planar = len(y) == 2
+    if planar:  # the scale c, u and |u|^2 - 1 of _oracle_2d's log1p
+        c = max(math.hypot(*o), math.hypot(*half))
+        u = (o[0] / c, o[1] / c)
+        w = u[0] * u[0] + u[1] * u[1] - 1.0
+    # per piece of an edge along axis k, in the plane: its flux times rho_b /
+    # 4 (the 1/2 of oint and of 1/2 log1p), the log's constant and its slope
+    # in t / c; in space: -rho_b h e / 2, h^2 + e^2, r's place on k and |h|
+    rows, pieces = [], []
+    for *normal, k in itertools.permutations(range(len(y))):
+        foot = min(max(o[k], -half[k]), half[k])
+        for sides in itertools.product((0, 1), repeat=len(normal)):
+            dist = [dists[i][side] for i, side in zip(normal, sides)]
+            if 0.0 in dist:
+                continue
+            if planar:
+                f = (half[normal[0]] if sides[0] else -half[normal[0]]) / c
+                row = (0.25 * rho_b * dist[0], f * f - 2.0 * f * u[normal[0]] + w, 2.0 * u[k])
+            else:
+                hf, e = dist
+                row = (-0.5 * rho_b * hf * e, hf * hf + e * e, o[k], abs(hf))
+            for lo_t, hi_t in ((-half[k], foot), (foot, half[k])):
+                if hi_t > lo_t:
+                    rows.append(row)
+                    pieces.append((lo_t, hi_t, lo_t == foot, hi_t == foot))
+    cols = [np.array(col) for col in zip(*rows)]
 
+    def h(t, k):
+        flux, a, b, *height = (col.take(k) for col in cols)
+        if planar:
+            s = t / c
+            return flux * np.log1p(np.maximum(a + s * (s - b), _Q_FLOOR))
+        dt = t - b
+        return flux / (np.sqrt(a + dt * dt) + height[0])
 
-def _oracle_cuboid(geo: Box, rho_b: float, r, tol: float):
-    y = np.asarray(r, dtype=float)
-    coarse = _cuboid_newton_integral(geo.bounds, y, 28)
-    fine = _cuboid_newton_integral(geo.bounds, y, 40)
-    return -rho_b * fine, abs(fine - coarse) * rho_b
+    res = _edge_integral(h, [(*piece, tol / len(pieces)) for piece in pieces])
+    base = rho_b * geo.volume * (math.log(c) - 0.5) if planar else 0.0
+    return EvalResult(base + res[0], res[1], res.stats)
 
 
 def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r):
@@ -693,18 +684,17 @@ def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r):
 def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     """Direct numerical evaluation of the background-potential integral.
 
-    A planar body runs ``_oracle_2d``: the divergence theorem turns the area
-    integral into one smooth boundary integral, whose arcs or edges go to
-    one breadth-first ``adaptive_1d`` call, far points included.  The
-    segment ``Ball(1, R)`` runs a 1d quadrature cut at the point.  A d-ball,
-    d >= 3, sweeps the rays from the point moved onto its first axis, each
-    carrying the exact radial integral of the kernel, with the cone edge of
-    an exterior point substituted away (``_ray_integral``, which the
-    projection identities of ``surfaces`` share).  A ``Hyperellipsoid`` in
-    d >= 3 with unequal axes averages quasi-random directions (QMC), and the
-    cuboid splits its corner boxes into Duffy pyramids, all evaluated in one
-    grid pass by fixed 28- and 40-point rules with error |fine - coarse|;
-    these two paths ignore ``tol`` and carry no ``QuadStats``.
+    A planar ellipse or annulus runs ``_oracle_2d`` and a rectangle or a
+    cuboid ``_oracle_box``: the divergence theorem turns the volume integral
+    into smooth integrals over arcs or edges, which go to one breadth-first
+    ``adaptive_1d`` call, far points included.  The segment ``Ball(1, R)``
+    runs a 1d quadrature cut at the point.  A d-ball, d >= 3, sweeps the
+    rays from the point moved onto its first axis, each carrying the exact
+    radial integral of the kernel, with the cone edge of an exterior point
+    substituted away (``_ray_integral``, which the projection identities of
+    ``surfaces`` share).  A ``Hyperellipsoid`` in d >= 3 with unequal axes
+    averages quasi-random directions (QMC); this path alone ignores ``tol``
+    and carries no ``QuadStats``.
     Returns value and an absolute error estimate, with the quadrature's
     ``QuadStats`` in ``stats`` on the other paths (``stats.tol_met`` is
     false when a panel was accepted at the roundoff floor or the depth cap
@@ -722,6 +712,8 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     if geo.dim == 1:
         res = _oracle_1d(geo, rho_b, float(p[0]), tol)
         return EvalResult(*res, res.stats)
+    if isinstance(geo, Box):
+        return _oracle_box(geo, rho_b, p, tol)
     if geo.dim == 2:
         return _oracle_2d(geo, rho_b, p, tol)
     if _ball_radius(geo) is not None:
@@ -733,9 +725,6 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
         res = _ray_integral(geo, origin, lambda dirs, c: (c[0, 1] ** 2 - c[0, 0] ** 2) / 2.0, tol)
         return EvalResult(-rho_b * c_dm1 * res[0], abs(c_dm1 * res[1]) * rho_b + 1e-16,
                           res.stats)
-    if isinstance(geo, Box):
-        val, err = _oracle_cuboid(geo, rho_b, p, tol)
-        return EvalResult(val, err)
     if isinstance(geo, Hyperellipsoid):
         val, err = _oracle_ellipsoid_qmc(geo, rho_b, p)
         return EvalResult(val, err)

@@ -85,9 +85,13 @@ def test_oracle_record_says_tolerance_unmet(capsys):
     code, rec = record_of(["potential", "--domain", "ellipse:a1=2,a2=1",
                            "--point", "3,0.5", "--oracle", "--tol", "1e-9"])
     assert code == 0 and rec["diagnostics"]["tol_met"] is True
-    # the cuboid's fixed rules carry no quadrature stats
+    # the cuboid's boundary oracle reports its stats; the QMC path of a d >= 3
+    # hyperellipsoid with unequal axes carries none
     code, rec = record_of(["potential", "--domain", "cuboid:x0=0,x1=1,y0=0,y1=2,z0=0,z1=0.5",
                            "--point", "0.3,0.5,0.2", "--oracle"])
+    assert code == 0 and rec["diagnostics"]["tol_met"] is True
+    code, rec = record_of(["potential", "--domain", "hyperellipsoid:axes=1|2|1.5",
+                           "--point", "0.2,0.1,0.3", "--oracle"])
     assert code == 0 and rec["diagnostics"] is None
 
 
@@ -298,7 +302,8 @@ def test_budget_error_exit_3(monkeypatch):
 
 
 def test_oracle_point_too_far_exit_2(capsys):
-    # its ray chords would overflow; the oracle refuses the point up front
+    # the point lies past the oracle's reach (some 1e152 body sizes), which
+    # it refuses up front as an argument error
     code = main(["potential", "--domain", "ball:d=2,R=1,N=1", "--point=1e160,0",
                  "--oracle", "--json"])
     rec = json.loads(capsys.readouterr().out)

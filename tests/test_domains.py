@@ -126,7 +126,8 @@ def test_nan_positive_parameters_rejected(make):
                                    (Annulus2D(1.0, 0.5), (0.2, -math.inf)),
                                    (Ball(3, 1.0), (0.0, math.nan, 0.0))])
 def test_oracle_rejects_non_finite_point(geo, p):
-    # a ray from an infinite point has no chords to integrate
+    # a point that is not finite has no finite distance to the body; the
+    # oracle refuses it before any quadrature
     with pytest.raises(ValueError):
         potential_oracle(UniformDomain(geo, 1.0), p)
 
@@ -136,11 +137,14 @@ def test_oracle_rejects_non_finite_point(geo, p):
                                    (Annulus2D(1.0, 0.5), (0.0, -1e160)),
                                    (Ellipse2D(1.0, 1e-160), (0.0, 1.0)),
                                    (Rectangle(((0.0, 1.0), (0.0, 1.0))), (1e160, 0.5)),
-                                   (Ball(3, 1.0), (0.0, 1e153, 0.0))])
+                                   (Ball(3, 1.0), (0.0, 1e153, 0.0)),
+                                   (Cuboid(((0.0, 1.0),) * 3), (1e160, 0.5, 0.5))])
 def test_oracle_rejects_point_whose_chords_overflow(geo, p):
-    # a finite point so far out (or an axis so thin) that the chord
-    # quadratic's terms or the ends' t^2 log t overflow would feed nan into
-    # every panel and exhaust the budget
+    # a finite point past the oracle's reach (some 1e152 body sizes, where
+    # squared distances such as the cuboid's h^2 + e^2 + t^2 or the 3-ball's
+    # chord terms overflow), or a quadric axis so thin that the reach's
+    # bound on it overflows, is refused up front, not integrated to inf, nan
+    # or a wrong value such as -0.0
     with pytest.raises(ValueError, match="too far"):
         potential_oracle(UniformDomain(geo, 1.0), p)
 
@@ -158,52 +162,21 @@ def test_cube_center_matches_oracle_tight():
     assert abs(closed - orc.value) < 1e-8
 
 
-def _corner_box_reference(L1, L2, L3, n):
-    # Duffy-split integral of 1/|x| over [0,L1]x[0,L2]x[0,L3], one corner at
-    # a time: the three pyramids with apex at the origin on an n x n grid
-    x, w = _quad.gl_nodes(n)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    V, W = np.meshgrid(t, t, indexing="ij")
-    WW = np.outer(wt, wt)
-    total = 0.0
-    for (a, b, c) in ((L1, L2, L3), (L2, L3, L1), (L3, L1, L2)):
-        total += a * b * c * 0.5 * float(
-            np.sum(WW / np.sqrt(a * a + (b * V) ** 2 + (c * W) ** 2)))
-    return total
-
-
-def _cuboid_integral_reference(bounds, y, n):
-    # signed sum over the eight corner boxes; a corner with a zero side is
-    # skipped
-    total = 0.0
-    for i0 in range(2):
-        for i1 in range(2):
-            for i2 in range(2):
-                sgn = (-1) ** (i0 + i1 + i2)
-                v = [bounds[k][1 - ik] - y[k] for k, ik in enumerate((i0, i1, i2))]
-                s = math.prod(math.copysign(1.0, vi) if vi != 0.0 else 0.0 for vi in v)
-                if s == 0.0:
-                    continue
-                total += sgn * s * _corner_box_reference(abs(v[0]), abs(v[1]), abs(v[2]), n)
-    return total
-
-
-def test_cuboid_integral_matches_per_corner_reference():
-    bounds = ((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))
+def test_cuboid_oracle_meets_tolerance_on_faces_edges_and_corners():
+    # seeded points in and around a (1, 2, 0.5) box, and a lattice of faces,
+    # edges and corners and of points outside on their planes (one, two or
+    # three coordinates on a bound, so that facets are skipped): each within
+    # the requested tolerance of MacMillan's closed form, and saying so
+    dom = UniformDomain(Cuboid(((0.0, 1.0), (0.0, 2.0), (0.0, 0.5))), 1.0)
     rng = np.random.default_rng(1515)
     points = [rng.uniform((-0.5, -0.5, -0.5), (1.5, 2.5, 1.0)) for _ in range(200)]
-    # faces, edges and corners, and points outside on their planes: one, two
-    # or three coordinates on a bound, so four, six or seven corner boxes have
-    # a zero side and are skipped
     levels = [(-0.4, 0.0, 0.3, 1.0, 1.3), (-0.2, 0.0, 1.2, 2.0, 2.6),
               (-0.3, 0.0, 0.2, 0.5, 0.9)]
     points += [np.array(p) for p in
                [(x, y, z) for x in levels[0] for y in levels[1] for z in levels[2]]]
-    for n in (28, 40):
-        for y in points:
-            got = domains._cuboid_newton_integral(bounds, y, n)
-            assert got == _cuboid_integral_reference(bounds, y, n), (n, y)
+    for p in points:
+        res = potential_oracle(dom, p, 1e-9)
+        assert res.stats.tol_met and abs(res.value - background_potential(dom, p)) <= 1e-9, p
 
 
 # ------------------------------------------------------- oracle cross-checks
@@ -255,9 +228,10 @@ def test_closed_form_matches_oracle(geo, where):
         assert reldiff(closed, orc.value) < 1e-6
 
 
-# the angular integrand kinks at rays through a square corner and at tangents
-# to the annulus' inner circle; an oracle that does not cut there misses
-# these points by 8e-8 to 7.5e-5 relative
+# points whose rays from them pass through a square corner or touch the
+# annulus' inner circle, where an angular sweep's integrand kinks (a sweep
+# not cut there missed them by 8e-8 to 7.5e-5 relative); the boundary oracle
+# has no such kinks and must meet the closed form to 1e-9 relative here
 KINK_POINTS = [
     pytest.param(Rectangle(((0.0, 1.0), (0.0, 1.0))), (1.62961129, 0.41572916),
                  id="square-outside"),
@@ -276,9 +250,12 @@ def test_oracle_cut_at_kinks(geo, p):
     assert abs(orc.value - closed) < 1e-9 * abs(closed)
 
 
-# where a ray grazes a circle or ellipse the angular integrand opens like a
-# square root; an oracle that does not substitute there bisects these support
-# edges to depth (1425 to 5325 nodes per point at tol 1e-9)
+# exterior points of the disk, the annulus, the ellipse and the 3-ball, and
+# annulus ring points: the 3-ball's ray sweep opens like a square root at
+# its cone edge, and the planar boundary integrand dips at the point's angle
+# for a point near the boundary; each is substituted there, and without the
+# substitution a sweep bisected to depth (1425 to 5325 nodes per point at
+# tol 1e-9), so each point must take at most 900 nodes
 def _edge_points(kind, rng):
     th = rng.uniform(0.0, 2.0 * math.pi)
     u = np.array([math.cos(th), math.sin(th)])
@@ -406,8 +383,8 @@ def test_oracle_values_pinned(key, p, value):
 
 
 def _cut_free_points(geo, rng, n):
-    # points whose ray sweep has no kink or support edge: the disk's and the
-    # ellipse's interiors and the annulus' hole, out to 0.97 of the boundary
+    # seeded points of the disk's and the ellipse's interiors and of the
+    # annulus' hole, out to 0.97 of the boundary
     scale = (geo.c * geo.R,) * 2 if isinstance(geo, Annulus2D) else geo.axes
     th = rng.uniform(0.0, 2.0 * math.pi, n)
     frac = rng.uniform(0.0, 0.97, n)
@@ -438,17 +415,24 @@ def test_oracle_cut_free_point_finishes_at_root(geo):
 
 FAR_BODIES = {"disk": Ball(2, 1.0), "ellipse": Ellipse2D(2.0, 1.0),
               "ellipse-1.5x1.2": Ellipse2D(1.5, 1.2), "annulus": Annulus2D(1.0, 0.5),
-              "square": Rectangle(((0.0, 1.0), (0.0, 1.0)))}
+              "square": Rectangle(((0.0, 1.0), (0.0, 1.0))),
+              "cube": Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))}
 
 
 @pytest.mark.parametrize("key", list(FAR_BODIES))
 def test_oracle_far_points_meet_tolerance(key):
-    # from 1e2 to 1e50 body sizes out, the planar oracle is within its
+    # from 1e2 to 1e50 body sizes out, the boundary oracle is within its
     # (absolute) tolerance and says it met it
     dom = UniformDomain(FAR_BODIES[key], 1.0)
     for x in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12, 1e50):
         p = (x, 0.3)
-        if key == "square" and x >= 1e4:
+        if key == "cube":
+            # macmillan_cuboid_potential cancels far out; the cube's
+            # quadrupole moment vanishes, so the far field is -N / |r - centre|
+            # to within ~1e-12 at x = 1e2 and far below that beyond
+            p = (x, 0.3, 0.4)
+            ref = -dom.N / math.hypot(x - 0.5, 0.3 - 0.5, 0.4 - 0.5)
+        elif key == "square" and x >= 1e4:
             # rectangle_log_potential cancels far out; the far field's first
             # correction, the m4 term, is below 1e-17 here
             ref = dom.N * math.log(math.hypot(x - 0.5, 0.3 - 0.5))
@@ -472,7 +456,8 @@ def test_oracle_point_misjudged_by_a_whole_turn_root():
 @pytest.mark.parametrize("axes", [(2.0, 1.0), (1.5, 1.2)])
 def test_ellipse_balayage_potential_matches_oracle(axes):
     # the boundary measure reproduces the body's potential outside it; the
-    # measure's angular sweep and the ray oracle share no code
+    # measure's log-kernel sweep and the boundary oracle's divergence-theorem
+    # integrand share no formula
     dom = UniformDomain(Ellipse2D(*axes), 1.0)
     measure = balayage_measure(dom)
     rng = np.random.default_rng(3)
@@ -497,11 +482,10 @@ def test_oracle_stats_flag_unmet_tolerance():
 def test_oracle_stats_on_quadrature_paths():
     for geo, p in [(Segment1D(1.0), (0.3,)), (Ball(2, 1.0), (1.5, 0.4)),
                    (Rectangle(((0.0, 1.0), (0.0, 1.0))), (1.2, 0.5)),
-                   (Hyperellipsoid((2.0, 1.0)), (0.5, 0.2)), (Ball(3, 1.0), (2.0, 0.3, 0.0))]:
+                   (Hyperellipsoid((2.0, 1.0)), (0.5, 0.2)), (Ball(3, 1.0), (2.0, 0.3, 0.0)),
+                   (Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))), (0.5, 0.5, 0.5))]:
         stats = potential_oracle(UniformDomain(geo, 1.0), p, 1e-9).stats
         assert stats.tol_met and stats.panels >= 3, geo
-    cube = UniformDomain(Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))), 1.0)
-    assert potential_oracle(cube, (0.5, 0.5, 0.5), 1e-9).stats is None
 
 
 def _quadric_chord_reference(origin, dirs, axes):
