@@ -421,12 +421,12 @@ def _ray_chords(geo, origin):
     """Chords through the solid ellipsoid sum (x_i/a_i)^2 <= 1 of ``geo``'s
     axes of the rays {origin + t e, t >= 0}, as a function of the directions
     e: it takes their d components as a sequence of (n,) arrays (a component
-    that is zero on every ray may be the float 0.0) and returns a (1, 2, n)
-    array of chords (t0, t1), 0 <= t0 <= t1.  A ray that misses gives t0 =
-    t1.  The quadratic's constant term depends on the origin alone and is
-    computed here, once per point; its other coefficients are summed
-    component by component, first to last.  Raises ValueError for an origin
-    so far from the body that its chords overflow.
+    that is zero on every ray may be the float 0.0) and returns the (2, n)
+    array of their chords (t0, t1), 0 <= t0 <= t1, one per ray.  A ray that
+    misses gives t0 = t1.  The quadratic's constant term depends on the
+    origin alone and is computed here, once per point; its other
+    coefficients are summed component by component, first to last.  Raises
+    ValueError for an origin so far from the body that its chords overflow.
     """
     axes = getattr(geo, "axes", None)
     if axes is None:
@@ -444,7 +444,7 @@ def _ray_chords(geo, origin):
         sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
         # the smaller and larger root, (-b -+ sq) / a; rounding is monotone,
         # so the larger root stays the larger
-        return np.maximum((sq * _ROOT_SIGNS - b) / a, 0.0).reshape(1, 2, -1)
+        return np.maximum((sq * _ROOT_SIGNS - b) / a, 0.0)
     return chords
 
 
@@ -461,10 +461,9 @@ def _check_reach(far, a_min=math.inf):
         raise ValueError("potential_oracle: the point is too far from the body")
 
 
-# u(s) = c1 s + c2 s^2 + c3 s^3 on an interval, by which of its ends
-# (lower, upper) are support edges
-_EDGE_MAPS = {(False, False): (1.0, 0.0, 0.0), (True, False): (0.0, 1.0, 0.0),
-              (False, True): (2.0, -1.0, 0.0), (True, True): (0.0, 3.0, -2.0)}
+# u(s) = u1 s + u2 s^2 on an interval, by which of its ends (lower, upper)
+# is a support edge
+_EDGE_MAPS = {(False, False): (1.0, 0.0), (True, False): (0.0, 1.0), (False, True): (2.0, -1.0)}
 
 
 def _edge_integral(h, pieces):
@@ -472,21 +471,20 @@ def _edge_integral(h, pieces):
     tol), in one adaptive_1d call; its ``.parts`` are the pieces' values.
 
     Piece k lies on [k, k + 1] of the quadrature variable x; with s = x - k
-    it is mapped by theta = lo + (hi - lo) u(s), where u substitutes at the
-    ends that are support edges: u = s^2 at the lower end, s (2 - s) at the
-    upper, s^2 (3 - 2 s) at both, and u = s at neither.  Where h grows like
-    the square root of the distance to an edge, or falls like its inverse,
-    the vanishing u' leaves an integrand smooth in s (Davis & Rabinowitz,
-    Methods of Numerical Integration, 2nd ed., 1984).  ``h`` takes the
-    nodes and the index of each one's piece.
+    it is mapped by theta = lo + (hi - lo) u(s), where u substitutes at an
+    end that is a support edge: u = s^2 at the lower end, s (2 - s) at the
+    upper, and u = s at neither; no piece has a support edge at both ends.
+    Where h grows like the square root of the distance to an edge, or falls
+    like its inverse, the vanishing u' leaves an integrand smooth in s
+    (Davis & Rabinowitz, Methods of Numerical Integration, 2nd ed., 1984).
+    ``h`` takes the nodes and the index of each one's piece.
     """
-    # per piece: its start k and the Horner coefficients, highest last, of
-    # theta = lo + s (a1 + s (a2 + s a3)) and of dtheta/ds = a1 + s (b2 + s b3),
-    # side by side (b3 + s 0 = b3 for s >= 0), then its tolerance
+    # per piece: its start k, theta = lo + s (a1 + s a2), whose derivative
+    # is a1 + s (2 a2), and its tolerance
     rows = []
     for k, (lo, hi, lo_edge, hi_edge, tol) in enumerate(pieces):
-        a1, a2, a3 = ((hi - lo) * c for c in _EDGE_MAPS[lo_edge, hi_edge])
-        rows.append((k, lo, a1, a1, 2.0 * a2, a2, 3.0 * a3, a3, 0.0, tol))
+        u1, u2 = _EDGE_MAPS[lo_edge, hi_edge]
+        rows.append((k, lo, (hi - lo) * u1, (hi - lo) * u2, tol))
     table = np.array(list(zip(*rows)))
     last = len(rows) - 1
 
@@ -495,12 +493,11 @@ def _edge_integral(h, pieces):
         # at s = 0 of the next piece, or at s = 1 of the last, with a weight
         # below roundoff
         k = np.minimum(x.astype(np.intp), last)
-        c = table[:9].take(k, axis=1)
-        s = x - c[0]
-        theta, dtheta = c[1:3] + s * (c[3:5] + s * (c[5:7] + s * c[7:9]))
-        return dtheta * h(theta, k)
+        start, lo, a1, a2 = table[:4].take(k, axis=1)
+        s = x - start
+        return (a1 + s * (2.0 * a2)) * h(lo + s * (a1 + s * a2), k)
 
-    return adaptive_1d(f, table[0], table[0] + 1.0, table[9])
+    return adaptive_1d(f, table[0], table[0] + 1.0, table[4])
 
 
 def _oracle_1d(geo: Hyperellipsoid, rho_b: float, x: float, tol: float):
@@ -673,7 +670,7 @@ def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r):
         u = sob.random_base2(13)
         g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-        ((t0, t1),) = chords(dirs.T)
+        t0, t1 = chords(dirs.T)
         contrib = (t1 * t1 - t0 * t0) / 2.0
         estimates.append(-rho_b * sphere_area(d) * float(np.mean(contrib)))
     val = float(np.mean(estimates))
@@ -722,7 +719,7 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
         origin = np.zeros(geo.dim)
         origin[0] = np.linalg.norm(p)
         c_dm1 = sphere_area(geo.dim - 1)
-        res = _ray_integral(geo, origin, lambda dirs, c: (c[0, 1] ** 2 - c[0, 0] ** 2) / 2.0, tol)
+        res = _ray_integral(geo, origin, lambda dirs, c: (c[1] ** 2 - c[0] ** 2) / 2.0, tol)
         return EvalResult(-rho_b * c_dm1 * res[0], abs(c_dm1 * res[1]) * rho_b + 1e-16,
                           res.stats)
     if isinstance(geo, Hyperellipsoid):

@@ -123,7 +123,7 @@ def _weighted_ray_integral(geo, point, weight, kernel, tol):
             return weight(p[:, None] + s * e.take(k, axis=1)) * kernel(s)
 
         return _edge_integral(h, [(0.0, L, False, True, tol)
-                                  for L in chords[0, 1].tolist()]).parts
+                                  for L in chords[1].tolist()]).parts
 
     total, _ = _ray_integral(geo, p, radial, tol * 10)
     return total if d == 2 else sphere_area(d - 1) * total

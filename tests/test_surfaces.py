@@ -267,7 +267,7 @@ def _per_ray_reference(geo, point, weight, kernel, tol):
     def angular(thetas):
         dirs = np.zeros((len(thetas), d))
         dirs[:, 0], dirs[:, 1] = np.cos(thetas), np.sin(thetas)
-        ((_, exits),) = chords(dirs.T)
+        _, exits = chords(dirs.T)
         out = np.empty_like(thetas)
         for i, (e, L) in enumerate(zip(dirs, exits)):
             def radial(vs):
