@@ -14,6 +14,9 @@ case's median over the repeats and the quartiles.  Cases:
   accepted at the root;
 - ``adaptive_1d`` on -log|x| cos x over [0, 1] at tol 1e-12, a tree of 41
   levels with one or two panels each;
+- ``domains._edge_integral`` of a constant, accepted at the root, on four
+  quarter turns (the planar oracle's pieces) and on the unit cube's 48 facet
+  pieces at an inside point: the piece table's own cost per call;
 - one ``potential_oracle`` point at tol 1e-9 per 2d class of the ``oracle``
   benchmark workload, the 3-ball and the segment, and two of the unit cube
   (inside and outside);
@@ -25,6 +28,8 @@ case's median over the repeats and the quartiles.  Cases:
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import platform
 import statistics
@@ -40,6 +45,22 @@ REPEATS = 200
 
 def _unit(geo):
     return domains.UniformDomain(geo, 1.0)
+
+
+def _quarter_turns(tol):
+    """The four quarter turns of ``domains._oracle_2d``, support edges at 0."""
+    return [(0.5 * math.pi * n, 0.5 * math.pi * (n + 1), n == 0, n == 3, 0.25 * tol)
+            for n in range(4)]
+
+
+def _cube_facet_pieces(y, tol):
+    """The unit cube's 48 pieces at the inside point y as ``domains._oracle_box``
+    cuts them: each of 24 face-edge chains along axis k, split at y's foot."""
+    pieces = []
+    for *_, k in itertools.permutations(range(3)):
+        foot = y[k] - 0.5
+        pieces += [(-0.5, foot, False, True, tol / 48), (foot, 0.5, True, False, tol / 48)] * 4
+    return pieces
 
 
 def cases():
@@ -63,6 +84,11 @@ def cases():
         ("adaptive_1d, 3 intervals, root accepted", lambda: _quad.adaptive_1d(lin, *three)),
         ("adaptive_1d, 41-level log endpoint", lambda: _quad.adaptive_1d(log_end, 0.0, 1.0, 1e-12)),
     ]
+    const = lambda t, k: np.ones_like(t)  # noqa: E731
+    for name, pieces in (("4 quarter turns", _quarter_turns(1e-9)),
+                         ("48 unit-cube facet pieces", _cube_facet_pieces((0.3, 0.6, 0.4), 1e-9))):
+        out.append((f"_edge_integral, {name}",
+                    lambda pieces=pieces: domains._edge_integral(const, pieces)))
     for name, geo, p in oracle:
         dom = _unit(geo)
         out.append((f"potential_oracle, {name}",

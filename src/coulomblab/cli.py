@@ -98,7 +98,12 @@ def parse_geometry(spec: str) -> dom.UniformDomain:
     charge = _num(kv, "N", "1")
     name = name.strip().lower()
     if name == "ball":
-        geo = dom.Ball(int(kv.pop("d", 2)), _num(kv, "R", "1"))
+        d = int(kv.pop("d", 2))
+        # sphere_area(344) overflows in gamma(172), and with it every volume,
+        # closed form and oracle of a d-ball: refuse d before building its axes
+        if d > 343:
+            raise ValueError(f"ball: d = {d} is too large (the volume overflows past d = 343)")
+        geo = dom.Ball(d, _num(kv, "R", "1"))
     elif name == "annulus":
         geo = dom.Annulus2D(_num(kv, "R", "1"), _num(kv, "c"))
     elif name == "segment":
@@ -180,24 +185,31 @@ def _cmd_coeffs(args):
                 method="adaptive lambda-integral quadrature")
 
 
+# the options each surface op reads: its inputs, in the table's order
+_SURFACE_READS = {"identity": ("d", "R", "case"), "shell": ("d", "R", "Q", "point"),
+                  "density": ("Q", "axes", "point"), "potential": ("Q", "axes", "point"),
+                  "projection": ("d", "R", "point")}
+
+
 def _cmd_surface(args):
     from . import surfaces
+    inputs = {key: getattr(args, key) for key in ("op", *_SURFACE_READS[args.op])}
     if args.op == "identity":
         rep = surfaces.projection_identities(args.case, d=args.d, R=args.R)
-        return dict(values=rep, method="identity residual report")
+        return dict(inputs=inputs, values=rep, method="identity residual report")
     if args.op in ("density", "potential"):
         axes = _floats(args.axes, "--axes", "|")
     p = _point(args.point, "--point")
     if args.op == "shell":
-        return dict(value=surfaces.shell_potential(args.d, args.R, args.Q, p),
+        return dict(inputs=inputs, value=surfaces.shell_potential(args.d, args.R, args.Q, p),
                     method="shell theorem")
     if args.op == "density":
-        return dict(value=surfaces.ellipsoid_surface_density(axes, args.Q, p),
+        return dict(inputs=inputs, value=surfaces.ellipsoid_surface_density(axes, args.Q, p),
                     method="equilibrium surface density")
     if args.op == "potential":
-        return dict(value=surfaces.ellipsoid_surface_potential(axes, args.Q, p),
+        return dict(inputs=inputs, value=surfaces.ellipsoid_surface_potential(axes, args.Q, p),
                     method="lambda-integral surface potential")
-    return dict(value=surfaces.projection_density(args.d, args.R, p),
+    return dict(inputs=inputs, value=surfaces.projection_density(args.d, args.R, p),
                 method="projected equilibrium density")
 
 
@@ -407,7 +419,7 @@ def _opt(flag, record=True, **kw):
 
 
 # One entry per subcommand: handler, help text, options.  energy --cube-self,
-# droplet --induced-alpha and sample return their own inputs.
+# droplet --induced-alpha, sample and surface return their own inputs.
 _COMMANDS = {
     "potential": (_cmd_potential, "background potential of a domain", [
         _opt("--domain", required=True), _opt("--point", required=True),

@@ -63,6 +63,17 @@ def test_geometry_parser():
         parse_geometry("ball:d=3,bogus=1")
 
 
+def test_ball_dimension_past_the_volume_overflow_is_refused_before_its_axes(monkeypatch):
+    # sphere_area(344) overflows, so no d-ball past d = 343 can be evaluated;
+    # the spec is refused before the d-tuple of its axes is built
+    assert parse_geometry("ball:d=343").dim == 343
+    monkeypatch.setattr("coulomblab.domains.Ball",
+                        lambda *args: pytest.fail("Ball was built for d = 344"))
+    code, rec = record_of(["potential", "--domain", "ball:d=344", "--point", "0"])
+    assert code == 2 and rec["error"]["type"] == "ValueError"
+    assert "d = 344" in rec["error"]["message"]
+
+
 def test_oracle_route():
     code, rec = record_of(["potential", "--domain", "ball:d=2,R=1,N=1",
                            "--point", "0.3,0.1", "--oracle", "--tol", "1e-9"])

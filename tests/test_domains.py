@@ -479,6 +479,21 @@ def test_oracle_stats_flag_unmet_tolerance():
     assert abs(tight.value - loose.value) < 1e-12
 
 
+@pytest.mark.parametrize("a2", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-20, 1e-50])
+def test_oracle_flags_thin_ellipse_it_cannot_resolve(a2):
+    # the boundary integrand's O(1) flux terms cancel to O(a2), so on a thin
+    # ellipse the error grows like ~1e-16 rho_b (3.9e-6 at (0, 1) for a2 =
+    # 1e-12, 1.3e33 at (0.5, 0.3) for 1e-50); wherever the value misses tol,
+    # the record must say so
+    dom = UniformDomain(Ellipse2D(1.0, a2), 1.0)
+    measure = balayage_measure(dom)
+    for p in [(0.0, 1.0), (0.5, 0.3), (1.5, 0.0), (-0.7, -0.05), (0.2, 2.0), (3.0, 1.0)]:
+        ref = -measure.potential(p)
+        res = potential_oracle(dom, p, 1e-9)
+        if abs(res.value - ref) > 1e-9 * max(1.0, abs(ref)):
+            assert not res.stats.tol_met, (p, res.value, ref, res.est_error)
+
+
 def test_oracle_stats_on_quadrature_paths():
     for geo, p in [(Segment1D(1.0), (0.3,)), (Ball(2, 1.0), (1.5, 0.4)),
                    (Rectangle(((0.0, 1.0), (0.0, 1.0))), (1.2, 0.5)),
