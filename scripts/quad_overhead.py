@@ -18,8 +18,8 @@ case's median over the repeats and the quartiles.  Cases:
   quarter turns (the planar oracle's pieces) and on the unit cube's 48 facet
   pieces at an inside point: the piece table's own cost per call;
 - one ``potential_oracle`` point at tol 1e-9 per 2d class of the ``oracle``
-  benchmark workload, the 3-ball and the segment, and two of the unit cube
-  (inside and outside);
+  benchmark workload and the segment, and two each of the 3-ball, the unit
+  cube and the 1 x 1.5 x 2 ellipsoid (inside and outside);
 - ``BalayageMeasure.potential`` of the ellipse 2x1 at one exterior point,
   the angular sweep of its boundary measure;
 - ``surfaces.projection_identities("constant-potential", d=3)``: ten points
@@ -67,6 +67,7 @@ def cases():
     lin = lambda x: 0.5 * x  # noqa: E731
     log_end = lambda x: -np.log(np.abs(x) + 1e-300) * np.cos(x)  # noqa: E731
     three = (np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), 1e-9)
+    ellipsoid = domains.Hyperellipsoid((1.0, 1.5, 2.0))
     oracle = [
         ("disk, inside", domains.Ball(2, 1.0), (0.3, 0.2)),
         ("disk, outside", domains.Ball(2, 1.0), (1.3, 0.9)),
@@ -74,7 +75,10 @@ def cases():
         ("ellipse 2x1, inside", domains.Ellipse2D(2.0, 1.0), (1.7, 0.2)),
         ("ellipse 2x1, outside", domains.Ellipse2D(2.0, 1.0), (2.5, 0.9)),
         ("unit square, outside", domains.Rectangle(((0.0, 1.0), (0.0, 1.0))), (1.6, 0.4)),
+        ("3-ball, inside", domains.Ball(3, 1.0), (0.3, 0.2, 0.1)),
         ("3-ball, outside", domains.Ball(3, 1.0), (1.8, 0.3, 0.0)),
+        ("hyperellipsoid 1x1.5x2, inside", ellipsoid, (0.2, 0.1, 0.3)),
+        ("hyperellipsoid 1x1.5x2, outside", ellipsoid, (2.5, 1.0, 0.5)),
         ("unit cube, inside", domains.Cuboid(((0.0, 1.0),) * 3), (0.3, 0.6, 0.4)),
         ("unit cube, outside", domains.Cuboid(((0.0, 1.0),) * 3), (1.6, 0.4, 0.7)),
         ("segment, inside", domains.Segment1D(1.0), (0.3,)),
@@ -117,7 +121,7 @@ def main():
     for (name, _), spent in zip(table, times):
         unit, scale = ("ms", 1e-3) if name.endswith("[ms]") else ("us", 1.0)
         q1, med, q3 = (q * scale for q in statistics.quantiles(spent, n=4))
-        print(f"{name.removesuffix(' [ms]'):45s} {med:9.1f} {unit}  (quartiles {q1:.1f}-{q3:.1f})")
+        print(f"{name.removesuffix(' [ms]'):50s} {med:9.1f} {unit}  (quartiles {q1:.1f}-{q3:.1f})")
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ def criterion_1():
         dom.Hyperellipsoid((2.0, 1.0)), dom.Annulus2D(1.0, 0.5), dom.Ball(1, 1.0),
         dom.Rectangle(((0.0, 1.0), (0.0, 1.0))),
         dom.Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))),
+        dom.Hyperellipsoid((1.0, 1.5, 2.0)),
     ]
     worst = 0.0
     worst_geo = ""
@@ -69,6 +70,9 @@ def _sample_point(geo, rng):
         th = rng.uniform(0, 2 * math.pi)
         rad = rng.uniform(geo.c * geo.R * 1.02, geo.R * 0.98)
         return rad * np.array([math.cos(th), math.sin(th)])
+    if hasattr(geo, "axes") and geo.dim >= 3:
+        v = rng.standard_normal(geo.dim)
+        return np.asarray(geo.axes) * v / np.linalg.norm(v) * rng.uniform(0.05, 0.9)
     if hasattr(geo, "axes"):
         (a1, a2), th = geo.axes, rng.uniform(0, 2 * math.pi)
         u = rng.uniform(0.05, 0.95)

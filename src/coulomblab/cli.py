@@ -155,11 +155,9 @@ def _cmd_potential(args):
     p = _point(args.point, "--point")
     if args.oracle:
         res = dom.potential_oracle(u, p, args.tol)
-        # the quadrature's QuadStats (none on the QMC path of an unequal-axis
-        # d >= 3 hyperellipsoid): tol_met is false when --tol was not reached
+        # the quadrature's QuadStats: tol_met is false when --tol was not reached
         return dict(value=res.value, method="direct quadrature oracle",
-                    tolerance=res.est_error,
-                    diagnostics=None if res.stats is None else asdict(res.stats))
+                    tolerance=res.est_error, diagnostics=asdict(res.stats))
     return dict(value=dom.background_potential(u, p), method="closed form",
                 provenance="uniform-background potential, charge -N")
 

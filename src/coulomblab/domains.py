@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._quad import adaptive_1d
+from ._quad import adaptive_1d, gl_nodes
 from .specfun import EvalResult, SingularityError, gamma
 
 __all__ = [
@@ -195,9 +195,11 @@ def _point(r, dim):
 # ------------------------------------------------- hyperellipsoid lambda tools
 
 def _s0(axes, lam):
-    out = np.ones_like(lam)
+    """log S_0(lam) = sum_i log(a_i^2 + lam): the product itself overflows
+    once lam passes ~1e308^(1/d)."""
+    out = np.zeros_like(lam)
     for a in axes:
-        out = out * (a * a + lam)
+        out = out + np.log(a * a + lam)
     return out
 
 
@@ -231,7 +233,8 @@ def _lambda_star(axes, x) -> float:
 
 
 def _lambda_integral(axes, weight, lam0: float = 0.0):
-    """Integral over [lam0, inf) of weight(lam) / sqrt(S_0(lam)).
+    """Integral over [lam0, inf) of weight(lam) / sqrt(S_0(lam)), the root
+    taken as exp(-log S_0 / 2).
 
     Uses lam = lam0 + A (t/(1-t))^2 so the decaying tail becomes a smooth
     integrand on [0, 1] for every d >= 3.
@@ -242,7 +245,7 @@ def _lambda_integral(axes, weight, lam0: float = 0.0):
         t = np.clip(t, 0.0, 1.0 - 1e-16)
         lam = lam0 + scale * (t / (1.0 - t)) ** 2
         jac = 2.0 * scale * t / (1.0 - t) ** 3
-        return weight(lam) / np.sqrt(_s0(axes, lam)) * jac
+        return weight(lam) * np.exp(-0.5 * _s0(axes, lam)) * jac
 
     val, err = adaptive_1d(f, 0.0, 1.0, 1e-13)
     return val, err
@@ -511,34 +514,6 @@ def _oracle_1d(geo: Hyperellipsoid, rho_b: float, x: float, tol: float):
     return adaptive_1d(f, cuts[:-1], cuts[1:], [tol / n] * n)
 
 
-def _ray_integral(geo, origin, radial, tol):
-    """Integral over the directions from ``origin`` of ``radial(dirs,
-    chords)``, the n ray integrals of n directions (their components, as
-    ``_ray_chords`` takes them) and their chords, in one ``_edge_integral``.
-    A planar origin, a point inside a disk or an ellipse, sweeps one whole
-    turn.  An axis point (x, 0, ..., 0), x >= 0, of a d-ball sweeps the
-    polar angle gamma with weight sin(gamma)^(d - 2), outside the ball over
-    gamma > pi - asin(R/x) with the support edge at that end; the caller
-    multiplies by the azimuths' area.
-    """
-    chords = _ray_chords(geo, origin)
-    d = len(origin)
-    if d == 2:
-        def h(thetas, _):
-            dirs = (np.cos(thetas), np.sin(thetas))
-            return radial(dirs, chords(dirs))
-
-        return _edge_integral(h, [(0.0, 2.0 * math.pi, False, False, tol)])
-
-    def h(gammas, _):
-        dirs = (np.cos(gammas), np.sin(gammas), *[0.0] * (d - 2))
-        return radial(dirs, chords(dirs)) * np.sin(gammas) ** (d - 2)
-
-    x, R = float(origin[0]), _ball_radius(geo)
-    lo = math.pi - math.asin(min(R / x, 1.0)) if x > R else 0.0
-    return _edge_integral(h, [(lo, math.pi, x > R, False, tol)])
-
-
 # ----------------------------------------------------- oracle (boundaries)
 
 # q = |xi - u|^2 - 1 >= -1, but where x nears r its rounding can reach -1
@@ -656,26 +631,109 @@ def _oracle_box(geo: Box, rho_b: float, r, tol: float):
     return EvalResult(base + res[0], res[1], res.stats)
 
 
-def _oracle_ellipsoid_qmc(geo: Hyperellipsoid, rho_b: float, r):
-    """Quasi-random directional integration for d >= 3 hyperellipsoids, blind
-    to ``tol``: the mean over 8 scrambled Sobol sets of 2^13 directions (seeds 7..14)."""
-    from scipy.special import ndtri
-    from scipy.stats import qmc
+def _sphere_rule(k: int, n: int):
+    """Nodes (k + 1, m) and weights (m,) of a product rule on the unit sphere
+    S^k: the 2n-point trapezoid rule in the azimuth, then per polar angle
+    t_j, j = 2..k, of measure sin(t_j)^(j - 1) dt_j, n-point Gauss-Legendre
+    in cos(t_j) for even j (a polynomial measure) and the n-point midpoint
+    rule in t_j for odd j (the rule so far is symmetric under u -> -u, so
+    the integrand is an even trigonometric series).  Exact below degree 2n,
+    geometric on analytic integrands (Trefethen & Weideman, SIAM Review 56,
+    2014)."""
+    step = math.pi / n
+    phi = step * np.arange(2 * n)
+    nodes, weights = np.array([np.cos(phi), np.sin(phi)]), np.full(2 * n, step)
+    for j in range(2, k + 1):
+        if j % 2:
+            mid = step * (np.arange(n) + 0.5)
+            cs, wj = np.cos(mid), step * np.sin(mid) ** (j - 1)
+        else:
+            cs, w = gl_nodes(n)
+            wj = w * (1.0 - cs * cs) ** (j // 2 - 1)
+        sn = np.sqrt(1.0 - cs * cs)
+        nodes = np.vstack([(nodes[:, :, None] * sn).reshape(j, -1), np.tile(cs, len(weights))])
+        weights = (weights[:, None] * wj).ravel()
+    return nodes, weights
 
-    d = geo.dim
-    chords = _ray_chords(geo, r)
-    estimates = []
-    for rep in range(8):
-        sob = qmc.Sobol(d, scramble=True, seed=7 + rep)
-        u = sob.random_base2(13)
-        g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-        dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-        t0, t1 = chords(dirs.T)
-        contrib = (t1 * t1 - t0 * t0) / 2.0
-        estimates.append(-rho_b * sphere_area(d) * float(np.mean(contrib)))
-    val = float(np.mean(estimates))
-    stderr = float(np.std(estimates, ddof=1) / math.sqrt(8))
-    return val, stderr
+
+# the most nodes of _sphere_rule that one unequal-axis oracle point may use
+_SPHERE_NODES = 8192
+
+
+def _oracle_ellipsoid(geo: Hyperellipsoid, rho_b: float, r, tol: float):
+    """The potential at r of a hyperellipsoid, d >= 3, from its boundary x =
+    A u, u on the unit sphere, A = diag(axes).  As div_x((x - r) |x - r|^(2
+    - d)) = 2 |x - r|^(2 - d), Gauss's theorem gives (Kellogg, 1929, ch. IV)
+
+        int_V |x - r|^(2 - d) dV = (det A / 2) c^(2 - d) int [1 + (1 - s) p] dsigma(u),
+
+    s = (A^-1 r).u, p = expm1((1 - d/2) log1p(q)), q = |A u - r|^2 / c^2 - 1,
+    the 1 standing for 1 - s, as s integrates to zero.  With c = max(|r|,
+    largest axis) q is summed from small terms, its constant part 0 when c =
+    |r|, so far points neither cancel nor overflow.  u = cos g e + sin g v
+    about the pole e = A^-1 r / |A^-1 r|: per inner node v, g runs over [0,
+    pi/2], substituted at the pole, and [pi/2, pi], in one ``_edge_integral``
+    call.  A ball's v is one node of weight c_(d - 1); otherwise v takes
+    ``_sphere_rule(d - 2, n)`` on e's complement, n doubling from 2 until two
+    rules agree to tol/2 or ``_SPHERE_NODES`` stops it (``tol_met`` false).
+    The bracket takes tol / max(1, prefactor); the stats are the last rule's.
+    """
+    axes, d, y = geo.axes, geo.dim, r.tolist()
+    rr = math.hypot(*y)
+    _check_reach(rr + max(axes))
+    c = max(rr, *axes)
+    # rho_b det A c^(2 - d) / 2 from its largest factor down, so that no
+    # partial product underflows before the whole does
+    pref = math.prod([0.5 * rho_b * c * c, *(a / c for a in axes)])
+    tol_b = tol / max(1.0, pref)
+    rc = [v / c for v in y]
+    t = [v / a for v, a in zip(rc, axes)]
+    nt = math.hypot(*t)
+    e = [v / nt for v in t] if nt > 0.0 else [1.0] + [0.0] * (d - 1)
+    ny, ae = nt * c, [a / c * v for a, v in zip(axes, e)]
+    # q = kappa - delta2 cos g + sin g (gm sin g + be (cos g - |A^-1 r|)); on a
+    # ball |A v|^2 = |A e|^2 and A e.A v = 0 drop the last two
+    alpha = sum(v * v for v in ae)
+    kappa = alpha + (0.0 if c == rr else sum(v * v for v in rc) - 1.0)
+    delta2 = 2.0 * sum(u * v for u, v in zip(ae, rc))
+    expo, half, c_dm1 = 1.0 - 0.5 * d, 0.5 * math.pi, sphere_area(d - 1)
+
+    def sweep(wts, coeffs, budget):
+        # the nodes' pieces are integrated unweighted, each to budget / (2
+        # c_(d - 1)), and summed with the weights, which add up to c_(d - 1)
+        cols = [np.repeat(col, 2) for col in coeffs]
+
+        def h(g, k):
+            cs, sn = np.cos(g), np.sin(g)
+            q = kappa - delta2 * cs
+            if cols:
+                gm, be = (col.take(k) for col in cols)
+                q = q + sn * (gm * sn + be * (cs - ny))
+            p = np.expm1(expo * np.log1p(np.maximum(q, _Q_FLOOR)))
+            return (1.0 + (1.0 - ny * cs) * p) * sn ** (d - 2)
+
+        res = _edge_integral(h, [(lo, hi, lo == 0.0, False, 0.5 * budget / c_dm1)
+                                 for _ in wts for lo, hi in ((0.0, half), (half, math.pi))])
+        return float(np.repeat(wts, 2) @ res.parts), float(max(wts)) * res[1], res.stats
+
+    if _ball_radius(geo) is not None:
+        val, err, stats = sweep([c_dm1], (), tol_b)
+        return EvalResult(-pref * val, pref * err, stats)
+    if 2 ** (d - 1) > _SPHERE_NODES:
+        raise UnsupportedRegionError(f"potential_oracle: no sphere rule for {d} unequal axes")
+    # A / c on an orthonormal frame of e's complement
+    frame = np.linalg.qr(np.column_stack([e, np.eye(d)]))[0][:, 1:] * (np.array(axes) / c)[:, None]
+    n, prev = 2, 0.0
+    while True:
+        v, wts = _sphere_rule(d - 2, n)
+        av = frame @ v
+        val, err, stats = sweep(wts, ((av * av).sum(axis=0) - alpha, 2.0 * (ae @ av)), 0.5 * tol_b)
+        gap = abs(val - prev)
+        if gap <= 0.5 * tol_b or 2 * (2 * n) ** (d - 2) > _SPHERE_NODES:
+            break
+        n, prev = 2 * n, val
+    stats = replace(stats, tol_met=stats.tol_met and gap <= 0.5 * tol_b)
+    return EvalResult(-pref * val, pref * (err + gap), stats)
 
 
 def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
@@ -685,19 +743,17 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     cuboid ``_oracle_box``: the divergence theorem turns the volume integral
     into smooth integrals over arcs or edges, which go to one breadth-first
     ``adaptive_1d`` call, far points included.  The segment ``Ball(1, R)``
-    runs a 1d quadrature cut at the point.  A d-ball, d >= 3, sweeps the
-    rays from the point moved onto its first axis, each carrying the exact
-    radial integral of the kernel, with the cone edge of an exterior point
-    substituted away (``_ray_integral``, which the projection identities of
-    ``surfaces`` share).  A ``Hyperellipsoid`` in d >= 3 with unequal axes
-    averages quasi-random directions (QMC); this path alone ignores ``tol``
-    and carries no ``QuadStats``.
+    runs a 1d quadrature cut at the point.  Every ``Hyperellipsoid`` in d >=
+    3, ball or not, runs ``_oracle_ellipsoid``: the same theorem on its
+    bounding sphere, swept about the pole that the point picks, with a
+    product rule over the other directions unless the body is a ball.
     Returns value and an absolute error estimate, with the quadrature's
-    ``QuadStats`` in ``stats`` on the other paths (``stats.tol_met`` is
-    false when a panel was accepted at the roundoff floor or the depth cap
-    short of its tolerance); raises QuadratureBudgetError carrying the best
-    estimate on failure, and ValueError for a point that is not finite or
-    too far from the body (some 1e152 body sizes, ``_check_reach``).
+    ``QuadStats`` in ``stats`` (``stats.tol_met`` is false when a panel was
+    accepted at the roundoff floor or the depth cap short of its tolerance,
+    or an unequal-axis body's sphere rule stopped at its node cap); raises
+    QuadratureBudgetError carrying the best estimate on failure, and
+    ValueError for a point that is not finite or too far from the body (some
+    1e152 body sizes, ``_check_reach``).
     """
     if not tol > 0:
         raise ValueError("potential_oracle: tol must be > 0")
@@ -713,18 +769,8 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
         return _oracle_box(geo, rho_b, p, tol)
     if geo.dim == 2:
         return _oracle_2d(geo, rho_b, p, tol)
-    if _ball_radius(geo) is not None:
-        # the point moved onto the first axis; each chord's integral of the
-        # kernel t^(2-d) times the Jacobian t^(d-1)
-        origin = np.zeros(geo.dim)
-        origin[0] = np.linalg.norm(p)
-        c_dm1 = sphere_area(geo.dim - 1)
-        res = _ray_integral(geo, origin, lambda dirs, c: (c[1] ** 2 - c[0] ** 2) / 2.0, tol)
-        return EvalResult(-rho_b * c_dm1 * res[0], abs(c_dm1 * res[1]) * rho_b + 1e-16,
-                          res.stats)
     if isinstance(geo, Hyperellipsoid):
-        val, err = _oracle_ellipsoid_qmc(geo, rho_b, p)
-        return EvalResult(val, err)
+        return _oracle_ellipsoid(geo, rho_b, p, tol)
     raise UnsupportedRegionError(f"no oracle for geometry {type(geo).__name__}")
 
 

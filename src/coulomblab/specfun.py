@@ -25,12 +25,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EvalResult:
-    """A numerical value together with an absolute error estimate, and the
-    adaptive quadrature's ``_quad.QuadStats`` when one produced it."""
+    """A numerical value together with an absolute error estimate and the
+    ``_quad.QuadStats`` of the adaptive quadrature that produced it."""
 
     value: float
     est_error: float
-    stats: object = None
+    stats: object
 
     def __post_init__(self):
         if not math.isfinite(self.value):

@@ -16,7 +16,7 @@ from .domains import (
     _lambda_integral,
     _lambda_star,
     _point,
-    _ray_integral,
+    _ray_chords,
     coulomb_radial,
     sphere_area,
 )
@@ -105,27 +105,33 @@ def projection_density(d: int, R: float, r) -> float:
 
 def _weighted_ray_integral(geo, point, weight, kernel, tol):
     """Integral over the convex body geo of weight(r') k(|point - r'|) by
-    rays from the interior point (planar, or (x, 0, ..., 0), x >= 0, in a
-    d-ball), their directions swept by ``domains._ray_integral``.  The rays
-    of one angular level run to their exits L in one ``_edge_integral``
-    call, the rim an upper support edge: the weights below open or blow up
-    there like a square root.  ``weight`` maps a (d, m) array of points to
-    their weights; ``kernel`` must already include the polar Jacobian
-    s^(d-1) (so the d = 3 Coulomb kernel 1/s enters a planar body as 1).
+    rays from the interior point: a planar one sweeps a whole turn, an axis
+    point (x, 0, ..., 0), x >= 0, of a d-ball the polar angle gamma in [0,
+    pi] with weight sin(gamma)^(d - 2), times the azimuths' area.  The rays
+    of one angular level run to their exits L (``domains._ray_chords``) in
+    one ``_edge_integral`` call, the rim an upper support edge: the weights
+    below open or blow up there like a square root.  ``weight`` maps a (d,
+    m) array of points to their weights; ``kernel`` must already include the
+    polar Jacobian s^(d-1) (so the d = 3 Coulomb kernel 1/s enters a planar
+    body as 1).
     """
     p = np.asarray(point, dtype=float)
     d = len(p)
+    chords = _ray_chords(geo, p)
 
-    def radial(dirs, chords):
+    def sweep(angles, _):
+        dirs = (np.cos(angles), np.sin(angles), *[0.0] * (d - 2))
         e = np.array(np.broadcast_arrays(*dirs))
 
         def h(s, k):
             return weight(p[:, None] + s * e.take(k, axis=1)) * kernel(s)
 
-        return _edge_integral(h, [(0.0, L, False, True, tol)
-                                  for L in chords[1].tolist()]).parts
+        parts = _edge_integral(h, [(0.0, L, False, True, tol)
+                                   for L in chords(dirs)[1].tolist()]).parts
+        return parts if d == 2 else parts * np.sin(angles) ** (d - 2)
 
-    total, _ = _ray_integral(geo, p, radial, tol * 10)
+    turn = 2.0 * math.pi if d == 2 else math.pi
+    total, _ = _edge_integral(sweep, [(0.0, turn, False, False, tol * 10)])
     return total if d == 2 else sphere_area(d - 1) * total
 
 

@@ -96,14 +96,14 @@ def test_oracle_record_says_tolerance_unmet(capsys):
     code, rec = record_of(["potential", "--domain", "ellipse:a1=2,a2=1",
                            "--point", "3,0.5", "--oracle", "--tol", "1e-9"])
     assert code == 0 and rec["diagnostics"]["tol_met"] is True
-    # the cuboid's boundary oracle reports its stats; the QMC path of a d >= 3
-    # hyperellipsoid with unequal axes carries none
+    # the cuboid's and an unequal-axis d >= 3 hyperellipsoid's boundary
+    # oracles report their stats too
     code, rec = record_of(["potential", "--domain", "cuboid:x0=0,x1=1,y0=0,y1=2,z0=0,z1=0.5",
                            "--point", "0.3,0.5,0.2", "--oracle"])
     assert code == 0 and rec["diagnostics"]["tol_met"] is True
     code, rec = record_of(["potential", "--domain", "hyperellipsoid:axes=1|2|1.5",
                            "--point", "0.2,0.1,0.3", "--oracle"])
-    assert code == 0 and rec["diagnostics"] is None
+    assert code == 0 and rec["diagnostics"]["tol_met"] is True
 
 
 def test_text_output_warns_when_tolerance_unmet(capsys):

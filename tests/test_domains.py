@@ -251,11 +251,11 @@ def test_oracle_cut_at_kinks(geo, p):
 
 
 # exterior points of the disk, the annulus, the ellipse and the 3-ball, and
-# annulus ring points: the 3-ball's ray sweep opens like a square root at
-# its cone edge, and the planar boundary integrand dips at the point's angle
-# for a point near the boundary; each is substituted there, and without the
-# substitution a sweep bisected to depth (1425 to 5325 nodes per point at
-# tol 1e-9), so each point must take at most 900 nodes
+# annulus ring points: the boundary integrand dips at the point's angle, or
+# about the 3-ball's pole, for a point near the boundary; each is
+# substituted there, and without the substitution a sweep bisected to depth
+# (1425 to 5325 nodes per point at tol 1e-9), so each point must take at
+# most 900 nodes
 def _edge_points(kind, rng):
     th = rng.uniform(0.0, 2.0 * math.pi)
     u = np.array([math.cos(th), math.sin(th)])
@@ -304,7 +304,8 @@ def test_oracle_edge_cost(geo, kind, monkeypatch):
 # test_oracle_edge_cost class, one point of each class of the benchmark's
 # oracle workload (seed 1) and two points of the unit square; the annulus
 # ring rows at (-0.376, 0.457) and (-0.547, -0.381) are the planar boundary
-# oracle's, nearer the closed form than the ray sweep's were
+# oracle's, nearer the closed form than the ray sweep's were; the ball3 rows
+# are the d-ball ray sweep's, which its boundary oracle meets to 1.1e-15
 PINNED_GEOMETRIES = {
     "disk": Ball(2, 1.0), "annulus": Annulus2D(1.0, 0.5),
     "ellipse": Ellipse2D(2.0, 1.0), "ball3": Ball(3, 1.0),
@@ -416,14 +417,29 @@ def test_oracle_cut_free_point_finishes_at_root(geo):
 FAR_BODIES = {"disk": Ball(2, 1.0), "ellipse": Ellipse2D(2.0, 1.0),
               "ellipse-1.5x1.2": Ellipse2D(1.5, 1.2), "annulus": Annulus2D(1.0, 0.5),
               "square": Rectangle(((0.0, 1.0), (0.0, 1.0))),
-              "cube": Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))}
+              "cube": Cuboid(((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))),
+              "ball3": Ball(3, 1.0), "ball5": Ball(5, 1.0),
+              "ellipsoid-1x1.5x2": Hyperellipsoid((1.0, 1.5, 2.0))}
 
 
 @pytest.mark.parametrize("key", list(FAR_BODIES))
 def test_oracle_far_points_meet_tolerance(key):
     # from 1e2 to 1e50 body sizes out, the boundary oracle is within its
-    # (absolute) tolerance and says it met it
+    # (absolute) tolerance and says it met it; a hyperellipsoid in d >= 3,
+    # out to 1e150 on and off its axes, within tol relative to values below 1
     dom = UniformDomain(FAR_BODIES[key], 1.0)
+    d = dom.dim
+    if isinstance(dom.geometry, Hyperellipsoid) and d >= 3:
+        for x in (1e2, 1e4, 1e8, 1e20, 1e50, 1e100, 1e150):
+            for p in ((x, 0.3) + (0.0,) * (d - 2), (-x, x / 2, x / 3, x / 5, x / 7)[:d]):
+                # the 3-axis closed form underflows from ~1e104 out; there the
+                # far field's first correction is below 1e-200 relative
+                ref = -dom.N * math.hypot(*p) ** (2 - d) if x >= 1e150 \
+                    else background_potential(dom, p)
+                res = potential_oracle(dom, p, 1e-9)
+                assert res.stats.tol_met and abs(res.value - ref) <= 1e-9 * min(1.0, abs(ref)), \
+                    (p, res.value, ref)
+        return
     for x in (1e2, 1e4, 1e6, 1e8, 1e10, 1e12, 1e50):
         p = (x, 0.3)
         if key == "cube":
@@ -542,7 +558,7 @@ def test_ray_chords_on_components_match_row_form(geo, origins):
             _ray_chords_reference(geo, origin, dirs)
         assert np.array_equal(g0, r0) and np.array_equal(g1, r1), origin
     if domains._ball_radius(geo) is not None and d == 3:
-        # the d-ball oracle's planar fan: a zero component given as 0.0
+        # a d-ball's planar fan of ray directions: a zero component given as 0.0
         gam = rng.uniform(0.0, math.pi, 50)
         fan = np.column_stack([np.cos(gam), np.sin(gam), np.zeros(50)])
         g0, g1 = domains._ray_chords(geo, (1.8, 0.0, 0.0))((fan[:, 0], fan[:, 1], 0.0))
@@ -675,15 +691,52 @@ def test_poisson_laplacian_interior_and_exterior():
 
 
 def test_hyperellipsoid_d4_oracle():
-    # quasi-random directional oracle, which a 3-axis body takes too: no
-    # quadrature stats, 3 sigma agreement
+    # the boundary oracle of an unequal-axis body, which a 3-axis body takes
+    # too: it meets the requested tolerance and says so
     for axes, p in (((1.0, 1.0, 1.0, 2.0), [0.0, 0.0, 0.0, 0.0]),
                     ((1.0, 1.0, 2.0), [0.2, 0.1, 0.3])):
         dom = UniformDomain(Hyperellipsoid(axes), 1.0)
         closed = background_potential(dom, p)
-        orc = potential_oracle(dom, p)
-        assert orc.stats is None
-        assert abs(closed - orc.value) < 3.0 * orc.est_error + 1e-12
+        orc = potential_oracle(dom, p, 1e-9)
+        assert orc.stats.tol_met
+        assert abs(closed - orc.value) <= 1e-9
+
+
+def test_oracle_refuses_unequal_axes_past_its_sphere_rule():
+    # 15 unequal axes: the coarsest rule on S^13 would pass the node cap
+    dom = UniformDomain(Hyperellipsoid([1.0 + 0.1 * i for i in range(15)]), 1.0)
+    with pytest.raises(UnsupportedRegionError):
+        potential_oracle(dom, [0.0] * 15)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sphere_rule_integrates_quadratics_exactly(k):
+    # the unequal-axis oracle's product rule on S^k at n = 4: its nodes lie
+    # on the sphere, its weights sum to the area, and each u_i^2 averages
+    # to 1 / (k + 1)
+    nodes, weights = domains._sphere_rule(k, 4)
+    area = domains.sphere_area(k + 1)
+    assert nodes.shape == (k + 1, len(weights))
+    assert np.allclose(np.sum(nodes * nodes, axis=0), 1.0, rtol=0.0, atol=1e-15)
+    assert abs(weights.sum() - area) <= 1e-14 * area
+    for row in nodes:
+        assert abs(weights @ (row * row) - area / (k + 1)) <= 1e-14 * area
+
+
+@pytest.mark.parametrize("axes,xs", [((1.0, 1.5, 2.0), (1e50, 1e100)),
+                                     ((1.0, 1.2, 1.4, 1.6, 1.8), (1e30, 1e50)),
+                                     (tuple(1.0 + 0.1 * i for i in range(8)), (1e20, 1e30))],
+                         ids=["3-axis", "5-axis", "8-axis"])
+def test_hyperellipsoid_closed_form_far_field(axes, xs):
+    # the lambda-integral's S_0 is summed as logs: the product of a_i^2 + lam
+    # overflowed once lam passed ~1e308^(1/d) and cut the tail (the 3-axis
+    # body read 8.2e-2 off at 1e50 and -0.0 at 1e100)
+    dom = UniformDomain(Hyperellipsoid(axes), 1.0)
+    d = len(axes)
+    for x in xs:
+        p = (x, 0.3) + (0.0,) * (d - 2)
+        far = -dom.N * math.hypot(*p) ** (2 - d)
+        assert abs(background_potential(dom, p) / far - 1.0) <= 1e-12, x
 
 
 def test_hyperellipsoid_far_field():

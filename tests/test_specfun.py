@@ -104,9 +104,9 @@ def test_hurwitz_forward_recurrence(s, a):
 
 
 def test_eval_result_invariants():
-    r = EvalResult(1.5, 1e-9)
+    r = EvalResult(1.5, 1e-9, None)
     assert r.value == 1.5
     with pytest.raises(ValueError):
-        EvalResult(math.nan, 0.0)
+        EvalResult(math.nan, 0.0, None)
     with pytest.raises(ValueError):
-        EvalResult(1.0, -1.0)
+        EvalResult(1.0, -1.0, None)
