@@ -190,3 +190,24 @@ def test_many_intervals_with_one_tol_are_their_single_calls(name):
         assert res.stats.depth == max(r.stats.depth for r in singles)
         assert seen["calls"] == res.stats.depth
     assert res.stats.depth == 1
+
+
+def test_degenerate_intervals_keep_their_root_verdict():
+    # a zero-width interval's root has no panel fraction (0 / 0), so it is
+    # accepted at the roundoff floor, not by its tolerance; an interval
+    # whose width overflows never meets its tolerance at the root and is
+    # accepted one level down
+    one = np.ones_like
+    with np.errstate(invalid="ignore", over="ignore"):
+        res = adaptive_1d(one, 0.5, 0.5, 1e-10)
+        assert tuple(res) == (0.0, 0.0)
+        assert res.stats == QuadStats(panels=3, depth=1, at_cap=0, at_floor=1, tol_met=False)
+        res = adaptive_1d(one, [0.0, 1.0, 1.0], [1.0, 1.0, 2.0], 1e-10)
+        assert tuple(res) == (2.0, 0.0) and res.parts.tolist() == [1.0, 0.0, 1.0]
+        assert res.stats == QuadStats(9, 1, 0, 1, False)
+        res = adaptive_1d(one, [-1e308, 0.0], [1e308, 1.0], 1e-10)
+        assert tuple(res) == (math.inf, 0.0) and res.parts.tolist() == [math.inf, 1.0]
+        assert res.stats == QuadStats(10, 2, 0, 0, True)
+        res = adaptive_1d(lambda x: 1.0 / (1.0 + x * x), -1e308, 1e308, 1e-10)
+        assert tuple(res) == (0.0, 0.0)
+        assert res.stats == QuadStats(7, 2, 0, 0, True)
