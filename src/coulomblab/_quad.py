@@ -73,6 +73,13 @@ def gl_nodes(n: int):
     return x, w
 
 
+@lru_cache(maxsize=1)
+def _panel_rule():
+    """The 15-point rule's x + 1 and weights, built on first use."""
+    x, w = gl_nodes(15)
+    return x + 1.0, w
+
+
 def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
                 max_depth: int = 48) -> QuadResult:
     """Adaptive bisection quadrature with a fixed 15-point GL rule per panel,
@@ -98,8 +105,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     that still needs splitting past that raises QuadratureBudgetError
     carrying the running estimate.
     """
-    x, w = gl_nodes(15)
-    xp1 = x + 1.0
+    xp1, w = _panel_rule()
     a, b, tol = (np.array(v, dtype=float, ndmin=1) for v in (a, b, tol))
     if not a.size == b.size == tol.size:
         a, b, tol = np.broadcast_arrays(a, b, tol)
@@ -112,10 +118,11 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
     sums = hs * np.dot(f((starts[:, :, None] + hs[:, :, None] * xp1).ravel())
                        .reshape(3, m, 15), w)
     coarse, halves = sums[0], sums[1:]
-    # the panels of a level: lo, hi, value, their halves' values, and their
-    # interval's tol, b - a and roundoff floor; the root level reads them off
-    # the inputs, deeper levels off the panel table
-    lo, hi, tl, span = a, b, tol, b - a
+    # a panel passes below tol times its fraction of the interval (at least
+    # 1e-12); a root's fraction span / span is 1, or nan where span is 0 or
+    # overflows, so tol * (span / span) is its bound bit for bit
+    span = b - a
+    bound = tol * (span / span)
     floor = table = None
     used, depth, at_cap, at_floor = 3 * m, 0, 0, 0
     levels = []
@@ -123,7 +130,7 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
         n = len(coarse)
         fine = halves[0] + halves[1]
         err = np.abs(fine - coarse)
-        done = err < tl * np.maximum((hi - lo) / span, 1e-12)
+        done = err < bound
         n_done = n_met = int(np.count_nonzero(done))
         if n_met < n:
             if floor is None:   # the roots' roundoff floor, when first needed
@@ -163,7 +170,8 @@ def adaptive_1d(f, a, b, tol, max_panels: int = 20000,
                               .reshape(4, -1, 15), w)).reshape(2, -1)
         table = table.take(_CHILDREN, axis=0).reshape(12, -1)
         used += 2 * len(coarse)
-        lo, hi, tl, span, floor = table[0], table[5], table[8], table[9], table[10]
+        floor = table[10]
+        bound = table[8] * np.maximum((table[5] - table[0]) / table[9], 1e-12)
     stats = QuadStats(used, depth + 1, at_cap, at_floor, at_cap == 0 and at_floor == 0)
     # per interval, the accepted panels from the upper end down: the order in
     # which a depth-first walk that splits the right half first accepts them

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,6 +48,7 @@ class UnsupportedRegionError(ValueError):
     """No closed form applies at the requested point; use potential_oracle."""
 
 
+@lru_cache(maxsize=64)
 def sphere_area(d: int) -> float:
     """Surface area c_d of the unit sphere embedded in R^d."""
     return 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
@@ -100,7 +102,7 @@ class Hyperellipsoid:
     def dim(self):
         return len(self.axes)
 
-    @property
+    @cached_property
     def volume(self):
         return sphere_area(self.dim) * math.prod(self.axes) / self.dim
 
@@ -166,7 +168,7 @@ class UniformDomain:
     def dim(self):
         return self.geometry.dim
 
-    @property
+    @cached_property
     def rho_b(self) -> float:
         return self.N / self.geometry.volume
 
@@ -488,7 +490,7 @@ def _edge_integral(h, pieces):
     for k, (lo, hi, lo_edge, hi_edge, tol) in enumerate(pieces):
         u1, u2 = _EDGE_MAPS[lo_edge, hi_edge]
         rows.append((k, lo, (hi - lo) * u1, (hi - lo) * u2, tol))
-    table = np.array(list(zip(*rows)))
+    table = np.array(rows).T
     last = len(rows) - 1
 
     def f(x):
@@ -551,16 +553,22 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
     c = max(rr, b1, b2)
     u1, u2 = x / c, y / c
     w = u1 * u1 + u2 * u2 - 1.0
-    a1, a2, k = (np.array(col)[:, None] for col in zip(*curves))
-    k = 0.25 * rho_b * k
-    p, px, py = k * a1 * a2, k * x * a2, k * y * a1
-    aa, bb = (a1 / c) ** 2, (a2 / c) ** 2
-    au, bu = 2.0 * a1 / c * u1, 2.0 * a2 / c * u2
+    # per curve, as floats: the flux p - px cos t - py sin t and the log's
+    # q = (aa cos t - au) cos t + (bb sin t - bu) sin t + w; h adds the
+    # curves' terms in curve order
+    coeffs = []
+    for a1, a2, sign in curves:
+        k = 0.25 * rho_b * sign
+        sa, sb = a1 / c, a2 / c
+        coeffs.append((k * a1 * a2, k * x * a2, k * y * a1, sa * sa, 2.0 * a1 / c * u1,
+                       sb * sb, 2.0 * a2 / c * u2))
 
     def h(t, _):
         cs, sn = np.cos(t), np.sin(t)
-        q = (aa * cs - au) * cs + (bb * sn - bu) * sn + w
-        return ((p - px * cs - py * sn) * np.log1p(np.maximum(q, _Q_FLOOR))).sum(axis=0)
+        terms = [(p - px * cs - py * sn)
+                 * np.log1p(np.maximum((aa * cs - au) * cs + (bb * sn - bu) * sn + w, _Q_FLOOR))
+                 for p, px, py, aa, au, bb, bu in coeffs]
+        return sum(terms[1:], terms[0])
 
     t0 = math.atan2(y / b2, x / b1)
     res = _edge_integral(h, [(t0 + 0.5 * math.pi * n, t0 + 0.5 * math.pi * (n + 1),
