@@ -552,7 +552,9 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
     _check_reach(rr + max(b1, b2), min(last[:2]))
     c = max(rr, b1, b2)
     u1, u2 = x / c, y / c
-    w = u1 * u1 + u2 * u2 - 1.0
+    # |u|^2 - 1 is 0 when c = |r|, but its rounding (~1e-16) would swamp the
+    # log1p argument's ~1/c far off the axes
+    w = 0.0 if c == rr else u1 * u1 + u2 * u2 - 1.0
     # per curve, as floats: the flux p - px cos t - py sin t and the log's
     # q = (aa cos t - au) cos t + (bb sin t - bu) sin t + w; h adds the
     # curves' terms in curve order
@@ -601,9 +603,10 @@ def _oracle_box(geo: Box, rho_b: float, r, tol: float):
     o = [ok - 0.5 * (lo + hi) for (lo, hi), ok in zip(bounds, y)]
     planar = len(y) == 2
     if planar:  # the scale c, u and |u|^2 - 1 of _oracle_2d's log1p
-        c = max(math.hypot(*o), math.hypot(*half))
+        ro = math.hypot(*o)
+        c = max(ro, math.hypot(*half))
         u = (o[0] / c, o[1] / c)
-        w = u[0] * u[0] + u[1] * u[1] - 1.0
+        w = 0.0 if c == ro else u[0] * u[0] + u[1] * u[1] - 1.0
     # per piece of an edge along axis k, in the plane: its flux times rho_b /
     # 4 (the 1/2 of oint and of 1/2 log1p), the log's constant and its slope
     # in t / c; in space: -rho_b h e / 2, h^2 + e^2, r's place on k and |h|

@@ -459,6 +459,16 @@ def test_oracle_far_points_meet_tolerance(key):
                 ref = -balayage_measure(dom).potential(p)
         res = potential_oracle(dom, p, 1e-9)
         assert res.stats.tol_met and abs(res.value - ref) <= 1e-9, (p, res.value, ref)
+    if key == "cube":
+        return
+    # off the axes, where |u|^2 - 1 rounds away from 0; the far field's first
+    # correction is below 1e-16 from x = 1e8 on
+    centre = (0.5, 0.5) if key == "square" else (0.0, 0.0)
+    for x in (1e8, 1e20, 1e30, 1e50, 1e100, 1e150):
+        p = (centre[0] - x, centre[1] + x / 2)
+        ref = dom.N * math.log(math.hypot(-x, x / 2))
+        res = potential_oracle(dom, p, 1e-9)
+        assert res.stats.tol_met and abs(res.value - ref) <= 1e-9, (p, res.value, ref)
 
 
 def test_oracle_point_misjudged_by_a_whole_turn_root():
