@@ -13,8 +13,9 @@ fixed number of numpy calls on small arrays: the panels being refined live
 in one table that a level splits with one ``compress`` and grows with one
 ``take``.  On the 2-core x86-64 benchmark machine (Python 3.11, numpy 2.4,
 whose speed drifts by up to 2x) a one-interval call that its root
-satisfies costs 20-45 us and each further level 25-45 us beside its
-integrand call; ``scripts/quad_overhead.py`` prints the current figures.
+satisfies costs 21-45 us (three intervals 36 us) and each further level
+25-45 us beside its integrand call; ``scripts/quad_overhead.py`` prints
+the current figures.
 """
 
 from __future__ import annotations
