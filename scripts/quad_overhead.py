@@ -14,9 +14,10 @@ case's median over the repeats and the quartiles.  Cases:
   accepted at the root;
 - ``adaptive_1d`` on -log|x| cos x over [0, 1] at tol 1e-12, a tree of 41
   levels with one or two panels each;
-- ``domains._edge_integral`` of a constant, accepted at the root, on four
-  quarter turns (the planar oracle's pieces) and on the unit cube's 48 facet
-  pieces at an inside point: the piece table's own cost per call;
+- ``domains._edge_integral`` of a constant, accepted at the root, on the
+  pieces that one ``potential_oracle`` call passes to it: the disk's four
+  quarter turns and the unit cube's 48 facet pieces at an inside point, the
+  piece table's own cost per call;
 - one ``potential_oracle`` point at tol 1e-9 per 2d class of the ``oracle``
   benchmark workload and the segment, and two each of the 3-ball, the unit
   cube and the 1 x 1.5 x 2 ellipsoid (inside and outside);
@@ -28,8 +29,6 @@ case's median over the repeats and the quartiles.  Cases:
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
 import platform
 import statistics
@@ -47,19 +46,21 @@ def _unit(geo):
     return domains.UniformDomain(geo, 1.0)
 
 
-def _quarter_turns(tol):
-    """The four quarter turns of ``domains._oracle_2d``, support edges at 0."""
-    return [(0.5 * math.pi * n, 0.5 * math.pi * (n + 1), n == 0, n == 3, 0.25 * tol)
-            for n in range(4)]
+def _oracle_pieces(geo, p, tol):
+    """The pieces that one ``potential_oracle`` call at p passes to
+    ``domains._edge_integral``, caught by wrapping that module global."""
+    caught, edge_integral = [], domains._edge_integral
 
+    def catch(h, pieces):
+        caught.append(pieces)
+        return edge_integral(h, pieces)
 
-def _cube_facet_pieces(y, tol):
-    """The unit cube's 48 pieces at the inside point y as ``domains._oracle_box``
-    cuts them: each of 24 face-edge chains along axis k, split at y's foot."""
-    pieces = []
-    for *_, k in itertools.permutations(range(3)):
-        foot = y[k] - 0.5
-        pieces += [(-0.5, foot, False, True, tol / 48), (foot, 0.5, True, False, tol / 48)] * 4
+    domains._edge_integral = catch
+    try:
+        domains.potential_oracle(_unit(geo), p, tol)
+    finally:
+        domains._edge_integral = edge_integral
+    (pieces,) = caught
     return pieces
 
 
@@ -89,9 +90,10 @@ def cases():
         ("adaptive_1d, 41-level log endpoint", lambda: _quad.adaptive_1d(log_end, 0.0, 1.0, 1e-12)),
     ]
     const = lambda t, k: np.ones_like(t)  # noqa: E731
-    for name, pieces in (("4 quarter turns", _quarter_turns(1e-9)),
-                         ("48 unit-cube facet pieces", _cube_facet_pieces((0.3, 0.6, 0.4), 1e-9))):
-        out.append((f"_edge_integral, {name}",
+    for name, geo, p in (("disk", domains.Ball(2, 1.0), (0.3, 0.2)),
+                         ("unit cube", domains.Cuboid(((0.0, 1.0),) * 3), (0.3, 0.6, 0.4))):
+        pieces = _oracle_pieces(geo, p, 1e-9)
+        out.append((f"_edge_integral, {len(pieces)} pieces of the {name}, inside",
                     lambda pieces=pieces: domains._edge_integral(const, pieces)))
     for name, geo, p in oracle:
         dom = _unit(geo)

@@ -209,9 +209,10 @@ def green3d(geometry, r, rp, R: float = 1.0) -> float:
     rp = np.asarray(rp, dtype=float)
     if r.shape != (3,) or rp.shape != (3,):
         raise ValueError("green3d: points must be 3-vectors")
-    if np.allclose(r, rp):
-        raise SingularityError("green3d: coincident points")
-    direct = 1.0 / np.linalg.norm(r - rp)
+    dist = float(np.linalg.norm(r - rp))
+    direct = 1.0 / dist if dist > 0.0 else math.inf
+    if not math.isfinite(direct):
+        raise SingularityError("green3d: coincident points (1/|r - r'| is not finite)")
     if geometry == "sphere":
         if not R > 0.0:
             raise ValueError(f"green3d: sphere radius R must be > 0, got {R}")

@@ -420,50 +420,29 @@ def background_potential(dom: UniformDomain, r) -> float:
     raise UnsupportedRegionError(f"unsupported geometry {type(geo).__name__}")
 
 
-# ------------------------------------------------------------ oracle (rays)
-
-def _ray_chords(geo, origin):
-    """Chords through the solid ellipsoid sum (x_i/a_i)^2 <= 1 of ``geo``'s
-    axes of the rays {origin + t e, t >= 0}, as a function of the directions
-    e: it takes their d components as a sequence of (n,) arrays (a component
-    that is zero on every ray may be the float 0.0) and returns the (2, n)
-    array of their chords (t0, t1), 0 <= t0 <= t1, one per ray.  A ray that
-    misses gives t0 = t1.  The quadratic's constant term depends on the
-    origin alone and is computed here, once per point; its other
-    coefficients are summed component by component, first to last.  Raises
-    ValueError for an origin so far from the body that its chords overflow.
-    """
-    axes = getattr(geo, "axes", None)
-    if axes is None:
-        raise UnsupportedRegionError(f"no ray intersections for {type(geo).__name__}")
-    o = np.asarray(origin, dtype=float).tolist()
-    _check_reach(math.hypot(*o) + max(axes), min(axes))
-    ax2 = [a * a for a in axes]
-    c = np.add.reduce([(ok / a) * (ok / a) for ok, a in zip(o, axes)]) - 1.0
-    rest = list(zip(o[1:], axes[1:], ax2[1:]))
-
-    def chords(dirs):
-        a, b = (dirs[0] / axes[0]) ** 2, o[0] * dirs[0] / ax2[0]
-        for (ok, ak, ak2), e in zip(rest, dirs[1:]):
-            a, b = a + (e / ak) ** 2, b + ok * e / ak2
-        sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
-        # the smaller and larger root, (-b -+ sq) / a; rounding is monotone,
-        # so the larger root stays the larger
-        return np.maximum((sq * _ROOT_SIGNS - b) / a, 0.0)
-    return chords
-
-
-_ROOT_SIGNS = np.array([[-1.0], [1.0]])
-
+# ----------------------------------------------------------- oracle (shared)
 
 def _check_reach(far, a_min=math.inf):
     """Refuse a point too far from the body: far^2 (2 log far - 1) must be
     finite, ``far`` bounding its distance to the body's far side, and for a
-    quadric with smallest axis ``a_min`` so must 4 (far / a_min^2)^2, which
-    bounds each term of its chords' b^2 - a c on unit directions."""
+    quadric of smallest axis ``a_min`` so must 4 (far / a_min^2)^2, which
+    bounds each term of ``surfaces._exits``' b^2 - a c and refuses an
+    ellipse too thin for ``_oracle_2d`` (a_min below ~1e-77 at unit range)."""
     q = far / a_min / a_min
     if not (math.isfinite(far * far * (2.0 * math.log(far) - 1.0)) and math.isfinite(4.0 * q * q)):
         raise ValueError("potential_oracle: the point is too far from the body")
+
+
+def _frame(o, size, a_min=math.inf):
+    """c = max(|o|, size), u = o / c and w = |u|^2 - 1 for a point at offset
+    ``o`` (floats) from the centre of a body of largest semi-axis or half-
+    diagonal ``size``, once ``_check_reach(|o| + size, a_min)`` passes; w is
+    0.0 when c = |o|, as its rounding would swamp a far point's ~1/c."""
+    ro = math.hypot(*o)
+    _check_reach(ro + size, a_min)
+    c = max(ro, size)
+    u = [v / c for v in o]
+    return c, u, 0.0 if c == ro else sum(v * v for v in u) - 1.0
 
 
 # u(s) = u1 s + u2 s^2 on an interval, by which of its ends (lower, upper)
@@ -513,7 +492,8 @@ def _oracle_1d(geo: Hyperellipsoid, rho_b: float, x: float, tol: float):
 
     cuts = sorted({-R, R} | ({x} if -R < x < R else set()))
     n = len(cuts) - 1
-    return adaptive_1d(f, cuts[:-1], cuts[1:], [tol / n] * n)
+    res = adaptive_1d(f, cuts[:-1], cuts[1:], [tol / n] * n)
+    return EvalResult(*res, res.stats)
 
 
 # ----------------------------------------------------- oracle (boundaries)
@@ -535,9 +515,9 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
     an integrand smooth and periodic for r off the boundary, which a few
     Gauss panels resolve (Trefethen & Weideman, SIAM Review 56, 2014).  With
     c = max(|r - centre|, body size), xi = (x - centre) / c and u = (r -
-    centre) / c, the log is 1/2 log1p(|xi|^2 - 2 xi.u + |u|^2 - 1), so far
-    points neither cancel nor overflow; the flux factor (x - r).n ds stays
-    in real units.  An ellipse x = (a1 cos t, a2 sin t) has (x - r).n ds =
+    centre) / c (``_frame``), the log is 1/2 log1p(|xi|^2 - 2 xi.u + |u|^2 -
+    1), so far points neither cancel nor overflow; the flux factor (x -
+    r).n ds stays in real units.  An ellipse x = (a1 cos t, a2 sin t) has (x - r).n ds =
     (a1 a2 - r1 a2 cos t - r2 a1 sin t) dt and runs four quarter turns from
     t0 = atan2(r2 / a2, r1 / a1), substituted at both t0 ends, where the log
     dips for a point near the boundary; the annulus adds its hole's circle
@@ -548,13 +528,7 @@ def _oracle_2d(geo, rho_b: float, r, tol: float):
     curves = [(geo.R, geo.R, 1.0), (geo.c * geo.R, geo.c * geo.R, -1.0)] \
         if isinstance(geo, Annulus2D) else [(*geo.axes, 1.0)]
     (b1, b2, _), last = curves[0], curves[-1]
-    rr = math.hypot(x, y)
-    _check_reach(rr + max(b1, b2), min(last[:2]))
-    c = max(rr, b1, b2)
-    u1, u2 = x / c, y / c
-    # |u|^2 - 1 is 0 when c = |r|, but its rounding (~1e-16) would swamp the
-    # log1p argument's ~1/c far off the axes
-    w = 0.0 if c == rr else u1 * u1 + u2 * u2 - 1.0
+    c, (u1, u2), w = _frame([x, y], max(b1, b2), min(last[:2]))
     # per curve, as floats: the flux p - px cos t - py sin t and the log's
     # q = (aa cos t - au) cos t + (bb sin t - bu) sin t + w; h adds the
     # curves' terms in curve order
@@ -598,15 +572,11 @@ def _oracle_box(geo: Box, rho_b: float, r, tol: float):
     """
     bounds, y = geo.bounds, r.tolist()
     dists = [(ok - lo, hi - ok) for (lo, hi), ok in zip(bounds, y)]
-    _check_reach(math.hypot(*(max(pair) for pair in dists)))
     half = [0.5 * (hi - lo) for lo, hi in bounds]
     o = [ok - 0.5 * (lo + hi) for (lo, hi), ok in zip(bounds, y)]
+    # the reach check; the rectangle's log1p reads c, u and w as _oracle_2d's
+    c, u, w = _frame(o, math.hypot(*half))
     planar = len(y) == 2
-    if planar:  # the scale c, u and |u|^2 - 1 of _oracle_2d's log1p
-        ro = math.hypot(*o)
-        c = max(ro, math.hypot(*half))
-        u = (o[0] / c, o[1] / c)
-        w = 0.0 if c == ro else u[0] * u[0] + u[1] * u[1] - 1.0
     # per piece of an edge along axis k, in the plane: its flux times rho_b /
     # 4 (the 1/2 of oint and of 1/2 log1p), the log's constant and its slope
     # in t / c; in space: -rho_b h e / 2, h^2 + e^2, r's place on k and |h|
@@ -690,14 +660,11 @@ def _oracle_ellipsoid(geo: Hyperellipsoid, rho_b: float, r, tol: float):
     The bracket takes tol / max(1, prefactor); the stats are the last rule's.
     """
     axes, d, y = geo.axes, geo.dim, r.tolist()
-    rr = math.hypot(*y)
-    _check_reach(rr + max(axes))
-    c = max(rr, *axes)
+    c, rc, w = _frame(y, max(axes))
     # rho_b det A c^(2 - d) / 2 from its largest factor down, so that no
     # partial product underflows before the whole does
     pref = math.prod([0.5 * rho_b * c * c, *(a / c for a in axes)])
     tol_b = tol / max(1.0, pref)
-    rc = [v / c for v in y]
     t = [v / a for v, a in zip(rc, axes)]
     nt = math.hypot(*t)
     e = [v / nt for v in t] if nt > 0.0 else [1.0] + [0.0] * (d - 1)
@@ -705,7 +672,7 @@ def _oracle_ellipsoid(geo: Hyperellipsoid, rho_b: float, r, tol: float):
     # q = kappa - delta2 cos g + sin g (gm sin g + be (cos g - |A^-1 r|)); on a
     # ball |A v|^2 = |A e|^2 and A e.A v = 0 drop the last two
     alpha = sum(v * v for v in ae)
-    kappa = alpha + (0.0 if c == rr else sum(v * v for v in rc) - 1.0)
+    kappa = alpha + w
     delta2 = 2.0 * sum(u * v for u, v in zip(ae, rc))
     expo, half, c_dm1 = 1.0 - 0.5 * d, 0.5 * math.pi, sphere_area(d - 1)
 
@@ -774,8 +741,7 @@ def potential_oracle(dom: UniformDomain, r, tol: float = 1e-8) -> EvalResult:
     if not all(map(math.isfinite, p.tolist())):
         raise ValueError("potential_oracle: the point must be finite")
     if geo.dim == 1:
-        res = _oracle_1d(geo, rho_b, float(p[0]), tol)
-        return EvalResult(*res, res.stats)
+        return _oracle_1d(geo, rho_b, float(p[0]), tol)
     if isinstance(geo, Box):
         return _oracle_box(geo, rho_b, p, tol)
     if geo.dim == 2:

@@ -61,11 +61,20 @@ def subblock_kernel(N: int, z: complex, zp: complex, smoothed: bool = False):
         raise ValueError("subblock_kernel: points must lie in the closed unit disk")
     if not smoothed:
         w = z * zp.conjugate()
-        if abs(w - 1.0) < 1e-12:
-            val = N * (N + 1) / 2.0 / math.pi
-            return val
-        # sum_{j=1}^{N} j w^{j-1} in closed form
-        val = (1.0 - (N + 1) * w ** N + N * w ** (N + 1)) / (1.0 - w) ** 2 / math.pi
+        dw = 1.0 - w
+        if abs(N * dw) <= 2.0:
+            # where the closed form cancels: its series sum_k (-dw)^k (k + 1)
+            # C(N + 1, k + 2), whose terms fall by 3/4 or more from k = 1 on
+            term = total = N * (N + 1) / 2.0
+            for k in range(N - 1):
+                term = term * -dw * ((k + 2) * (N - k - 1) / ((k + 1) * (k + 3)))
+                total += term
+                if abs(term) <= 1e-17 * abs(total):
+                    break
+            val = total / math.pi
+        else:
+            # sum_{j=1}^{N} j w^{j-1} in closed form
+            val = (1.0 - (N + 1) * w ** N + N * w ** (N + 1)) / dw ** 2 / math.pi
         return val.real if abs(val.imag) < 1e-14 * abs(val) else val
     dtheta = cmath.phase(z * zp.conjugate())
     x, wq = gl_nodes(240)

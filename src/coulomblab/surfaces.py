@@ -12,11 +12,11 @@ from ._quad import adaptive_1d
 from .domains import (
     Ball,
     Hyperellipsoid,
+    _check_reach,
     _edge_integral,
     _lambda_integral,
     _lambda_star,
     _point,
-    _ray_chords,
     coulomb_radial,
     sphere_area,
 )
@@ -103,13 +103,36 @@ def projection_density(d: int, R: float, r) -> float:
 
 # ----------------------------------------------------- identity machinery
 
+def _exits(geo, origin):
+    """Exit distances from the solid ellipsoid of ``geo``'s axes along the
+    rays {origin + t e, t >= 0} from an interior origin: a function of the
+    directions' d components ((n,) arrays, or the float 0.0 for one that is
+    zero on every ray) that returns the larger roots of a t^2 + 2 b t + c,
+    its c computed here, once per origin.  Raises ValueError where the
+    quadratic would overflow (``domains._check_reach``; a thin slab)."""
+    axes = geo.axes
+    o = np.asarray(origin, dtype=float).tolist()
+    _check_reach(math.hypot(*o) + max(axes), min(axes))
+    ax2 = [a * a for a in axes]
+    c = np.add.reduce([(ok / a) * (ok / a) for ok, a in zip(o, axes)]) - 1.0
+    rest = list(zip(o[1:], axes[1:], ax2[1:]))
+
+    def exits(dirs):
+        a, b = (dirs[0] / axes[0]) ** 2, o[0] * dirs[0] / ax2[0]
+        for (ok, ak, ak2), e in zip(rest, dirs[1:]):
+            a, b = a + (e / ak) ** 2, b + ok * e / ak2
+        sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
+        return np.maximum((sq - b) / a, 0.0)
+    return exits
+
+
 def _weighted_ray_integral(geo, point, weight, kernel, tol):
     """Integral over the convex body geo of weight(r') k(|point - r'|) by
     rays from the interior point: a planar one sweeps a whole turn, an axis
     point (x, 0, ..., 0), x >= 0, of a d-ball the polar angle gamma in [0,
     pi] with weight sin(gamma)^(d - 2), times the azimuths' area.  The rays
-    of one angular level run to their exits L (``domains._ray_chords``) in
-    one ``_edge_integral`` call, the rim an upper support edge: the weights
+    of one angular level run to their exits L (``_exits``) in one
+    ``_edge_integral`` call, the rim an upper support edge: the weights
     below open or blow up there like a square root.  ``weight`` maps a (d,
     m) array of points to their weights; ``kernel`` must already include the
     polar Jacobian s^(d-1) (so the d = 3 Coulomb kernel 1/s enters a planar
@@ -117,7 +140,7 @@ def _weighted_ray_integral(geo, point, weight, kernel, tol):
     """
     p = np.asarray(point, dtype=float)
     d = len(p)
-    chords = _ray_chords(geo, p)
+    exits = _exits(geo, p)
 
     def sweep(angles, _):
         dirs = (np.cos(angles), np.sin(angles), *[0.0] * (d - 2))
@@ -127,7 +150,7 @@ def _weighted_ray_integral(geo, point, weight, kernel, tol):
             return weight(p[:, None] + s * e.take(k, axis=1)) * kernel(s)
 
         parts = _edge_integral(h, [(0.0, L, False, True, tol)
-                                   for L in chords(dirs)[1].tolist()]).parts
+                                   for L in exits(dirs).tolist()]).parts
         return parts if d == 2 else parts * np.sin(angles) ** (d - 2)
 
     turn = 2.0 * math.pi if d == 2 else math.pi
@@ -164,8 +187,16 @@ def projection_identities(case: str, **params) -> dict:
     equipotential), "riesz-quadratic" (inverse-square-root density on the
     d-ball with the s = d-3 kernel gives a quadratic), "semicircle" (the
     log-potential of the semicircle density), and "thin-slab" (thin-ellipsoid
-    limit against the weighted 2d integral).
+    limit against the weighted 2d integral).  A keyword that the case does
+    not read raises ValueError.
     """
+    reads = {"constant-potential": {"d", "R"}, "riesz-quadratic": {"d", "R"},
+             "semicircle": {"a", "xs"}, "thin-slab": {"a1", "a2", "N"}}.get(case)
+    if reads is None:
+        raise ValueError(f"projection_identities: unknown case {case!r}")
+    unread = sorted(params.keys() - reads)
+    if unread:
+        raise ValueError(f"projection_identities: {case} reads no {unread[0]!r}")
     if case == "constant-potential":
         d = params.get("d", 3)
         R = params.get("R", 1.0)
@@ -232,25 +263,23 @@ def projection_identities(case: str, **params) -> dict:
             resid.append(abs(lhs - (a / math.pi) * val))
         return {"case": case, "a": a, "max_residual": float(np.max(resid))}
 
-    if case == "thin-slab":
-        a1 = params.get("a1", 1.5)
-        a2 = params.get("a2", 1.0)
-        charge = params.get("N", 1.0)
-        a0, al = _thin_slab_coefficients(a1, a2, charge)
-        pref = -2.0 * charge * gamma(2.5) / (math.pi ** 1.5 * a1 * a2)
-        pts = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.4, 0.3), (-0.5, 0.2)]
+    # case == "thin-slab"
+    a1 = params.get("a1", 1.5)
+    a2 = params.get("a2", 1.0)
+    charge = params.get("N", 1.0)
+    a0, al = _thin_slab_coefficients(a1, a2, charge)
+    pref = -2.0 * charge * gamma(2.5) / (math.pi ** 1.5 * a1 * a2)
+    pts = [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.4, 0.3), (-0.5, 0.2)]
 
-        def weight(q):
-            return np.maximum(1.0 - (q[0] / a1) ** 2 - (q[1] / a2) ** 2, 0.0) ** 0.5
+    def weight(q):
+        return np.maximum(1.0 - (q[0] / a1) ** 2 - (q[1] / a2) ** 2, 0.0) ** 0.5
 
-        resid = []
-        for (x, y) in pts:
-            lhs = a0 + al[0] * x * x + al[1] * y * y
-            # the 1/s kernel times the polar Jacobian s is 1
-            rhs = pref * _weighted_ray_integral(Hyperellipsoid((a1, a2)), [x, y],
-                                                weight, np.ones_like, 1e-9)
-            resid.append(abs(lhs - rhs))
-        return {"case": case, "a1": a1, "a2": a2,
-                "max_residual": float(np.max(resid))}
-
-    raise ValueError(f"projection_identities: unknown case {case!r}")
+    resid = []
+    for (x, y) in pts:
+        lhs = a0 + al[0] * x * x + al[1] * y * y
+        # the 1/s kernel times the polar Jacobian s is 1
+        rhs = pref * _weighted_ray_integral(Hyperellipsoid((a1, a2)), [x, y],
+                                            weight, np.ones_like, 1e-9)
+        resid.append(abs(lhs - rhs))
+    return {"case": case, "a1": a1, "a2": a2,
+            "max_residual": float(np.max(resid))}

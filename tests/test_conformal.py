@@ -248,6 +248,20 @@ def test_green3d_values():
     assert abs(green3d("halfspace", [0, 0, 1], [0, 0, 2]) - 2.0 / 3.0) < 1e-13
 
 
+def test_green3d_near_points_are_not_coincident():
+    # 0.005 apart and 1000 out, which a relative closeness test took for one
+    # point; against the image formulas written out
+    dx = 1000.005 - 1000.0
+    ref = 1.0 / dx - 1.0 / math.hypot(dx, 10.0)  # mirror of (1000.005, 0, 5) in z = 0
+    assert abs(green3d("halfspace", [1000.0, 0.0, 5.0], [1000.005, 0.0, 5.0]) - ref) <= 1e-12 * ref
+    # the unit sphere's image of r' is r' / |r'|^2, of charge 1 / |r'|
+    ref = 1.0 / dx - (1.0 / 1000.005) / (1000.0 - 1.0 / 1000.005)
+    assert abs(green3d("sphere", [1000.0, 0.0, 0.0], [1000.005, 0.0, 0.0]) - ref) <= 1e-12 * ref
+    for r, rp in [([1000.0, 0.0, 5.0], [1000.0, 0.0, 5.0]), ([0.0, 0.0, 1.0], [5e-324, 0.0, 1.0])]:
+        with pytest.raises(SingularityError):  # equal, or 1/|r - r'| overflows
+            green3d("halfspace", r, rp)
+
+
 def test_green3d_symmetry():
     rng = np.random.default_rng(7)
     for _ in range(40):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coulomblab import _quad, domains
+from coulomblab import _quad, domains, surfaces
 from coulomblab.balayage import HoleSpec, balayage_measure
 from coulomblab.conformal import LaurentMap
 from coulomblab.domains import (
@@ -141,10 +141,10 @@ def test_oracle_rejects_non_finite_point(geo, p):
                                    (Cuboid(((0.0, 1.0),) * 3), (1e160, 0.5, 0.5))])
 def test_oracle_rejects_point_whose_chords_overflow(geo, p):
     # a finite point past the oracle's reach (some 1e152 body sizes, where
-    # squared distances such as the cuboid's h^2 + e^2 + t^2 or the 3-ball's
-    # chord terms overflow), or a quadric axis so thin that the reach's
-    # bound on it overflows, is refused up front, not integrated to inf, nan
-    # or a wrong value such as -0.0
+    # squared distances such as the cuboid's h^2 + e^2 + t^2 overflow), or
+    # an ellipse axis so thin that the reach's bound on it overflows, is
+    # refused up front, not integrated to inf, nan or a wrong value such as
+    # -0.0
     with pytest.raises(ValueError, match="too far"):
         potential_oracle(UniformDomain(geo, 1.0), p)
 
@@ -529,67 +529,60 @@ def test_oracle_stats_on_quadrature_paths():
         assert stats.tol_met and stats.panels >= 3, geo
 
 
-def _quadric_chord_reference(origin, dirs, axes):
-    ax = np.asarray(axes, dtype=float)
-    a = np.sum((dirs / ax) ** 2, axis=1)
-    b = np.sum(origin * dirs / ax ** 2, axis=1)
-    c = np.sum((origin / ax) ** 2) - 1.0
-    sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
-    t0 = np.maximum((-b - sq) / a, 0.0)
-    t1 = np.maximum((-b + sq) / a, t0)
-    return t0, t1
-
-
-def _ray_chords_reference(geo, origin, dirs):
+def _exits_reference(geo, origin, dirs):
     # the (n, d)-array form: directions are the rows of dirs, and the
     # quadric coefficients are reduced over its second axis
-    return _quadric_chord_reference(np.asarray(origin, dtype=float), dirs, geo.axes)
+    ax = np.asarray(geo.axes, dtype=float)
+    o = np.asarray(origin, dtype=float)
+    a = np.sum((dirs / ax) ** 2, axis=1)
+    b = np.sum(o * dirs / ax ** 2, axis=1)
+    c = np.sum((o / ax) ** 2) - 1.0
+    sq = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    return np.maximum((-b + sq) / a, 0.0)
 
 
+# origins in the closed body, the only ones that surfaces._exits serves
 RAY_BODIES = [
-    pytest.param(Ball(2, 1.0), [(0.3, -0.2), (1.0, 0.0), (-1.5, 0.4)], id="disk"),
-    pytest.param(Ball(3, 1.0), [(0.2, 0.1, -0.3), (1.8, 0.0, 0.0), (0.0, 0.0, 1.0)],
-                 id="ball3"),
-    pytest.param(Ellipse2D(2.0, 1.0), [(0.5, 0.3), (3.0, 0.5), (2.0, 0.0)], id="ellipse"),
+    pytest.param(Ball(2, 1.0), [(0.3, -0.2), (1.0, 0.0)], id="disk"),
+    pytest.param(Ball(3, 1.0), [(0.2, 0.1, -0.3), (0.0, 0.0, 1.0)], id="ball3"),
+    pytest.param(Ellipse2D(2.0, 1.0), [(0.5, 0.3), (2.0, 0.0)], id="ellipse"),
     pytest.param(Hyperellipsoid((1.0, 2.0, 1.5, 0.7)),
-                 [(0.2, 0.4, -0.3, 0.1), (1.2, -1.0, 0.5, 0.3)], id="hyperellipsoid4"),
+                 [(0.2, 0.4, -0.3, 0.1), (-0.3, 0.9, 0.6, -0.2)], id="hyperellipsoid4"),
 ]
 
 
 @pytest.mark.parametrize("geo,origins", RAY_BODIES)
 def test_ray_chords_on_components_match_row_form(geo, origins):
+    # surfaces._exits, on direction components, against the row form
     d = geo.dim
     rng = np.random.default_rng(d + len(origins))
     g = rng.standard_normal((200, d))
     # random directions plus the axis directions
     dirs = np.vstack([g / np.linalg.norm(g, axis=1, keepdims=True), np.eye(d), -np.eye(d)])
     for origin in origins:
-        (g0, g1), (r0, r1) = domains._ray_chords(geo, origin)(dirs.T), \
-            _ray_chords_reference(geo, origin, dirs)
-        assert np.array_equal(g0, r0) and np.array_equal(g1, r1), origin
+        got, ref = surfaces._exits(geo, origin)(dirs.T), _exits_reference(geo, origin, dirs)
+        assert np.array_equal(got, ref), origin
     if domains._ball_radius(geo) is not None and d == 3:
         # a d-ball's planar fan of ray directions: a zero component given as 0.0
         gam = rng.uniform(0.0, math.pi, 50)
         fan = np.column_stack([np.cos(gam), np.sin(gam), np.zeros(50)])
-        g0, g1 = domains._ray_chords(geo, (1.8, 0.0, 0.0))((fan[:, 0], fan[:, 1], 0.0))
-        r0, r1 = _ray_chords_reference(geo, (1.8, 0.0, 0.0), fan)
-        assert np.array_equal(g0, r0) and np.array_equal(g1, r1)
+        got = surfaces._exits(geo, (0.6, 0.0, 0.0))((fan[:, 0], fan[:, 1], 0.0))
+        assert np.array_equal(got, _exits_reference(geo, (0.6, 0.0, 0.0), fan))
 
 
 @pytest.mark.parametrize("geo,origins", RAY_BODIES)
 def test_ray_chords_keep_each_origin_apart(geo, origins):
-    # what _ray_chords computes once per origin stays with that origin: two
-    # chord functions called in turn, on fresh directions each time, give
-    # each origin's own chords
+    # what surfaces._exits computes once per origin stays with that origin:
+    # two exit functions called in turn, on fresh directions each time, give
+    # each origin's own exits
     d = geo.dim
     rng = np.random.default_rng(7 * d + len(origins))
     first, last = origins[0], origins[-1]
-    chords = {first: domains._ray_chords(geo, first), last: domains._ray_chords(geo, last)}
+    exits = {first: surfaces._exits(geo, first), last: surfaces._exits(geo, last)}
     for origin in (first, last, first, last):
         g = rng.standard_normal((64, d))
         dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
-        (g0, g1), (r0, r1) = chords[origin](dirs.T), _ray_chords_reference(geo, origin, dirs)
-        assert np.array_equal(g0, r0) and np.array_equal(g1, r1), origin
+        assert np.array_equal(exits[origin](dirs.T), _exits_reference(geo, origin, dirs)), origin
 
 
 def _edge_integrand_reference(h, pieces):

@@ -60,6 +60,33 @@ def test_subblock_closed_form_vs_direct_sum():
         assert abs(val - direct) < 1e-12 * max(1.0, abs(direct))
 
 
+def test_subblock_near_w_one_matches_mpmath():
+    # w = z conj(z') within 1e-15 to 1e-1 of 1, in the closed unit disk, on
+    # either side of the series' |N (1 - w)| <= 2, against the 40-digit sum
+    # sum_j j w^(j - 1) (Horner); the closed form alone was up to 7.5e13 off
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    for n_modes in (1, 2, 10, 100, 1000):
+        for m in (f * 10.0 ** e for e in range(-15, 0) for f in (1.0, 3.0)):
+            edge = math.acos(m / 2.0)
+            for phi in (0.0, 0.7, -1.3, edge, -edge):
+                w = 1.0 - m * cmath.exp(1j * phi)
+                got = subblock_kernel(n_modes, w, 1.0) * math.pi
+                with mp.workdps(40):
+                    ref = mp.mpf(n_modes)
+                    for j in range(n_modes - 1, 0, -1):
+                        ref = ref * mp.mpc(w.real, w.imag) + j
+                    worst = max(worst, float(abs(mp.mpc(complex(got)) - ref) / abs(ref)))
+    assert worst <= 1e-12, worst
+
+
+def test_subblock_near_w_one_is_real_for_real_w():
+    # 1e-9 below 1 on the real axis: once 0 (N = 10) and 4523.46 (N = 100)
+    for n_modes, ref in ((10, 17.5070436350662), (100, 1607.46481913546)):
+        val = subblock_kernel(n_modes, 0.999999999, 1.0)
+        assert isinstance(val, float) and abs(val - ref) <= 1e-13 * ref, val
+
+
 def test_subblock_smoothed_limit():
     val = subblock_kernel(200, 1.0, -1.0, smoothed=True)
     target = (1 / (2 * math.pi)) ** 2 / 4.0

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from coulomblab._quad import adaptive_1d
-from coulomblab.domains import (Ball, Ellipse2D, SingularityError, _ray_chords, coulomb_radial,
-                                sphere_area)
+from coulomblab.domains import Ball, Ellipse2D, SingularityError, coulomb_radial, sphere_area
 from coulomblab.specfun import gamma
 from coulomblab.surfaces import (
     OffSurfaceError,
     _ball_weight,
+    _exits,
     _weighted_ray_integral,
     ellipsoid_surface_density,
     ellipsoid_surface_potential,
@@ -262,12 +262,12 @@ def _per_ray_reference(geo, point, weight, kernel, tol):
     # directions, with the rim taken by the substitution s = L - v^2
     p = np.asarray(point, dtype=float)
     d = len(p)
-    chords = _ray_chords(geo, p)
+    exit_of = _exits(geo, p)
 
     def angular(thetas):
         dirs = np.zeros((len(thetas), d))
         dirs[:, 0], dirs[:, 1] = np.cos(thetas), np.sin(thetas)
-        _, exits = chords(dirs.T)
+        exits = exit_of(dirs.T)
         out = np.empty_like(thetas)
         for i, (e, L) in enumerate(zip(dirs, exits)):
             def radial(vs):
@@ -307,3 +307,12 @@ def test_batched_rays_match_the_per_ray_reference():
 def test_unknown_case():
     with pytest.raises(ValueError):
         projection_identities("nonsense")
+
+
+@pytest.mark.parametrize("case,params,unread", [
+    ("constant-potential", {"d": 3, "r": 9.0}, "r"), ("riesz-quadratic", {"a": 2.0}, "a"),
+    ("semicircle", {"a": 1.0, "R": 2.0}, "R"), ("thin-slab", {"a1": 1.5, "d": 3}, "d")])
+def test_identity_case_refuses_a_key_it_does_not_read(case, params, unread):
+    # a misspelt or foreign key once left the default report in place
+    with pytest.raises(ValueError, match=repr(unread)):
+        projection_identities(case, **params)
